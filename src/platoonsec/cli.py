@@ -14,7 +14,7 @@ import logging
 import sys
 
 from . import harness
-from .core import ConfigError, load_scenario
+from .core import ConfigError, InconsistentSetsError, load_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, harness.SimulationError) as exc:
+    except (ConfigError, InconsistentSetsError, harness.SimulationError) as exc:
         logging.getLogger("platoonsec").error("%s", exc)
         return 2
     except OSError as exc:

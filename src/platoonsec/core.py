@@ -11,7 +11,7 @@ observer.
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -372,7 +372,10 @@ def load_scenario(source) -> ScenarioConfig:
         if not omega < 1:
             raise ConfigError(f"threshold_mode.omega must lie in (0, 1), got {omega}")
 
-    attack = sensing.attack_spec_from_json(doc["attack"])
+    try:
+        attack = sensing.attack_spec_from_json(doc["attack"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid attack block: {exc}") from exc
     if any(i > N for i in attack.attacked):
         raise ConfigError("attack set references vehicles beyond N")
     if len(attack.attacked) > b:

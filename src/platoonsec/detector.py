@@ -71,6 +71,8 @@ def min_attacked_count(indices) -> int:
     most its two neighbours into suspicion: every run of ``r`` consecutive
     suspects needs at least ``ceil(r/3)`` true attacks.
     """
+    if len(indices) <= 1:  # zero or one suspect needs exactly that many
+        return len(indices)
     count = 0
     run_len = 0
     prev = 0
@@ -108,75 +110,54 @@ def detector_step(i: int, fused: DetectionSets, y_rel_own, y_abs_front, y_abs_ow
     ``b`` attacks, so everyone unsuspected is clean), and the completion
     rule (all ``b`` attacks confirmed, so everyone else is clean).
 
-    When neither measurement test fires and the counting rules cannot move
-    any sensor, the fused sets are returned as-is (same object); only the
-    rule flags are recomputed.  Detection therefore costs almost nothing in
-    the long stretches before the first alarm and after the last one.
+    A set is rebuilt only when a rule adds to it; when none does, the fused
+    sets are returned as-is (same object), so callers can recognise an
+    unchanged classification by identity.
     """
-    trusted_f = fused.trusted
-    attacked_f = fused.attacked
-    suspected_f = fused.suspected
+    trusted = fused.trusted
+    attacked = fused.attacked
+    suspected = fused.suspected
 
-    fired_pair = (i >= 2 and i not in attacked_f and (i - 1) not in attacked_f
+    fired_pair = (i >= 2 and i not in attacked and (i - 1) not in attacked
                   and pairwise_check(y_rel_own, y_abs_front, y_abs_own, mu))
-    if not fired_pair:
-        fired_inno = (i not in attacked_f and i not in trusted_f
-                      and innovation_check(y_abs_own, x_bar_own, bound_prev,
-                                           eps, mu, norm_A))
-        if not fired_inno:
-            union = (attacked_f | suspected_f) if suspected_f else attacked_f
-            m = len(union)
-            if m <= 1:  # zero or one suspicious sensor needs exactly m attacks
-                fired_exh = m == b
-            else:
-                fired_exh = min_attacked_count(union) == b
-            fired_comp = len(attacked_f) == b
-            if len(attacked_f) <= b and not (
-                    suspected_f and trusted_f and (suspected_f & trusted_f)):
-                # trusted is disjoint from the others, so size checks suffice
-                # to see whether either counting rule would grow it
-                exh_static = (not fired_exh
-                              or len(trusted_f) == n_vehicles - len(union))
-                comp_static = (not fired_comp
-                               or len(trusted_f) == n_vehicles - len(attacked_f))
-                if exh_static and comp_static:
-                    return DetectorStepResult(fused, False, False,
-                                              fired_exh, fired_comp)
-
-    trusted = set(trusted_f)
-    attacked = set(attacked_f)
-    suspected = set(suspected_f)
-    fired_inno = fired_exh = fired_comp = False
-
     if fired_pair:
         if i in trusted:
-            attacked.add(i - 1)
+            attacked = attacked | {i - 1}
         elif (i - 1) in trusted:
-            attacked.add(i)
+            attacked = attacked | {i}
         else:
-            suspected.add(i - 1)
-            suspected.add(i)
+            suspected = suspected | {i - 1, i}
 
-    if i not in attacked and i not in trusted:
-        if innovation_check(y_abs_own, x_bar_own, bound_prev, eps, mu, norm_A):
-            fired_inno = True
-            attacked.add(i)
+    fired_inno = (i not in attacked and i not in trusted
+                  and innovation_check(y_abs_own, x_bar_own, bound_prev,
+                                       eps, mu, norm_A))
+    if fired_inno:
+        attacked = attacked | {i}
 
-    everyone = range(1, n_vehicles + 1)
-    if saturation_check(suspected | attacked, b):
-        fired_exh = True
-        trusted.update(v for v in everyone if v not in suspected and v not in attacked)
+    # trusted holds only sensors 1..N, so a size test plus disjointness shows
+    # that a counting rule would add nobody
+    union = attacked | suspected if suspected else attacked
+    fired_exh = saturation_check(union, b)
+    if fired_exh and not (len(trusted) == n_vehicles - len(union)
+                          and trusted.isdisjoint(union)):
+        trusted = trusted.union(v for v in range(1, n_vehicles + 1) if v not in union)
 
-    if len(attacked) == b:
-        fired_comp = True
-        trusted = {v for v in everyone if v not in attacked}
+    fired_comp = len(attacked) == b
+    if fired_comp and not (len(trusted) == n_vehicles - len(attacked)
+                           and trusted.isdisjoint(attacked)):
+        trusted = frozenset(v for v in range(1, n_vehicles + 1) if v not in attacked)
 
     if len(attacked) > b:
         raise InconsistentSetsError(
             f"vehicle {i} confirmed {len(attacked)} attacked sensors, more than the "
             f"budget b={b}; a modelling assumption is violated")
 
-    sets = DetectionSets(frozenset(trusted), frozenset(attacked),
-                         frozenset(suspected - attacked - trusted))
-    return DetectorStepResult(sets=sets, pairwise=fired_pair, innovation=fired_inno,
-                              exhaustion=fired_exh, completion=fired_comp)
+    if suspected and not (suspected.isdisjoint(attacked)
+                          and suspected.isdisjoint(trusted)):
+        suspected = suspected - attacked - trusted
+    if (trusted is fused.trusted and attacked is fused.attacked
+            and suspected is fused.suspected):
+        sets = fused
+    else:
+        sets = DetectionSets(trusted, attacked, suspected)
+    return DetectorStepResult(sets, fired_pair, fired_inno, fired_exh, fired_comp)

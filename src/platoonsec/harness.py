@@ -1,12 +1,12 @@
 """Deterministic closed-loop simulation, Monte Carlo aggregation, persistence.
 
 One simulated step runs, in order: plant propagation under the previous
-control, reference/formation propagation, sensing with attack injection, a
-message-exchange snapshot, set fusion plus detection, the observer update,
-the error-bound recursions, and finally the controller.  The detector runs
-before the observer on purpose — the observer's gains and the edge
-vehicles' source selection consume the *current* step's sets, while the
-detection tests themselves only use previous-step bounds and predictions.
+control, reference/formation propagation, sensing with attack injection,
+set fusion with the neighbours' previous-step sets plus detection, the
+observer update, the error-bound recursions, and finally the controller.
+The detector runs before the observer on purpose — the observer's gains and
+the edge vehicles' source selection consume the *current* step's sets, while
+the detection tests themselves only use previous-step bounds and predictions.
 
 Every random draw comes from a counter-based generator keyed by
 ``(seed, run, t, vehicle, stream)``, so a run is reproducible bit for bit
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller, detector, observer, sensing
-from .core import (ConfigError, DetectionSets, Message, ScenarioConfig,
-                   fuse_sets)
+from .core import ConfigError, DetectionSets, ScenarioConfig, fuse_sets
 from .dynamics import advance_deltas, desired_state_chain, reference_step
 from .rng import RunRandom
 
@@ -230,12 +229,12 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         fired=((False,) * 4,) * n, attack_norms=frame.attack_norms,
         phi=phi0, phi_platoon=phi0_platoon)]
 
-    # fusion and source-selection are pure functions of their input sets, so
-    # their results are reused as long as the very same set objects recur
+    # fusion is a pure function of its input sets, so its result is reused as
+    # long as the very same set objects recur; without this memo the N=101,
+    # H=500 run took about 22% longer (best of 10 on a 2-core Xeon host:
+    # 0.93 s -> 1.13 s)
     fuse_in = [None] * n
     fuse_out = [None] * n
-    near_in = [None] * n
-    near_out = [0] * n
     nan_gains = np.full((n, width), np.nan)
 
     zero_noise = np.zeros((n, 2))
@@ -258,27 +257,18 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         x_bar = np.empty_like(x_hat)
         x_bar[:, 0] = x_hat[:, 0] + T * x_hat[:, 1]
         x_bar[:, 1] = x_hat[:, 1] + T * u
-        msgs = [Message(sender=i, t=t, y_abs=y_abs[i - 1],
-                        y_rel=y_rel[i - 2] if i >= 2 else None,
-                        x_bar=x_bar[i - 1], sets=sets[i - 1],
-                        alpha=alpha[i - 1])
-                for i in vehicles]
 
         new_sets = []
         flags = []
         for i in vehicles:
             k = i - 1
             own = sets[k]
-            nb_sets = tuple(msgs[j - 1].sets for j in nbr_lists[k])
+            nb_sets = tuple(sets[j - 1] for j in nbr_lists[k])
             cached = fuse_in[k]
             if (cached is not None and cached[0] is own
                     and all(map(operator.is_, cached[1], nb_sets))):
                 fused = fuse_out[k]
             else:
-                for j in nbr_lists[k]:
-                    if msgs[j - 1].t != t:
-                        raise SimulationError(
-                            f"stale message from {j} consumed at step {t}")
                 fused = fuse_sets(own, nb_sets)
                 fuse_in[k] = (own, nb_sets)
                 fuse_out[k] = fused
@@ -307,20 +297,15 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                 rho[k] = observer.rho_update(rho[k], si, i, topo, bt, params)
                 alpha_new[k] = rho[k]
             else:
-                if near_in[k] is si:
-                    j = near_out[k]
-                else:
-                    j = observer.nearest_trusted(i, si, topo)
-                    near_in[k] = si
-                    near_out[k] = j
+                j = observer.nearest_trusted(i, si, topo)
                 if i in si.trusted:
                     src = y_abs[k]
                 else:
                     src = sensing.estimate_based_measurement(
-                        msgs[j - 1].x_bar, frame, i, j)
+                        x_bar[j - 1], frame, i, j)
                 x_hat_new[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
-                tau[k] = observer.tau_update(tau[k], abs(j - i),
-                                             msgs[j - 1].alpha, params)
+                tau[k] = observer.tau_update(tau[k], abs(j - i), alpha[j - 1],
+                                             params)
                 if i in si.trusted:
                     lam[k] = observer.lambda_update(lam[k], params)
                     alpha_new[k] = lam[k]

@@ -14,12 +14,15 @@ for the rest.  All three are sound envelopes of the true estimation error
 and are what the detector consumes as decision thresholds.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
+
+LOG = logging.getLogger(__name__)
 
 DEFAULT_OMEGA_GRID = tuple(round(0.01 * k, 2) for k in range(1, 100))
 
@@ -71,19 +74,6 @@ class ObserverParams:
         return cls(L=config.L, b=config.b, q=config.q, eps=config.epsilon,
                    mu=config.mu, norm_A=dynamics.plant_norm(config.T),
                    varpi=config.varpi)
-
-
-@dataclass
-class ObserverState:
-    """Per-vehicle mutable observer memory."""
-
-    x_hat: np.ndarray
-    x_bar: np.ndarray
-    rho: float
-    lam: float
-    tau: float
-    alpha: float
-    trusted_since: int | None = None
 
 
 # --------------------------------------------------------------------------
@@ -289,16 +279,22 @@ def feasibility_check(omega: float, p: ObserverParams) -> bool:
     return cond_budget and cond_rate
 
 
-def feasible_omegas(p: ObserverParams, grid=DEFAULT_OMEGA_GRID) -> list:
-    """Grid points with a non-empty, positive threshold interval."""
+def _feasible_intervals(p: ObserverParams, grid=DEFAULT_OMEGA_GRID) -> list:
+    """``(omega, lower, upper)`` for each grid point with a non-empty,
+    positive threshold interval."""
     if p.b >= 2 * p.L + 1:
         return []
     out = []
     for w in grid:
         lo, hi = static_threshold_interval(w, p)
         if 0.0 < lo < hi:
-            out.append(w)
+            out.append((w, lo, hi))
     return out
+
+
+def feasible_omegas(p: ObserverParams, grid=DEFAULT_OMEGA_GRID) -> list:
+    """Grid points with a non-empty, positive threshold interval."""
+    return [w for w, _, _ in _feasible_intervals(p, grid)]
 
 
 @dataclass(frozen=True)
@@ -331,8 +327,6 @@ def design_threshold(p: ObserverParams, mode: str, beta: float | None = None,
     located and its midpoint chosen; if the grid holds no feasible point the
     design fails loudly rather than running an observer with no guarantees.
     """
-    import logging
-    log = logging.getLogger(__name__)
     if mode not in ("static", "adaptive"):
         raise ConfigError(f"unknown threshold mode {mode!r}")
     interval = None
@@ -344,26 +338,23 @@ def design_threshold(p: ObserverParams, mode: str, beta: float | None = None,
                     f"threshold interval empty at omega={omega}: ({lo:.6g}, {hi:.6g})")
             interval = (lo, hi)
         else:
-            best = None
-            for w in feasible_omegas(p):
-                lo, hi = static_threshold_interval(w, p)
-                if best is None or hi - lo > best[2] - best[1]:
-                    best = (w, lo, hi)
-            if best is None:
+            candidates = _feasible_intervals(p)
+            if not candidates:
                 raise InfeasibleThresholdError(
                     "no omega in (0,1) admits a saturation threshold for these parameters")
-            omega, lo, hi = best
+            # the first widest interval wins ties, as ``max`` keeps the first
+            omega, lo, hi = max(candidates, key=lambda c: c[2] - c[1])
             interval = (lo, hi)
         beta = 0.5 * (interval[0] + interval[1])
     else:
         if beta >= p.beta_max:
-            log.warning("threshold beta=%.6g is at or above the honest innovation "
+            LOG.warning("threshold beta=%.6g is at or above the honest innovation "
                         "ceiling %.6g; saturation will never engage", beta, p.beta_max)
         if omega is not None:
             lo, hi = static_threshold_interval(omega, p)
             interval = (lo, hi)
             if not lo < beta < hi:
-                log.warning("explicit beta=%.6g lies outside the designed interval "
+                LOG.warning("explicit beta=%.6g lies outside the designed interval "
                             "(%.6g, %.6g) at omega=%.3g", beta, lo, hi, omega)
     return ThresholdConfig(mode=mode, beta0=float(beta), k0=float(beta) / p.beta_max,
                            omega=omega, interval=interval)

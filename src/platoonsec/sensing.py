@@ -198,12 +198,6 @@ class MeasurementFrame:
     def abs_of(self, i: int) -> np.ndarray:
         return self.y_abs[i - 1]
 
-    def rel_of(self, j: int) -> np.ndarray:
-        """Gap reading ``y_{j-1,j}``; defined for ``j >= 2``."""
-        if j < 2:
-            raise IndexError("relative sensors exist from vehicle 2 on")
-        return self.y_rel[j - 2]
-
     @cached_property
     def rel_prefix(self) -> np.ndarray:
         """Running sums of the gap readings: row ``k`` holds the first ``k``.

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import baseline_doc
 from platoonsec import cli, harness
-from platoonsec.core import load_scenario
+from platoonsec.core import InconsistentSetsError, load_scenario
 
 
 def _config_file(tmp_path, **overrides):
@@ -97,6 +97,31 @@ def test_unstable_design_exits_with_error_code(tmp_path, capsys):
     cfg_path = _config_file(tmp_path, horizon=3, g_s=1000.0, g_v=5.0)
     assert cli.main(["run", "--config", cfg_path, "--out",
                      os.path.join(tmp_path, "out")]) == 2
+
+
+@pytest.mark.parametrize("attack", [
+    {"set": [3], "kind": "warp", "params": {}},
+    {"set": [3], "kind": "random", "params": {"bogus": 1}},
+    {"set": [3], "kind": "random", "params": 5},
+])
+def test_bad_attack_block_exits_with_error_code(tmp_path, caplog, attack):
+    cfg_path = _config_file(tmp_path, horizon=3, attack=attack)
+    assert cli.main(["run", "--config", cfg_path, "--out",
+                     os.path.join(tmp_path, "out")]) == 2
+    assert "invalid attack block" in caplog.text
+
+
+def test_inconsistent_sets_mid_run_exits_with_error_code(tmp_path, caplog,
+                                                        monkeypatch):
+    def clash(own, received):
+        raise InconsistentSetsError(
+            "sensors [2] trusted by one vehicle but confirmed attacked by another")
+
+    monkeypatch.setattr(harness, "fuse_sets", clash)
+    cfg_path = _config_file(tmp_path, horizon=3)
+    assert cli.main(["run", "--config", cfg_path, "--out",
+                     os.path.join(tmp_path, "out")]) == 2
+    assert "confirmed attacked by another" in caplog.text
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -318,6 +318,23 @@ def test_run_matches_replica_static_threshold_and_run_index():
     _assert_traces_equal(got, _replica(cfg, seed=314, run_index=2))
 
 
+@pytest.mark.parametrize("attack", [
+    {"set": [6, 15], "kind": "random", "params": {"scale": 1.0}},
+    {"set": [6, 15], "kind": "bias", "params": {"offset": [6.0, -1.0]}},
+])
+def test_run_matches_replica_on_a_21_vehicle_string(attack):
+    """Many interior vehicles and a budget of two, started inside ``q``."""
+    x0 = [600.0, 10.0]
+    deltas = [[20.0, 0.0]] * 20
+    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
+    cfg = load_scenario(baseline_doc(N=21, b=2, horizon=80, delta_x=deltas,
+                                     x0=x0, x_init=chain, x_hat_init=chain,
+                                     attack=attack))
+    traces = run_simulation(cfg)
+    _assert_traces_equal(traces, _replica(cfg))
+    assert any(s.attacked for s in traces[-1].sets)
+
+
 # --------------------------------------------------------------------------
 # trace bundling and run digest
 # --------------------------------------------------------------------------

@@ -283,6 +283,19 @@ def test_baseline_interval_and_design():
     assert thr.beta_at(12345.0, p) == thr.beta0  # static ignores the bound
 
 
+def test_design_evaluates_each_grid_point_once(monkeypatch):
+    calls = []
+    interval = observer.static_threshold_interval
+
+    def counted(omega, p):
+        calls.append(omega)
+        return interval(omega, p)
+
+    monkeypatch.setattr(observer, "static_threshold_interval", counted)
+    assert design_threshold(_params(), "static").omega == 0.26
+    assert sorted(calls) == list(DEFAULT_OMEGA_GRID)
+
+
 def test_feasibility_check_agrees_with_the_interval():
     p = _params()
     for w in (0.05, 0.26, 0.9):
