@@ -7,13 +7,12 @@ the offline worst-case error-bound envelopes.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
 import sys
 
-from . import harness
+from . import controller, harness
 from .core import ConfigError, InconsistentSetsError, load_scenario
 
 
@@ -90,12 +89,10 @@ def _cmd_bounds(args) -> int:
     config = load_scenario(args.config)
     rows = harness.bound_envelopes(config)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    fmt = harness._row_format(4)
     try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["t", "i", "rho", "lambda", "tau", "alpha"])
-        for t, i, rho, lam, tau, alpha in rows:
-            w.writerow([str(t), str(i), harness._fmt(rho), harness._fmt(lam),
-                        harness._fmt(tau), harness._fmt(alpha)])
+        out.write("t,i,rho,lambda,tau,alpha\n")
+        out.writelines(fmt % row for row in rows)
     finally:
         if args.out:
             out.close()
@@ -118,7 +115,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InconsistentSetsError, harness.SimulationError) as exc:
+    except (ConfigError, InconsistentSetsError, harness.SimulationError,
+            controller.CertificateError) as exc:
         logging.getLogger("platoonsec").error("%s", exc)
         return 2
     except OSError as exc:

@@ -106,6 +106,10 @@ def block_spectrum(n: int, T: float, g_s: float, g_v: float) -> np.ndarray:
     return np.array(sorted(eigs, key=lambda z: (abs(z), z.real, z.imag)))
 
 
+class CertificateError(RuntimeError):
+    """The Lyapunov/ISS certificate could not be established for a loop."""
+
+
 def lyapunov_series(mat: np.ndarray, tol: float = 1e-12, max_terms: int = 200000) -> np.ndarray:
     """``sum_k (P^T)^k P^k`` summed directly; only converges for Schur ``P``."""
     if spectral_radius(mat) >= 1.0:
@@ -118,7 +122,7 @@ def lyapunov_series(mat: np.ndarray, tol: float = 1e-12, max_terms: int = 200000
         total += term
         if np.linalg.norm(term) < tol:
             return total
-    raise RuntimeError("Lyapunov series failed to converge within the term budget")
+    raise CertificateError("Lyapunov series failed to converge within the term budget")
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def iss_certificate(mat: np.ndarray, cross_check_tol: float = 1e-6) -> IssCertif
     M_series = lyapunov_series(mat)
     gap = np.linalg.norm(M - M_series)
     if gap > cross_check_tol * max(1.0, np.linalg.norm(M)):
-        raise RuntimeError(
+        raise CertificateError(
             f"Lyapunov solver and series route disagree by {gap:.3e}; "
             "refusing to certify the closed loop")
     norm_M = float(np.linalg.norm(M, 2))

@@ -13,7 +13,6 @@ Every random draw comes from a counter-based generator keyed by
 regardless of execution order, and Monte Carlo runs are independent.
 """
 
-import csv
 import json
 import logging
 import math
@@ -24,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller, detector, observer, sensing
-from .core import ConfigError, DetectionSets, ScenarioConfig, fuse_sets
+from .core import (ConfigError, DetectionSets, InconsistentSetsError,
+                   ScenarioConfig, fuse_sets)
 from .dynamics import advance_deltas, desired_state_chain, reference_step
 from .rng import RunRandom
 
@@ -260,26 +260,29 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
 
         new_sets = []
         flags = []
-        for i in vehicles:
-            k = i - 1
-            own = sets[k]
-            nb_sets = tuple(sets[j - 1] for j in nbr_lists[k])
-            cached = fuse_in[k]
-            if (cached is not None and cached[0] is own
-                    and all(map(operator.is_, cached[1], nb_sets))):
-                fused = fuse_out[k]
-            else:
-                fused = fuse_sets(own, nb_sets)
-                fuse_in[k] = (own, nb_sets)
-                fuse_out[k] = fused
-            bound_prev = rho[k] if interior[k] else tau[k]
-            res = detector.detector_step(
-                i, fused, y_rel[i - 2] if i >= 2 else None,
-                y_abs[i - 2] if i >= 2 else None, y_abs[k],
-                x_bar[k], bound_prev, n, b, mu, eps, norm_A)
-            new_sets.append(res.sets)
-            flags.append((res.pairwise, res.innovation, res.exhaustion,
-                          res.completion))
+        try:
+            for i in vehicles:
+                k = i - 1
+                own = sets[k]
+                nb_sets = tuple(sets[j - 1] for j in nbr_lists[k])
+                cached = fuse_in[k]
+                if (cached is not None and cached[0] is own
+                        and all(map(operator.is_, cached[1], nb_sets))):
+                    fused = fuse_out[k]
+                else:
+                    fused = fuse_sets(own, nb_sets)
+                    fuse_in[k] = (own, nb_sets)
+                    fuse_out[k] = fused
+                bound_prev = rho[k] if interior[k] else tau[k]
+                res = detector.detector_step(
+                    i, fused, y_rel[i - 2] if i >= 2 else None,
+                    y_abs[i - 2] if i >= 2 else None, y_abs[k],
+                    x_bar[k], bound_prev, n, b, mu, eps, norm_A)
+                new_sets.append(res.sets)
+                flags.append((res.pairwise, res.innovation, res.exhaustion,
+                              res.completion))
+        except InconsistentSetsError as exc:
+            raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}") from exc
 
         x_hat_new = np.empty_like(x_hat)
         gains_rows = nan_gains.copy()
@@ -539,7 +542,13 @@ def bound_envelopes(config: ScenarioConfig) -> list:
 # --------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    """Serialize one cell; floats use 17 significant digits (round-trip exact)."""
+    """Serialize one cell: the byte format every CSV artifact follows.
+
+    Floats use 17 significant digits (round-trip exact), every NaN is ``nan``,
+    flags are ``0``/``1``.  The writers render whole rows at once through
+    :func:`_row_format` templates and the memoised detection cells, which
+    give the same bytes as this function applied cell by cell.
+    """
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -573,37 +582,55 @@ def trace_columns(L: int) -> list:
             "attack_norm", "phi", "phi_platoon"] + gains
 
 
+def _row_format(n_floats: int) -> str:
+    """printf template of one CSV row: the integer cells ``t`` and ``i``,
+    then ``n_floats`` float cells, each rendered byte for byte as
+    :func:`_fmt` renders it (``%.17g`` prints every NaN as ``nan``)."""
+    return "%d,%d," + ",".join(["%.17g"] * n_floats) + "\n"
+
+
+def _write_step(fh, fmt: str, t: int, cells: np.ndarray) -> None:
+    """Write one step's rows; row ``i - 1`` of ``cells`` is vehicle ``i``."""
+    fh.write("".join([fmt % (t, i, *row)
+                      for i, row in enumerate(cells.tolist(), 1)]))
+
+
 def write_trace_csv(path: str, traces, L: int) -> None:
+    cols = trace_columns(L)
+    fmt = _row_format(len(cols) - 2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(trace_columns(L))
+        fh.write(",".join(cols) + "\n")
         for tr in traces:
-            for i in range(1, len(tr.x) + 1):
-                row = [tr.t, i,
-                       tr.x[i - 1][0], tr.x[i - 1][1],
-                       tr.x_star[i - 1][0], tr.x_star[i - 1][1],
-                       tr.x_hat[i - 1][0], tr.x_hat[i - 1][1],
-                       tr.x_bar[i - 1][0], tr.x_bar[i - 1][1],
-                       tr.u[i - 1], tr.rho[i - 1], tr.lam[i - 1], tr.tau[i - 1],
-                       tr.alpha[i - 1], tr.beta[i - 1], tr.attack_norms[i - 1],
-                       tr.phi, tr.phi_platoon, *tr.gains[i - 1]]
-                w.writerow([_fmt(v) for v in row])
+            n = len(tr.x)
+            _write_step(fh, fmt, tr.t, np.column_stack((
+                tr.x, tr.x_star, tr.x_hat, tr.x_bar, tr.u, tr.rho, tr.lam,
+                tr.tau, tr.alpha, tr.beta, tr.attack_norms,
+                np.full(n, tr.phi), np.full(n, tr.phi_platoon), tr.gains)))
 
 
 def write_detection_csv(path: str, traces) -> None:
     cols = ["t", "i", "trusted", "attacked", "suspected",
             "pairwise", "innovation", "exhaustion", "completion"]
+    # set objects recur across vehicles and steps, so each one's cells are
+    # joined once; the memo holds the object itself, so its id stays unique
+    set_cells = {}
+    flag_cells = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
+        fh.write(",".join(cols) + "\n")
         for tr in traces:
-            for i in range(1, len(tr.x) + 1):
-                s = tr.sets[i - 1]
-                w.writerow([str(tr.t), str(i),
-                            "|".join(map(str, sorted(s.trusted))),
-                            "|".join(map(str, sorted(s.attacked))),
-                            "|".join(map(str, sorted(s.suspected))),
-                            *(_fmt(f) for f in tr.fired[i - 1])])
+            rows = []
+            for i, (s, flags) in enumerate(zip(tr.sets, tr.fired), 1):
+                entry = set_cells.get(id(s))
+                if entry is None:
+                    entry = set_cells[id(s)] = (s, ",".join(
+                        "|".join(map(str, sorted(part)))
+                        for part in (s.trusted, s.attacked, s.suspected)))
+                flag_cell = flag_cells.get(flags)
+                if flag_cell is None:
+                    flag_cell = flag_cells[flags] = ",".join(
+                        "1" if f else "0" for f in flags)
+                rows.append(f"{tr.t},{i},{entry[1]},{flag_cell}\n")
+            fh.write("".join(rows))
 
 
 def summarize_run(config: ScenarioConfig, traces) -> dict:
@@ -665,16 +692,13 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
     write_json(paths["scenario"], config.to_json())
     write_json(paths["feasibility"], feasibility_report(config))
     write_json(paths["summary"], summary.to_json())
+    fmt = _row_format(6)
     with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "i", "eta_pos", "eta_vel", "zeta_pos", "zeta_vel",
-                    "phi", "phi_platoon"])
+        fh.write("t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon\n")
         for t in range(summary.phi.shape[0]):
-            for i in range(1, summary.n + 1):
-                w.writerow([str(t), str(i),
-                            _fmt(summary.eta_pos[t][i - 1]),
-                            _fmt(summary.eta_vel[t][i - 1]),
-                            _fmt(summary.zeta_pos[t][i - 1]),
-                            _fmt(summary.zeta_vel[t][i - 1]),
-                            _fmt(summary.phi[t]), _fmt(summary.phi_platoon[t])])
+            _write_step(fh, fmt, t, np.column_stack((
+                summary.eta_pos[t], summary.eta_vel[t],
+                summary.zeta_pos[t], summary.zeta_vel[t],
+                np.full(summary.n, summary.phi[t]),
+                np.full(summary.n, summary.phi_platoon[t]))))
     return paths

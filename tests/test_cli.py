@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import baseline_doc
-from platoonsec import cli, harness
+from platoonsec import cli, controller, harness
 from platoonsec.core import InconsistentSetsError, load_scenario
 
 
@@ -128,3 +128,39 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_inconsistent_sets_report_the_step_and_vehicle(tmp_path, caplog,
+                                                      monkeypatch):
+    # step 1 starts from empty sets, so every vehicle fuses in order
+    calls = []
+
+    def clash_at_third_vehicle(own, received):
+        calls.append(own)
+        if len(calls) == 3:
+            raise InconsistentSetsError("sensors [2] trusted and attacked")
+        return own
+
+    monkeypatch.setattr(harness, "fuse_sets", clash_at_third_vehicle)
+    with pytest.raises(InconsistentSetsError,
+                       match=r"^step 1, vehicle 3: sensors \[2\]") as exc:
+        harness.run_simulation(load_scenario(baseline_doc(horizon=3)))
+    assert isinstance(exc.value.__cause__, InconsistentSetsError)
+    cfg_path = _config_file(tmp_path, horizon=3)
+    calls.clear()
+    assert cli.main(["run", "--config", cfg_path, "--out",
+                     os.path.join(tmp_path, "out")]) == 2
+    assert "step 1, vehicle 3: sensors [2] trusted and attacked" in caplog.text
+
+
+def test_certificate_failure_exits_with_error_code(tmp_path, caplog,
+                                                   monkeypatch):
+    def no_convergence(mat, *args, **kwargs):
+        raise controller.CertificateError(
+            "Lyapunov series failed to converge within the term budget")
+
+    monkeypatch.setattr(controller, "lyapunov_series", no_convergence)
+    assert issubclass(controller.CertificateError, RuntimeError)
+    cfg_path = _config_file(tmp_path)
+    assert cli.main(["check-feasibility", "--config", cfg_path]) == 2
+    assert "failed to converge" in caplog.text

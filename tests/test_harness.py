@@ -6,6 +6,8 @@ quantity — any unannounced change in pipeline order or data flow shows up
 as a bit-level mismatch.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -33,8 +35,11 @@ from platoonsec.harness import (
     stack_traces,
     summarize_run,
     trace_columns,
+    write_detection_csv,
     write_json,
+    write_monte_carlo_dir,
     write_run_dir,
+    write_trace_csv,
 )
 
 
@@ -545,3 +550,174 @@ def test_write_run_dir_is_byte_deterministic(tmp_path):
     pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces)
     for key in pa:
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
+
+
+# --------------------------------------------------------------------------
+# artifact writers against the per-cell oracle
+# --------------------------------------------------------------------------
+
+def _oracle_trace_csv(path, traces, L):
+    """The per-cell trace writer: one ``_fmt`` call per cell via csv."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(trace_columns(L))
+        for tr in traces:
+            for i in range(1, len(tr.x) + 1):
+                row = [tr.t, i,
+                       tr.x[i - 1][0], tr.x[i - 1][1],
+                       tr.x_star[i - 1][0], tr.x_star[i - 1][1],
+                       tr.x_hat[i - 1][0], tr.x_hat[i - 1][1],
+                       tr.x_bar[i - 1][0], tr.x_bar[i - 1][1],
+                       tr.u[i - 1], tr.rho[i - 1], tr.lam[i - 1], tr.tau[i - 1],
+                       tr.alpha[i - 1], tr.beta[i - 1], tr.attack_norms[i - 1],
+                       tr.phi, tr.phi_platoon, *tr.gains[i - 1]]
+                w.writerow([_fmt(v) for v in row])
+
+
+def _oracle_detection_csv(path, traces):
+    """The per-cell detection writer: every set sorted and joined per row."""
+    cols = ["t", "i", "trusted", "attacked", "suspected",
+            "pairwise", "innovation", "exhaustion", "completion"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        for tr in traces:
+            for i in range(1, len(tr.x) + 1):
+                s = tr.sets[i - 1]
+                w.writerow([str(tr.t), str(i),
+                            "|".join(map(str, sorted(s.trusted))),
+                            "|".join(map(str, sorted(s.attacked))),
+                            "|".join(map(str, sorted(s.suspected))),
+                            *(_fmt(f) for f in tr.fired[i - 1])])
+
+
+def _oracle_metrics_csv(path, summary):
+    """The per-cell ``metrics.csv`` writer of ``write_monte_carlo_dir``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", "i", "eta_pos", "eta_vel", "zeta_pos", "zeta_vel",
+                    "phi", "phi_platoon"])
+        for t in range(summary.phi.shape[0]):
+            for i in range(1, summary.n + 1):
+                w.writerow([str(t), str(i),
+                            _fmt(summary.eta_pos[t][i - 1]),
+                            _fmt(summary.eta_vel[t][i - 1]),
+                            _fmt(summary.zeta_pos[t][i - 1]),
+                            _fmt(summary.zeta_vel[t][i - 1]),
+                            _fmt(summary.phi[t]), _fmt(summary.phi_platoon[t])])
+
+
+def _oracle_bounds_csv(out, rows):
+    """The per-cell CSV writer of the ``bounds`` command."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["t", "i", "rho", "lambda", "tau", "alpha"])
+    for t, i, rho, lam, tau, alpha in rows:
+        w.writerow([str(t), str(i), _fmt(rho), _fmt(lam), _fmt(tau), _fmt(alpha)])
+
+
+def _assert_run_csvs_match_oracle(tmp_path, traces, L):
+    pairs = [(write_trace_csv, _oracle_trace_csv, (L,)),
+             (write_detection_csv, _oracle_detection_csv, ())]
+    for writer, oracle, extra in pairs:
+        got = os.path.join(tmp_path, "got.csv")
+        want = os.path.join(tmp_path, "want.csv")
+        writer(got, traces, *extra)
+        oracle(want, traces, *extra)
+        assert open(got, "rb").read() == open(want, "rb").read(), writer.__name__
+
+
+def _seven_vehicle_doc(**overrides):
+    x0 = [200.0, 10.0]
+    deltas = [[20.0, 0.0]] * 6
+    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
+    return baseline_doc(N=7, delta_x=deltas, x0=x0, x_init=chain,
+                        x_hat_init=chain, **overrides)
+
+
+@pytest.mark.parametrize("doc", [
+    baseline_doc(horizon=60),
+    baseline_doc(L=1, horizon=60),
+    _seven_vehicle_doc(L=3, horizon=60, attack={
+        "set": [4], "kind": "random", "params": {"scale": 1.0}}),
+    baseline_doc(horizon=40, controller_mode="pwm"),
+    baseline_doc(horizon=60, attack={
+        "set": [3], "kind": "dos",
+        "params": {"start": 5, "per_sensor": {"3": {"start": 12}}}}),
+    baseline_doc(horizon=60, attack={
+        "set": [2], "kind": "bias",
+        "params": {"offset": [8.0, -1.0], "per_sensor": {"2": {"start": 20}}}}),
+    baseline_doc(horizon=60, attack={
+        "set": [4], "kind": "replay",
+        "params": {"record_len": 10, "per_sensor": {"4": {"start": 15}}}}),
+    baseline_doc(horizon=0),
+], ids=["L2", "L1", "L3", "pwm", "dos", "bias", "replay", "horizon0"])
+def test_run_csvs_match_the_per_cell_oracle(tmp_path, doc):
+    cfg = load_scenario(doc)
+    traces = run_simulation(cfg)
+    _assert_run_csvs_match_oracle(tmp_path, traces, cfg.L)
+    if not traces:  # header only
+        assert open(os.path.join(tmp_path, "got.csv"), "rb").read().count(b"\n") == 1
+
+
+def test_run_csvs_match_the_oracle_on_special_floats(tmp_path):
+    nan, inf = math.nan, math.inf
+    shared = DetectionSets(trusted=frozenset({1}), attacked=frozenset({2}),
+                           suspected=frozenset())
+    odd = np.array([[-0.0, inf], [-inf, 5e-324]])
+
+    def step(t, sets, fired):
+        return StepTrace(
+            t=t, x=odd, x_star=-odd, x_leader=np.array([0.0, -0.0]),
+            x_hat=np.array([[nan, -nan], [1e308, -1e-308]]), x_bar=odd,
+            u=np.array([-0.0, 0.1]), rho=(nan, -0.0), lam=(inf, nan),
+            tau=(-inf, 5e-324), alpha=(1 / 3, -nan), beta=(nan, 2.0 ** 60),
+            gains=np.array([[nan, -0.0, inf], [5e-324, -nan, 1.5]]),
+            sets=sets, fired=fired, attack_norms=np.array([0.0, -0.0]),
+            phi=nan, phi_platoon=-0.0)
+
+    traces = [
+        step(0, (DetectionSets.empty(),) * 2, ((False,) * 4,) * 2),
+        step(1, (shared, shared), ((True, False, np.bool_(True), False),
+                                   (np.False_, True, False, True))),
+        step(7, (DetectionSets(trusted=frozenset({1}), attacked=frozenset({2}),
+                               suspected=frozenset()),
+                 DetectionSets(suspected=frozenset({1, 2}))),
+             ((False, True, False, True),) * 2),
+    ]
+    _assert_run_csvs_match_oracle(tmp_path, traces, 1)
+
+
+def test_metrics_csv_matches_the_per_cell_oracle(tmp_path):
+    import dataclasses
+    cfg = load_scenario(baseline_doc(horizon=20))
+    mc = monte_carlo(cfg, runs=3, base_seed=41)
+    odd = mc.eta_pos.copy()
+    odd[0, :4] = [-0.0, math.inf, -math.inf, 5e-324]
+    odd[1, 0] = math.nan
+    phi = mc.phi.copy()
+    phi[2] = -math.nan
+    for summary in (mc, dataclasses.replace(mc, eta_pos=odd, phi=phi)):
+        paths = write_monte_carlo_dir(os.path.join(tmp_path, "mc"), cfg, summary)
+        want = os.path.join(tmp_path, "want.csv")
+        _oracle_metrics_csv(want, summary)
+        assert open(paths["metrics"], "rb").read() == open(want, "rb").read()
+
+
+def test_bounds_csv_matches_the_per_cell_oracle(tmp_path, monkeypatch, capsys):
+    from platoonsec import cli
+    cfg_path = os.path.join(tmp_path, "scenario.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(baseline_doc(horizon=30), fh)
+    rows = bound_envelopes(load_scenario(baseline_doc(horizon=30)))
+    odd = [(0, 1, -0.0, math.inf, -math.inf, 5e-324),
+           (12, 3, math.nan, -math.nan, 1 / 3, 1e308)]
+    for case in (rows, odd):
+        monkeypatch.setattr(harness, "bound_envelopes", lambda config: case)
+        want = io.StringIO()
+        _oracle_bounds_csv(want, case)
+        dest = os.path.join(tmp_path, "bounds.csv")
+        assert cli.main(["bounds", "--config", cfg_path, "--out", dest]) == 0
+        assert open(dest, encoding="utf-8", newline="").read() == want.getvalue()
+        capsys.readouterr()
+        assert cli.main(["bounds", "--config", cfg_path]) == 0
+        assert capsys.readouterr().out == want.getvalue()
