@@ -2,30 +2,4 @@
 control for a string of vehicles whose absolute-position sensors may be
 compromised — plus a deterministic simulation harness and CLI."""
 
-from .core import (ConfigError, DetectionSets, InconsistentSetsError, Message,
-                   ScenarioConfig, Topology, fuse_sets, load_scenario,
-                   neighbor_set, partition_vehicles)
-from .dynamics import PlantMatrix, desired_state_chain, plant_norm, reference_step, step_vehicle
-from .sensing import (AttackSpec, AttackState, MeasurementFrame, StackedMeasurement,
-                      attack_signal, estimate_based_measurement, measure,
-                      reconstruct_absolute, sample_noise, stack_measurements)
-from .observer import (InfeasibleBoundError, InfeasibleThresholdError, ObserverParams,
-                       ThresholdConfig, asymptotic_bounds_adaptive,
-                       asymptotic_bounds_static, design_threshold, feasibility_check,
-                       feasible_omegas, lambda_update, measurement_update_v1,
-                       measurement_update_v2, nearest_trusted, realtime_bound,
-                       rho_update, saturation_gain, static_threshold_interval,
-                       tau_update, time_update)
-from .detector import (DetectorStepResult, detector_step, innovation_check,
-                       min_attacked_count, pairwise_check, saturation_check,
-                       split_suspicious)
-from .controller import (GainReport, IssCertificate, TrackingBound, block_spectrum,
-                         check_gains, closed_loop_matrix, control_input,
-                         controller_neighbors, grounded_laplacian, iss_certificate,
-                         lyapunov_series, spectral_radius, tracking_bound)
-from .harness import (MonteCarloSummary, SimulationError, StepTrace, bound_envelopes,
-                      feasibility_report, monte_carlo, performance_phi, platoon_phi,
-                      run_simulation, write_run_dir)
-from .rng import RunRandom, stream_rng
-
 __version__ = "0.1.0"

@@ -110,17 +110,25 @@ class CertificateError(RuntimeError):
     """The Lyapunov/ISS certificate could not be established for a loop."""
 
 
-def lyapunov_series(mat: np.ndarray, tol: float = 1e-12, max_terms: int = 200000) -> np.ndarray:
+#: the series stops once a term's norm falls below ``SERIES_TOL``, and fails
+#: after ``SERIES_MAX_TERMS`` terms
+SERIES_TOL = 1e-12
+SERIES_MAX_TERMS = 200000
+#: largest relative disagreement between the solver and the series route
+CROSS_CHECK_TOL = 1e-6
+
+
+def lyapunov_series(mat: np.ndarray) -> np.ndarray:
     """``sum_k (P^T)^k P^k`` summed directly; only converges for Schur ``P``."""
     if spectral_radius(mat) >= 1.0:
         raise ValueError("matrix is not Schur stable; series diverges")
     dim = mat.shape[0]
     total = np.eye(dim)
     term = np.eye(dim)
-    for _ in range(max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         term = mat.T @ term @ mat
         total += term
-        if np.linalg.norm(term) < tol:
+        if np.linalg.norm(term) < SERIES_TOL:
             return total
     raise CertificateError("Lyapunov series failed to converge within the term budget")
 
@@ -139,11 +147,11 @@ class IssCertificate:
         return float(np.sqrt(2.0 * self.kappa * sigma * sigma * lam_max / lam_min))
 
 
-def iss_certificate(mat: np.ndarray, cross_check_tol: float = 1e-6) -> IssCertificate:
+def iss_certificate(mat: np.ndarray) -> IssCertificate:
     """Solve ``P^T M P - M = -I`` and derive the ISS constant ``kappa``.
 
     The solver result is cross-checked against the direct series sum; a
-    disagreement beyond ``cross_check_tol`` (relative) aborts, since both
+    disagreement beyond ``CROSS_CHECK_TOL`` (relative) aborts, since both
     routes must describe the same closed loop.
     """
     radius = spectral_radius(mat)
@@ -153,7 +161,7 @@ def iss_certificate(mat: np.ndarray, cross_check_tol: float = 1e-6) -> IssCertif
     M = scipy.linalg.solve_discrete_lyapunov(mat.T, np.eye(mat.shape[0]))
     M_series = lyapunov_series(mat)
     gap = np.linalg.norm(M - M_series)
-    if gap > cross_check_tol * max(1.0, np.linalg.norm(M)):
+    if gap > CROSS_CHECK_TOL * max(1.0, np.linalg.norm(M)):
         raise CertificateError(
             f"Lyapunov solver and series route disagree by {gap:.3e}; "
             "refusing to certify the closed loop")

@@ -52,13 +52,7 @@ def neighbor_set(i: int, N: int, L: int) -> frozenset:
     """
     if not 1 <= i <= N:
         raise ConfigError(f"vehicle index {i} out of range 1..{N}")
-    if i <= L:  # head: window truncated below
-        lo, hi = 1, i + L
-    elif i > N - L:  # tail: window truncated above
-        lo, hi = i - L, N
-    else:
-        lo, hi = i - L, i + L
-    return frozenset(j for j in range(lo, hi + 1) if j != i)
+    return frozenset(range(max(1, i - L), min(N, i + L) + 1)) - {i}
 
 
 @dataclass(frozen=True)
@@ -85,27 +79,11 @@ class Topology:
         return range(1, self.N + 1)
 
     def distance(self, i: int, j: int) -> int:
-        """Hop count between ``i`` and ``j`` (BFS over the comm graph)."""
-        if i == j:
-            return 0
-        seen = {i}
-        frontier = [i]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors[u]:
-                    if v == j:
-                        return d
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        raise ConfigError(f"no path between {i} and {j}")
+        """Hop count between ``i`` and ``j``; one hop spans up to ``L`` places."""
+        return math.ceil(abs(i - j) / self.L)
 
     def diameter(self) -> int:
-        return max(self.distance(1, j) for j in self.vehicles())
+        return self.distance(1, self.N)
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +231,14 @@ class ScenarioConfig:
 
     def plant(self) -> dynamics.PlantMatrix:
         return dynamics.PlantMatrix.build(self.T)
+
+    def initial_error(self) -> tuple[float, int]:
+        """Largest initial estimation error ``|x_hat_i(0) - x_i(0)|`` and the
+        first vehicle with it."""
+        errors = [math.hypot(h[0] - x[0], h[1] - x[1])
+                  for h, x in zip(self.x_hat_init, self.x_init)]
+        worst = max(errors)
+        return worst, errors.index(worst) + 1
 
     def to_json(self) -> dict:
         return {
@@ -404,18 +390,18 @@ def load_scenario(source) -> ScenarioConfig:
     else:
         x_hat_init = tuple((0.0, 0.0) for _ in range(N))
 
-    worst = max(math.hypot(a[0] - b_[0], a[1] - b_[1]) for a, b_ in zip(x_hat_init, x_init))
-    if worst > q:
-        LOG.warning("initial estimation error %.6g exceeds q=%.6g; "
-                    "the reported error bounds are not guaranteed to hold", worst, q)
-
     controller_mode = doc.get("controller_mode", "observer")
     if controller_mode not in _CONTROLLER_MODES:
         raise ConfigError(
             f"controller_mode must be one of {_CONTROLLER_MODES}, got {controller_mode!r}")
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         N=N, L=L, b=b, T=T, q=q, epsilon=epsilon, mu=mu, g_s=g_s, g_v=g_v,
         varpi=varpi, threshold_mode=mode, beta=beta, omega=omega, attack=attack,
         horizon=horizon, seed=seed, delta_x=delta_x, x0=x0,
         x_init=x_init, x_hat_init=x_hat_init, controller_mode=controller_mode)
+    worst, _ = config.initial_error()
+    if worst > q:
+        LOG.warning("initial estimation error %.6g exceeds q=%.6g; "
+                    "the reported error bounds are not guaranteed to hold", worst, q)
+    return config

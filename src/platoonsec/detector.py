@@ -21,8 +21,7 @@ from .core import DetectionSets, InconsistentSetsError
 SLACK = 1e-12
 
 
-def pairwise_check(y_rel, y_abs_front, y_abs_own,
-                   mu: float, slack: float = SLACK) -> bool:
+def pairwise_check(y_rel, y_abs_front, y_abs_own, mu: float) -> bool:
     """Gap test between sensors ``i-1`` and ``i``.
 
     The relative reading plus the front absolute reading must reproduce the
@@ -31,12 +30,11 @@ def pairwise_check(y_rel, y_abs_front, y_abs_own,
     """
     r0 = y_rel[0] + y_abs_front[0] - y_abs_own[0]
     r1 = y_rel[1] + y_abs_front[1] - y_abs_own[1]
-    return math.hypot(r0, r1) - slack > 3.0 * mu
+    return math.hypot(r0, r1) - SLACK > 3.0 * mu
 
 
 def innovation_check(y_abs_own, x_bar_own, bound_prev: float,
-                     eps: float, mu: float, norm_A: float,
-                     slack: float = SLACK) -> bool:
+                     eps: float, mu: float, norm_A: float) -> bool:
     """Self test of the own absolute sensor against the model prediction.
 
     An attack-free reading can differ from the prediction by at most the
@@ -45,7 +43,7 @@ def innovation_check(y_abs_own, x_bar_own, bound_prev: float,
     """
     r0 = y_abs_own[0] - x_bar_own[0]
     r1 = y_abs_own[1] - x_bar_own[1]
-    return math.hypot(r0, r1) - slack > eps + mu + norm_A * bound_prev
+    return math.hypot(r0, r1) - SLACK > eps + mu + norm_A * bound_prev
 
 
 def split_suspicious(indices) -> list:
@@ -149,8 +147,8 @@ def detector_step(i: int, fused: DetectionSets, y_rel_own, y_abs_front, y_abs_ow
 
     if len(attacked) > b:
         raise InconsistentSetsError(
-            f"vehicle {i} confirmed {len(attacked)} attacked sensors, more than the "
-            f"budget b={b}; a modelling assumption is violated")
+            f"vehicle {i} confirmed {len(attacked)} attacked sensors {sorted(attacked)}, "
+            f"more than the budget b={b}; a modelling assumption is violated")
 
     if suspected and not (suspected.isdisjoint(attacked)
                           and suspected.isdisjoint(trusted)):

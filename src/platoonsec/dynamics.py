@@ -39,12 +39,14 @@ class PlantMatrix:
         return cls(T=float(T), A=A, norm_A=plant_norm(T))
 
 
-def step_vehicle(x: np.ndarray, u: float, d: np.ndarray, plant: PlantMatrix,
-                 noise_bound: float | None = None) -> np.ndarray:
-    """Advance one vehicle: ``A x + (0, T u) + d``."""
-    if noise_bound is not None:
-        assert math.hypot(d[0], d[1]) <= noise_bound + 1e-12, "process noise out of bounds"
-    return np.array([x[0] + plant.T * x[1], x[1] + plant.T * u]) + d
+def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray,
+                 plant: PlantMatrix) -> np.ndarray:
+    """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``."""
+    out = np.empty(x.shape)
+    out[..., 0] = x[..., 0] + plant.T * x[..., 1]
+    out[..., 1] = x[..., 1] + plant.T * u
+    out += d
+    return out
 
 
 def reference_step(x0: np.ndarray, plant: PlantMatrix) -> np.ndarray:

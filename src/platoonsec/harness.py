@@ -25,7 +25,7 @@ import numpy as np
 from . import controller, detector, observer, sensing
 from .core import (ConfigError, DetectionSets, InconsistentSetsError,
                    ScenarioConfig, fuse_sets)
-from .dynamics import advance_deltas, desired_state_chain, reference_step
+from .dynamics import advance_deltas, desired_state_chain, reference_step, step_vehicle
 from .rng import RunRandom
 
 LOG = logging.getLogger(__name__)
@@ -127,7 +127,14 @@ def stack_traces(traces) -> dict:
 # --------------------------------------------------------------------------
 
 def _validated_design(config: ScenarioConfig):
-    """Threshold policy and gain certificate, or a structured failure."""
+    """Initial error within ``q``, threshold policy and gain certificate, or a
+    structured failure."""
+    worst, vehicle = config.initial_error()
+    if worst > config.q:
+        raise SimulationError(
+            f"initial estimation error {worst:.6g} of vehicle {vehicle} exceeds "
+            f"q={config.q:.6g}; the error bounds and the detector's guarantees "
+            "do not hold")
     params = observer.ObserverParams.from_config(config)
     try:
         thr = observer.design_threshold(params, config.threshold_mode,
@@ -186,7 +193,6 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         return []
 
     n = config.N
-    T = config.T
     Lw = config.L
     width = 2 * Lw + 1
     vehicles = range(1, n + 1)
@@ -240,11 +246,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     zero_noise = np.zeros((n, 2))
     for t in range(1, config.horizon + 1):
         d = sensing.sample_noise(rnd.process(t), eps, n) if eps else zero_noise
-        x_new = np.empty_like(x)
-        x_new[:, 0] = x[:, 0] + T * x[:, 1]
-        x_new[:, 1] = x[:, 1] + T * u
-        x_new += d
-        x = x_new
+        x = step_vehicle(x, u, d, plant)
         x_leader = reference_step(x_leader, plant)
         deltas = advance_deltas(deltas, plant)
         x_star = desired_state_chain(x_leader, deltas)
@@ -254,9 +256,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                                 rnd.attack(t) if has_attack else None)
         y_abs = frame.y_abs
         y_rel = frame.y_rel
-        x_bar = np.empty_like(x_hat)
-        x_bar[:, 0] = x_hat[:, 0] + T * x_hat[:, 1]
-        x_bar[:, 1] = x_hat[:, 1] + T * u
+        x_bar = observer.time_update(x_hat, u, plant)
 
         new_sets = []
         flags = []
@@ -415,13 +415,15 @@ def monte_carlo(config: ScenarioConfig, runs: int,
 # --------------------------------------------------------------------------
 
 def feasibility_report(config: ScenarioConfig) -> dict:
-    """Every design check in one JSON-ready document: threshold interval,
-    gain margins, closed-loop spectrum, Lyapunov data, and the asymptotic
-    estimation/tracking bounds evaluated with empty detection sets."""
+    """Every design check in one JSON-ready document: initial error against
+    ``q``, threshold interval, gain margins, closed-loop spectrum, Lyapunov
+    data, and the asymptotic estimation/tracking bounds evaluated with empty
+    detection sets."""
     topo = config.topology()
     plant = config.plant()
     params = observer.ObserverParams.from_config(config)
     empty = DetectionSets.empty()
+    worst, vehicle = config.initial_error()
 
     report = {
         "plant": {"T": config.T, "norm_A": plant.norm_A, "varpi": config.varpi,
@@ -429,6 +431,8 @@ def feasibility_report(config: ScenarioConfig) -> dict:
         "topology": {"N": config.N, "L": config.L,
                      "interior": sorted(topo.v1), "edge": sorted(topo.v2),
                      "diameter": topo.diameter()},
+        "initial_error": {"max": worst, "vehicle": vehicle, "q": config.q,
+                          "within_q": worst <= config.q},
     }
 
     feasible_omegas = observer.feasible_omegas(params)

@@ -80,9 +80,13 @@ class ObserverParams:
 # state updates
 # --------------------------------------------------------------------------
 
-def time_update(x_hat: np.ndarray, u: float, plant) -> np.ndarray:
-    """One-step prediction ``A x_hat + (0, T u)``."""
-    return np.array([x_hat[0] + plant.T * x_hat[1], x_hat[1] + plant.T * u])
+def time_update(x_hat: np.ndarray, u: float | np.ndarray, plant) -> np.ndarray:
+    """Prediction ``A x_hat + (0, T u)`` for one vehicle ``(2,)`` or a platoon
+    ``(N, 2)``; no zero noise is added, which would turn ``-0.0`` into ``0.0``."""
+    out = np.empty(x_hat.shape)
+    out[..., 0] = x_hat[..., 0] + plant.T * x_hat[..., 1]
+    out[..., 1] = x_hat[..., 1] + plant.T * u
+    return out
 
 
 def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
@@ -279,22 +283,22 @@ def feasibility_check(omega: float, p: ObserverParams) -> bool:
     return cond_budget and cond_rate
 
 
-def _feasible_intervals(p: ObserverParams, grid=DEFAULT_OMEGA_GRID) -> list:
+def _feasible_intervals(p: ObserverParams) -> list:
     """``(omega, lower, upper)`` for each grid point with a non-empty,
     positive threshold interval."""
     if p.b >= 2 * p.L + 1:
         return []
     out = []
-    for w in grid:
+    for w in DEFAULT_OMEGA_GRID:
         lo, hi = static_threshold_interval(w, p)
         if 0.0 < lo < hi:
             out.append((w, lo, hi))
     return out
 
 
-def feasible_omegas(p: ObserverParams, grid=DEFAULT_OMEGA_GRID) -> list:
+def feasible_omegas(p: ObserverParams) -> list:
     """Grid points with a non-empty, positive threshold interval."""
-    return [w for w, _, _ in _feasible_intervals(p, grid)]
+    return [w for w, _, _ in _feasible_intervals(p)]
 
 
 @dataclass(frozen=True)

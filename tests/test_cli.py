@@ -153,6 +153,13 @@ def test_inconsistent_sets_report_the_step_and_vehicle(tmp_path, caplog,
     assert "step 1, vehicle 3: sensors [2] trusted and attacked" in caplog.text
 
 
+def test_initial_error_above_q_exits_with_error_code(tmp_path, caplog):
+    cfg_path = _config_file(tmp_path, q=150.0)
+    assert cli.main(["run", "--config", cfg_path, "--out",
+                     os.path.join(tmp_path, "out")]) == 2
+    assert "initial estimation error 200.25 of vehicle 1 exceeds q=150" in caplog.text
+
+
 def test_certificate_failure_exits_with_error_code(tmp_path, caplog,
                                                    monkeypatch):
     def no_convergence(mat, *args, **kwargs):

@@ -2,6 +2,9 @@
 scenario loading."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,59 @@ def test_topology_distance_and_diameter():
     assert topo.diameter() == 2
     assert Topology.build(9, 2).diameter() == 4
     assert Topology.build(7, 3).diameter() == 2
+
+
+def _neighbor_set_oracle(i, N, L):
+    """Window truncated at the string ends, written out case by case."""
+    if i <= L:
+        lo, hi = 1, i + L
+    elif i > N - L:
+        lo, hi = i - L, N
+    else:
+        lo, hi = i - L, i + L
+    return frozenset(j for j in range(lo, hi + 1) if j != i)
+
+
+def _bfs_distance_oracle(neighbors, i, j):
+    """Hop count by breadth-first search over the communication graph."""
+    if i == j:
+        return 0
+    seen = {i}
+    frontier = [i]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if v == j:
+                    return d
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    raise AssertionError(f"no path between {i} and {j}")
+
+
+def test_closed_form_topology_agrees_with_graph_search():
+    for L in range(1, 5):
+        for N in range(2 * L + 1, 41):
+            topo = Topology.build(N, L)
+            for i in topo.vehicles():
+                assert neighbor_set(i, N, L) == _neighbor_set_oracle(i, N, L), (N, L, i)
+                for j in topo.vehicles():
+                    assert topo.distance(i, j) == _bfs_distance_oracle(
+                        topo.neighbors, i, j), (N, L, i, j)
+            assert topo.diameter() == max(
+                _bfs_distance_oracle(topo.neighbors, 1, j) for j in topo.vehicles())
+
+
+def test_importing_core_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = "import sys, platoonsec.core; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------

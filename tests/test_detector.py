@@ -200,6 +200,13 @@ def test_more_confirmed_attacks_than_budget_is_fatal():
         _step(4, fused)
 
 
+def test_over_budget_error_names_the_confirmed_sensors():
+    fused = DetectionSets(frozenset(), frozenset({2, 4}), frozenset())
+    with pytest.raises(InconsistentSetsError, match="more than the budget") as info:
+        _step(5, fused, y_own=np.array([50.0, 0.0]), b=2)
+    assert "[2, 4, 5]" in str(info.value)
+
+
 def test_equal_bias_on_adjacent_sensors_evades_the_gap_test():
     """Shifting both absolute sensors of a pair by the same offset leaves the
     secured gap reading consistent: only the pairs straddling the attack

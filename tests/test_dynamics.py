@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from platoonsec import dynamics
+from platoonsec import dynamics, observer
 from platoonsec.dynamics import (
     PlantMatrix,
     advance_deltas,
@@ -57,6 +57,23 @@ def test_step_vehicle_hand_example():
     out = step_vehicle(np.array([1.0, 2.0]), 10.0, np.array([0.5, -0.5]), plant)
     # position advances by T*v, velocity by T*u, then the disturbance lands
     assert np.array_equal(out, np.array([1.0 + 0.2 + 0.5, 2.0 + 1.0 - 0.5]))
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_platoon_step_and_prediction_equal_per_vehicle_calls_bit_for_bit(n):
+    plant = PlantMatrix.build(0.01)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 2)) * 100
+    u = rng.normal(size=n) * 50
+    d = rng.normal(size=(n, 2)) * 0.1
+    x[0] = u[0] = -0.0  # a signed zero must survive the prediction
+    got = step_vehicle(x, u, d, plant)
+    want = np.stack([step_vehicle(x[k], float(u[k]), d[k], plant) for k in range(n)])
+    assert got.tobytes() == want.tobytes()
+    got = observer.time_update(x, u, plant)
+    want = np.stack([observer.time_update(x[k], float(u[k]), plant) for k in range(n)])
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[0]).all()
 
 
 def test_reference_step_is_constant_velocity():

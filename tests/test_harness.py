@@ -133,6 +133,19 @@ def test_infeasible_threshold_refuses_to_simulate():
         run_simulation(load_scenario(doc))
 
 
+def test_initial_error_above_q_refuses_to_simulate(baseline_cfg):
+    x_hat_init = [list(x) for x in baseline_cfg.x_init]
+    x_hat_init[3] = [320.0, 404.0]  # 500 from vehicle 4's true state
+    cfg = load_scenario(baseline_doc(x_hat_init=x_hat_init))
+    with pytest.raises(SimulationError,
+                       match="initial estimation error 500 of vehicle 4 exceeds q=300"):
+        run_simulation(cfg)
+    assert feasibility_report(cfg)["initial_error"] == {
+        "max": 500.0, "vehicle": 4, "q": 300.0, "within_q": False}
+    assert feasibility_report(baseline_cfg)["initial_error"] == {
+        "max": math.hypot(200.0, 10.0), "vehicle": 1, "q": 300.0, "within_q": True}
+
+
 # --------------------------------------------------------------------------
 # single run against the vehicle-by-vehicle replica
 # --------------------------------------------------------------------------
