@@ -154,6 +154,18 @@ def fuse_sets(own: DetectionSets, received) -> DetectionSets:
                          frozenset(suspected))
 
 
+def describe_clash(parties) -> str:
+    """Who disagrees, for every sensor that one of the ``(vehicle, sets)``
+    parties trusts and another has confirmed attacked; empty if none does."""
+    trusted = set().union(*(s.trusted for _, s in parties))
+    attacked = set().union(*(s.attacked for _, s in parties))
+    return "; ".join(
+        f"sensor {sensor} trusted by vehicles "
+        f"{[v for v, s in parties if sensor in s.trusted]} and confirmed attacked "
+        f"by vehicles {[v for v, s in parties if sensor in s.attacked]}"
+        for sensor in sorted(trusted & attacked))
+
+
 # --------------------------------------------------------------------------
 # messages
 # --------------------------------------------------------------------------

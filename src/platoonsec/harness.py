@@ -24,7 +24,7 @@ import numpy as np
 
 from . import controller, detector, observer, sensing
 from .core import (ConfigError, DetectionSets, InconsistentSetsError,
-                   ScenarioConfig, fuse_sets)
+                   ScenarioConfig, describe_clash, fuse_sets)
 from .dynamics import advance_deltas, desired_state_chain, reference_step, step_vehicle
 from .rng import RunRandom
 
@@ -197,6 +197,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     width = 2 * Lw + 1
     vehicles = range(1, n + 1)
     interior = [i in topo.v1 for i in vehicles]
+    inner = slice(Lw, n - Lw)  # rows of the interior vehicles L+1 .. N-L
+    edge_vehicles = sorted(topo.v2)
     nbr_lists = [sorted(topo.neighbors[i]) for i in vehicles]
     pwm = config.controller_mode == "pwm"
     g_s, g_v = config.g_s, config.g_v
@@ -241,6 +243,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     # 0.93 s -> 1.13 s)
     fuse_in = [None] * n
     fuse_out = [None] * n
+    class_memo = [None] * n
     nan_gains = np.full((n, width), np.nan)
 
     zero_noise = np.zeros((n, 2))
@@ -282,39 +285,41 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                 flags.append((res.pairwise, res.innovation, res.exhaustion,
                               res.completion))
         except InconsistentSetsError as exc:
-            raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}") from exc
+            parties = [(j, sets[j - 1]) for j in sorted([i, *nbr_lists[i - 1]])]
+            clash = describe_clash(parties)
+            raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
+                                        + (f"; {clash}" if clash else "")) from exc
 
         x_hat_new = np.empty_like(x_hat)
         gains_rows = nan_gains.copy()
         beta_row = [nan] * n
         alpha_new = [0.0] * n
-        for i in vehicles:
+        estimates, gain_rows, betas, bounds = observer.interior_update(
+            x_bar, y_abs, frame.rel_prefix, new_sets, rho, thr, params,
+            class_memo)
+        x_hat_new[inner] = estimates
+        gains_rows[inner] = gain_rows
+        beta_row[inner] = betas
+        rho[inner] = bounds
+        alpha_new[inner] = bounds
+        for i in edge_vehicles:
             k = i - 1
             si = new_sets[k]
-            if interior[k]:
-                bt = thr.beta_at(rho[k], params)
-                beta_row[k] = bt
-                stacked = sensing.stack_measurements(frame, i, topo)
-                x_hat_new[k], gains_rows[k] = observer.measurement_update_v1(
-                    x_bar[k], stacked, si, bt, Lw)
-                rho[k] = observer.rho_update(rho[k], si, i, topo, bt, params)
-                alpha_new[k] = rho[k]
+            j = observer.nearest_trusted(i, si, topo)
+            if i in si.trusted:
+                src = y_abs[k]
             else:
-                j = observer.nearest_trusted(i, si, topo)
-                if i in si.trusted:
-                    src = y_abs[k]
-                else:
-                    src = sensing.estimate_based_measurement(
-                        x_bar[j - 1], frame, i, j)
-                x_hat_new[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
-                tau[k] = observer.tau_update(tau[k], abs(j - i), alpha[j - 1],
-                                             params)
-                if i in si.trusted:
-                    lam[k] = observer.lambda_update(lam[k], params)
-                    alpha_new[k] = lam[k]
-                else:
-                    lam[k] = tau[k]
-                    alpha_new[k] = tau[k]
+                src = sensing.estimate_based_measurement(
+                    x_bar[j - 1], frame, i, j)
+            x_hat_new[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
+            tau[k] = observer.tau_update(tau[k], abs(j - i), alpha[j - 1],
+                                         params)
+            if i in si.trusted:
+                lam[k] = observer.lambda_update(lam[k], params)
+                alpha_new[k] = lam[k]
+            else:
+                lam[k] = tau[k]
+                alpha_new[k] = tau[k]
 
         sets = new_sets
         x_hat = x_hat_new

@@ -17,10 +17,12 @@ and are what the detector consumes as decision thresholds.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
+from .sensing import chained_rows
 
 LOG = logging.getLogger(__name__)
 
@@ -52,17 +54,20 @@ class ObserverParams:
         if not 1.0 < self.varpi < hi:
             raise ConfigError(f"varpi must lie in (1, {hi:.6g}), got {self.varpi}")
 
-    @property
+    # the derived scalars below are read per vehicle and step, so each is
+    # computed once per instance
+
+    @cached_property
     def mu_bar(self) -> float:
         """Worst-case noise of a chained reconstruction: ``(L+1) * mu``."""
         return (self.L + 1) * self.mu
 
-    @property
+    @cached_property
     def contraction(self) -> float:
         """Error decay factor of the edge-vehicle observer."""
         return (self.varpi - 1.0) * self.norm_A / self.varpi
 
-    @property
+    @cached_property
     def beta_max(self) -> float:
         """Innovation level a saturation threshold can never exceed usefully:
         the worst honest innovation ``norm_A * q + eps + mu_bar``."""
@@ -89,23 +94,53 @@ def time_update(x_hat: np.ndarray, u: float | np.ndarray, plant) -> np.ndarray:
     return out
 
 
-def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
-                    beta: float) -> float:
-    """Weight of one innovation block.
+# gate class of a source: cut off, full weight, or clipped at the threshold
+_ATTACKED, _TRUSTED, _UNKNOWN = 0, 1, 2
+
+
+def _gate_classes(sensors, sets: DetectionSets) -> tuple:
+    attacked = sets.attacked
+    trusted = sets.trusted
+    return tuple(_ATTACKED if s in attacked else _TRUSTED if s in trusted else _UNKNOWN
+                 for s in sensors)
+
+
+def _saturated_update(xb0: float, xb1: float, rows, classes, beta: float,
+                      scale: float) -> tuple[float, float, list]:
+    """Estimate and gains of one window: the prediction plus the gain-weighted
+    innovations, summed in sensor order and divided by ``scale = 2L``.
 
     Confirmed-attacked sources are cut off entirely, proven attack-free
     sources pass unsaturated, and unknown sources are clipped so their
     weighted innovation never exceeds ``beta`` in norm.  A zero innovation
     needs no clipping and keeps full weight.
     """
-    if sensor in sets.attacked:
-        return 0.0
-    if sensor in sets.trusted:
-        return 1.0
-    nrm = math.hypot(innovation[0], innovation[1])
-    if nrm <= beta:
-        return 1.0
-    return beta / nrm
+    gains = []
+    corr0 = 0.0
+    corr1 = 0.0
+    for (r0, r1), cls in zip(rows, classes):
+        if cls == _ATTACKED:
+            gains.append(0.0)
+            continue
+        e0 = r0 - xb0
+        e1 = r1 - xb1
+        if cls == _TRUSTED:
+            k = 1.0
+        else:
+            nrm = math.hypot(e0, e1)
+            k = 1.0 if nrm <= beta else beta / nrm
+        gains.append(k)
+        corr0 += k * e0
+        corr1 += k * e1
+    return xb0 + corr0 / scale, xb1 + corr1 / scale, gains
+
+
+def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
+                    beta: float) -> float:
+    """Weight of one innovation block (see :func:`_saturated_update`)."""
+    row = (float(innovation[0]), float(innovation[1]))
+    return _saturated_update(0.0, 0.0, (row,), _gate_classes((sensor,), sets),
+                             beta, 1.0)[2][0]
 
 
 def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
@@ -115,30 +150,56 @@ def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
     Returns the new estimate and the gain applied to each source, ordered as
     ``stacked.labels``.
     """
-    xb0 = float(x_bar[0])
-    xb1 = float(x_bar[1])
-    rows = stacked.blocks.tolist()
-    attacked = sets.attacked
-    trusted = sets.trusted
-    gains = [0.0] * len(stacked.labels)
-    corr0 = 0.0
-    corr1 = 0.0
-    for s, sensor in enumerate(stacked.labels):
-        row = rows[s]
-        e0 = row[0] - xb0
-        e1 = row[1] - xb1
-        if sensor in attacked:
-            continue
-        if sensor in trusted:
-            k = 1.0
-        else:
-            nrm = math.hypot(e0, e1)
-            k = 1.0 if nrm <= beta else beta / nrm
-        gains[s] = k
-        corr0 += k * e0
-        corr1 += k * e1
+    x0, x1, gains = _saturated_update(
+        float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(),
+        _gate_classes(stacked.labels, sets), beta, 2.0 * L)
+    return np.array((x0, x1)), np.array(gains)
+
+
+def interior_update(x_bar: np.ndarray, y_abs: np.ndarray, pref: np.ndarray,
+                    sets, rho, thr: "ThresholdConfig", p: ObserverParams,
+                    memo: list) -> tuple[list, list, list, list]:
+    """One observer step for every interior vehicle ``L+1 .. N-L`` at once.
+
+    ``x_bar`` and ``y_abs`` are the platoon's ``(N, 2)`` predictions and
+    absolute readings, ``pref`` the frame's ``rel_prefix``; ``sets`` and
+    ``rho`` hold each vehicle's current sets and previous bound.  Each
+    vehicle's window is stacked as in ``stack_measurements``, its threshold
+    taken from ``thr.beta_at``, its estimate and gains computed as in
+    ``measurement_update_v1`` and its bound advanced as in ``rho_update``,
+    bit for bit.  ``memo`` has one slot per vehicle, kept by the caller
+    across steps: it holds the window's gate classes and count terms for
+    the last sets object seen, which fusion and detection return unchanged,
+    by identity, whenever no set grew.
+
+    Returns, in vehicle order, the new estimates, the gain rows, the
+    thresholds and the new bounds.
+    """
+    L = p.L
     scale = 2.0 * L
-    return np.array((xb0 + corr0 / scale, xb1 + corr1 / scale)), np.array(gains)
+    xb = x_bar.tolist()
+    ya = y_abs.tolist()
+    pf = pref.tolist()
+    estimates, gains, betas, bounds = [], [], [], []
+    for k in range(L, len(xb) - L):
+        si = sets[k]
+        entry = memo[k]
+        if entry is None or entry[0] is not si:
+            classes = _gate_classes(range(k + 1 - L, k + L + 2), si)
+            terms = _count_terms(classes.count(_TRUSTED), classes.count(_ATTACKED),
+                                 len(si.attacked), p)
+            entry = memo[k] = (si, classes, terms)
+        _, classes, terms = entry
+        rho_prev = rho[k]
+        bt = thr.beta_at(rho_prev, p)
+        xb0, xb1 = xb[k]
+        rows = chained_rows(ya[k - L:k + L + 1], pf[k - L:k + L + 1], pf[k])
+        x0, x1, g = _saturated_update(xb0, xb1, rows, classes, bt, scale)
+        estimates.append((x0, x1))
+        gains.append(g)
+        betas.append(bt)
+        bounds.append(_rho_next(rho_prev, terms, bt, p))
+    return estimates, gains, betas, bounds
 
 
 def measurement_update_v2(x_bar: np.ndarray, y_source: np.ndarray,
@@ -169,13 +230,11 @@ def nearest_trusted(i: int, sets: DetectionSets, topo: Topology) -> int:
 # error-bound recursions
 # --------------------------------------------------------------------------
 
-def _contraction_and_drive(s1: int, sa1: int, sa: int, kfloor: float,
-                           beta_t: float, p: ObserverParams) -> tuple[float, float]:
-    """Factor and offset of one interior-bound step, for local sensor counts.
+def _count_terms(s1: int, sa1: int, sa: int, p: ObserverParams) -> tuple:
+    """The part of one interior-bound step that the local sensor counts fix.
 
     ``s1``/``sa1`` count trusted / confirmed-attacked sensors inside the
-    ``2L+1`` window, ``sa`` counts all confirmed-attacked sensors, and
-    ``kfloor`` lower-bounds the gain of an unknown attack-free source.
+    ``2L+1`` window and ``sa`` counts all confirmed-attacked sensors.
 
     When more than ``2L+1-b`` local sensors are already trusted (possible
     once detection completes and fewer than ``b`` attacks landed nearby) the
@@ -189,14 +248,24 @@ def _contraction_and_drive(s1: int, sa1: int, sa: int, kfloor: float,
     window = 2 * p.L + 1
     lbar = window - p.b
     if s1 <= lbar:
-        m = 1.0 - (s1 + (lbar - s1) * kfloor) / two_l
-        drive = ((p.eps + p.mu_bar) * lbar + max(p.b - sa, 0) * beta_t) / two_l
-    else:
-        c_hi = window - sa1
-        m = max(abs(1.0 - s1 / two_l), abs(1.0 - c_hi / two_l))
-        unknown = max(0, min(p.b - sa, window - s1 - sa1))
-        drive = m * p.eps + (c_hi / two_l) * p.mu_bar + unknown * beta_t / two_l
-    return m, drive
+        return (True, two_l, s1, lbar - s1, (p.eps + p.mu_bar) * lbar,
+                max(p.b - sa, 0))
+    c_hi = window - sa1
+    m = max(abs(1.0 - s1 / two_l), abs(1.0 - c_hi / two_l))
+    unknown = max(0, min(p.b - sa, window - s1 - sa1))
+    return (False, two_l, m, m * p.eps + (c_hi / two_l) * p.mu_bar, unknown)
+
+
+def _contraction_and_drive(terms: tuple, kfloor: float,
+                           beta_t: float) -> tuple[float, float]:
+    """Factor and offset of one interior-bound step, from the count terms of
+    :func:`_count_terms`; ``kfloor`` lower-bounds the gain of an unknown
+    attack-free source."""
+    if terms[0]:
+        _, two_l, s1, free, noise, open_ = terms
+        return 1.0 - (s1 + free * kfloor) / two_l, (noise + open_ * beta_t) / two_l
+    _, two_l, m, base, unknown = terms
+    return m, base + unknown * beta_t / two_l
 
 
 def _local_counts(sets: DetectionSets, i: int, topo: Topology) -> tuple[int, int, int]:
@@ -204,16 +273,21 @@ def _local_counts(sets: DetectionSets, i: int, topo: Topology) -> tuple[int, int
     return len(sets.trusted & local), len(sets.attacked & local), len(sets.attacked)
 
 
-def rho_update(rho_prev: float, sets: DetectionSets, i: int, topo: Topology,
-               beta_t: float, p: ObserverParams) -> float:
-    """Advance the interior-vehicle error bound one step."""
-    s1, sa1, sa = _local_counts(sets, i, topo)
+def _rho_next(rho_prev: float, terms: tuple, beta_t: float,
+              p: ObserverParams) -> float:
     ceiling = p.norm_A * rho_prev + p.eps + p.mu_bar
     # a zero ceiling means every honest innovation is exactly zero, and a
     # zero innovation passes the saturation gate at full gain
     kbar = min(1.0, beta_t / ceiling) if ceiling > 0.0 else 1.0
-    m, drive = _contraction_and_drive(s1, sa1, sa, kbar, beta_t, p)
+    m, drive = _contraction_and_drive(terms, kbar, beta_t)
     return m * p.norm_A * rho_prev + drive
+
+
+def rho_update(rho_prev: float, sets: DetectionSets, i: int, topo: Topology,
+               beta_t: float, p: ObserverParams) -> float:
+    """Advance the interior-vehicle error bound one step."""
+    terms = _count_terms(*_local_counts(sets, i, topo), p)
+    return _rho_next(rho_prev, terms, beta_t, p)
 
 
 def lambda_update(lam_prev: float, p: ObserverParams) -> float:
@@ -387,8 +461,8 @@ def asymptotic_bounds_static(sets: DetectionSets, topo: Topology, beta: float,
     kstar = min(1.0, beta / p.beta_max)
     a1 = 0.0
     for i in sorted(topo.v1):
-        s1, sa1, sa = _local_counts(sets, i, topo)
-        m, drive = _contraction_and_drive(s1, sa1, sa, kstar, beta, p)
+        terms = _count_terms(*_local_counts(sets, i, topo), p)
+        m, drive = _contraction_and_drive(terms, kstar, beta)
         den = 1.0 - m * p.norm_A
         if den <= 0.0:
             raise InfeasibleBoundError(
@@ -419,7 +493,7 @@ def asymptotic_bounds_adaptive(sets: DetectionSets, topo: Topology, beta0: float
             factor = 1.0 - (s1 + (lbar - s1) * k0) / two_l + bp * k0 / two_l
             offset = (lbar + bp * k0) * (p.eps + p.mu_bar) / two_l
         else:
-            m, _ = _contraction_and_drive(s1, sa1, sa, k0, 0.0, p)
+            m, _ = _contraction_and_drive(_count_terms(s1, sa1, sa, p), k0, 0.0)
             c_hi = window - sa1
             bp = max(0, min(p.b - sa, window - s1 - sa1))
             factor = m + bp * k0 / two_l

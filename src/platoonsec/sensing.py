@@ -282,6 +282,15 @@ class StackedMeasurement:
         return self.blocks.reshape(-1)
 
 
+def chained_rows(y_abs_rows: list, pref_rows: list, pref_own) -> list:
+    """Reconstructions ``y_abs[j] + (pref_own - pref[j])`` of one vehicle's
+    state, as float pairs, from matching ``y_abs`` and ``rel_prefix`` rows
+    (``tolist()`` slices) and the vehicle's own prefix row."""
+    p0, p1 = pref_own
+    return [(a0 + (p0 - f0), a1 + (p1 - f1))
+            for (a0, a1), (f0, f1) in zip(y_abs_rows, pref_rows)]
+
+
 def stack_measurements(frame: MeasurementFrame, i: int, topo) -> StackedMeasurement:
     """Stack reconstructions from sensors ``i-L .. i+L`` (interior vehicles only)."""
     if i not in topo.v1:
@@ -290,7 +299,8 @@ def stack_measurements(frame: MeasurementFrame, i: int, topo) -> StackedMeasurem
     labels = tuple(range(i - L, i + L + 1))
     pref = frame.rel_prefix
     rows = slice(i - L - 1, i + L)
-    blocks = frame.y_abs[rows] + (pref[i - 1] - pref[rows])
+    blocks = np.array(chained_rows(frame.y_abs[rows].tolist(), pref[rows].tolist(),
+                                   pref[i - 1].tolist()))
     return StackedMeasurement(vehicle=i, labels=labels, blocks=blocks)
 
 

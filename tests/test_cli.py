@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from conftest import baseline_doc
-from platoonsec import cli, controller, harness
-from platoonsec.core import InconsistentSetsError, load_scenario
+from platoonsec import cli, controller, detector, harness
+from platoonsec.core import DetectionSets, InconsistentSetsError, load_scenario
 
 
 def _config_file(tmp_path, **overrides):
@@ -151,6 +152,25 @@ def test_inconsistent_sets_report_the_step_and_vehicle(tmp_path, caplog,
     assert cli.main(["run", "--config", cfg_path, "--out",
                      os.path.join(tmp_path, "out")]) == 2
     assert "step 1, vehicle 3: sensors [2] trusted and attacked" in caplog.text
+
+
+def test_fusion_clash_exits_with_error_code_naming_both_vehicles(
+        tmp_path, caplog, monkeypatch):
+    honest = detector.detector_step
+    planted = {2: DetectionSets(trusted=frozenset({3})),
+               4: DetectionSets(attacked=frozenset({3}))}
+
+    def plant(i, fused, *args):
+        res = honest(i, fused, *args)
+        return dataclasses.replace(res, sets=planted[i]) if i in planted else res
+
+    monkeypatch.setattr(detector, "detector_step", plant)
+    cfg_path = _config_file(tmp_path, horizon=3)
+    assert cli.main(["run", "--config", cfg_path, "--out",
+                     os.path.join(tmp_path, "out")]) == 2
+    assert ("step 2, vehicle 2: sensors [3] trusted by one vehicle but confirmed "
+            "attacked by another; sensor 3 trusted by vehicles [2] and confirmed "
+            "attacked by vehicles [4]") in caplog.text
 
 
 def test_initial_error_above_q_exits_with_error_code(tmp_path, caplog):

@@ -17,6 +17,7 @@ from platoonsec.core import (
     InconsistentSetsError,
     Message,
     Topology,
+    describe_clash,
     fuse_sets,
     load_scenario,
     neighbor_set,
@@ -205,6 +206,21 @@ def test_fuse_sets_detects_trust_attack_clash():
     other = DetectionSets(frozenset(), frozenset({2}), frozenset())
     with pytest.raises(InconsistentSetsError):
         fuse_sets(own, [other])
+
+
+def test_describe_clash_names_both_sides_per_sensor():
+    parties = [
+        (3, DetectionSets(frozenset({2, 7}), frozenset(), frozenset())),
+        (4, DetectionSets(frozenset({2}), frozenset({5}), frozenset())),
+        (5, DetectionSets(frozenset({5}), frozenset({2}), frozenset())),
+        (6, DetectionSets(frozenset(), frozenset({7}), frozenset({2}))),
+    ]
+    assert describe_clash(parties) == (
+        "sensor 2 trusted by vehicles [3, 4] and confirmed attacked by vehicles [5]; "
+        "sensor 5 trusted by vehicles [5] and confirmed attacked by vehicles [4]; "
+        "sensor 7 trusted by vehicles [3] and confirmed attacked by vehicles [6]")
+    assert describe_clash(parties[:1]) == ""
+    assert describe_clash([]) == ""
 
 
 def test_fuse_sets_returns_own_object_when_nothing_new():

@@ -7,6 +7,7 @@ as a bit-level mismatch.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ import pytest
 
 from conftest import baseline_doc
 from platoonsec import controller, detector, harness, observer, sensing
-from platoonsec.core import DetectionSets, Message, fuse_sets, load_scenario
+from platoonsec.core import (DetectionSets, InconsistentSetsError, Message,
+                            fuse_sets, load_scenario)
 from platoonsec.dynamics import (advance_deltas, desired_state_chain,
                                  reference_step, step_vehicle)
 from platoonsec.harness import (
@@ -351,6 +353,45 @@ def test_run_matches_replica_on_a_21_vehicle_string(attack):
     traces = run_simulation(cfg)
     _assert_traces_equal(traces, _replica(cfg))
     assert any(s.attacked for s in traces[-1].sets)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "static"])
+def test_run_matches_replica_on_the_long_string(mode):
+    """The 101-vehicle benchmark geometry over the steps where sets change:
+    suspicion, budget exhaustion and completion, in both threshold modes."""
+    x0 = [200.0 + 20.0 * 100, 10.0]
+    deltas = [[20.0, 0.0]] * 100
+    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
+    cfg = load_scenario(baseline_doc(
+        N=101, b=2, horizon=60, delta_x=deltas, x0=x0, x_init=chain,
+        x_hat_init=chain, threshold_mode={"mode": mode},
+        attack={"set": [30, 70], "kind": "random", "params": {"scale": 1.0}}))
+    traces = run_simulation(cfg)
+    _assert_traces_equal(traces, _replica(cfg))
+    assert any(s.suspected for tr in traces for s in tr.sets)
+    assert any(f[2] for tr in traces for f in tr.fired)  # exhaustion
+    assert any(f[3] for tr in traces for f in tr.fired)  # completion
+    assert traces[-1].sets[49].attacked == {30, 70}
+
+
+def test_fusion_clash_names_the_disagreeing_vehicles(monkeypatch):
+    """Vehicle 2 trusts sensor 3 and vehicle 4 convicts it; at step 2,
+    vehicle 2 fuses its own sets with vehicle 4's and must stop, naming both."""
+    honest = detector.detector_step
+    planted = {2: DetectionSets(trusted=frozenset({3})),
+               4: DetectionSets(attacked=frozenset({3}))}
+
+    def plant(i, fused, *args):
+        res = honest(i, fused, *args)
+        return dataclasses.replace(res, sets=planted[i]) if i in planted else res
+
+    monkeypatch.setattr(detector, "detector_step", plant)
+    with pytest.raises(InconsistentSetsError) as exc:
+        run_simulation(load_scenario(baseline_doc(horizon=3)))
+    assert str(exc.value) == (
+        "step 2, vehicle 2: sensors [3] trusted by one vehicle but confirmed "
+        "attacked by another; sensor 3 trusted by vehicles [2] and confirmed "
+        "attacked by vehicles [4]")
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc
 from platoonsec import core, observer, sensing, rng as prng
 from platoonsec.core import ConfigError, DetectionSets, Topology
+from platoonsec.dynamics import plant_norm
 from platoonsec.observer import (
     DEFAULT_OMEGA_GRID,
     InfeasibleBoundError,
@@ -165,6 +168,113 @@ def test_nearest_trusted_fails_loudly_without_candidates():
                       neighbors={1: frozenset(), 2: frozenset()})
     with pytest.raises(ConfigError):
         nearest_trusted(1, EMPTY, lonely)
+
+
+# --------------------------------------------------------------------------
+# batched interior pass against the per-vehicle functions
+# --------------------------------------------------------------------------
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
+    """``interior_update`` equals stack_measurements -> beta_at ->
+    measurement_update_v1 -> rho_update, bit for bit, for a fresh memo and
+    again for a reused memo whose sets objects changed."""
+    n = len(x_bar)
+    topo = Topology.build(n, p.L)
+    frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
+    memo = [None] * n
+    for view in (sets, sets, sets[::-1]):
+        got_x, got_g, got_b, got_r = observer.interior_update(
+            x_bar, y_abs, frame.rel_prefix, view, rho, thr, p, memo)
+        want_x, want_g, want_b, want_r = [], [], [], []
+        for i in sorted(topo.v1):
+            k = i - 1
+            bt = thr.beta_at(rho[k], p)
+            stacked = sensing.stack_measurements(frame, i, topo)
+            xh, g = measurement_update_v1(x_bar[k], stacked, view[k], bt, p.L)
+            want_x.append(xh)
+            want_g.append(g)
+            want_b.append(bt)
+            want_r.append(rho_update(rho[k], view[k], i, topo, bt, p))
+        assert _bits(got_x) == _bits(want_x)
+        assert _bits(got_g) == _bits(want_g)
+        assert _bits(got_b) == _bits(want_b)
+        assert _bits(got_r) == _bits(want_r)
+
+
+def _mixed_sets(rng, n):
+    cls = rng.integers(0, 3, size=n)
+    return DetectionSets(frozenset(int(j) + 1 for j in np.flatnonzero(cls == 1)),
+                         frozenset(int(j) + 1 for j in np.flatnonzero(cls == 0)),
+                         frozenset())
+
+
+@st.composite
+def _interior_cases(draw):
+    L = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * L + 1, 64))
+    noise_free = draw(st.booleans())
+    eps = 0.0 if noise_free else draw(st.floats(1e-3, 1.0))
+    mu = 0.0 if noise_free else draw(st.floats(1e-3, 1.0))
+    p = ObserverParams(L=L, b=draw(st.integers(1, 2 * L)),
+                       q=draw(st.floats(1.0, 1e3)), eps=eps, mu=mu,
+                       norm_A=plant_norm(draw(st.floats(0.005, 0.02))), varpi=2.0)
+    beta0 = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0 * p.beta_max)))
+    thr = observer.ThresholdConfig(mode=draw(st.sampled_from(("static", "adaptive"))),
+                                   beta0=beta0, k0=beta0 / p.beta_max)
+    coord = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))
+    x_bar = draw(arrays(float, (n, 2), elements=coord))
+    if draw(st.booleans()):  # every innovation exactly zero
+        y_abs, y_rel = np.tile(x_bar[0], (n, 1)), np.zeros((n - 1, 2))
+        x_bar = y_abs.copy()
+    else:
+        y_abs = draw(arrays(float, (n, 2), elements=coord))
+        y_rel = draw(arrays(float, (n - 1, 2), elements=coord))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    every = DetectionSets(frozenset(range(1, n + 1)), frozenset(), frozenset())
+    sets = [draw(st.sampled_from((EMPTY, every, _mixed_sets(rng, n))))
+            for _ in range(n)]
+    rho = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))) for _ in range(n)]
+    return p, thr, x_bar, y_abs, y_rel, sets, rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interior_cases())
+def test_interior_update_matches_the_per_vehicle_functions(case):
+    _assert_pass_matches_per_vehicle(*case)
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+def test_interior_update_zero_innovation_zero_ceiling_and_negative_zero(mode):
+    """beta = 0 with exactly-zero innovations keeps full gain; a noise-free
+    bound at rho = 0 has a zero ceiling; -0.0 inputs keep their bits."""
+    L, n = 2, 7
+    p = ObserverParams(L=L, b=1, q=300.0, eps=0.0, mu=0.0,
+                       norm_A=plant_norm(0.01), varpi=2.0)
+    thr = observer.ThresholdConfig(mode=mode, beta0=0.0, k0=0.0)
+    x_bar = np.full((n, 2), -0.0)
+    y_abs = np.full((n, 2), -0.0)
+    y_rel = np.zeros((n - 1, 2))
+    mixed = DetectionSets(frozenset({1, 2}), frozenset({4}), frozenset({5}))
+    sets = [EMPTY, mixed, EMPTY, mixed, EMPTY, mixed, EMPTY]
+    _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, [0.0] * n)
+    _, gains, betas, bounds = observer.interior_update(
+        x_bar, y_abs, sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix,
+        sets, [0.0] * n, thr, p, [None] * n)
+    assert betas == [0.0] * (n - 2 * L) and bounds == [0.0] * (n - 2 * L)
+    assert gains[0] == [1.0] * 5 and gains[1] == [1.0, 1.0, 0.0, 1.0, 1.0]
+
+
+def test_derived_params_are_computed_once_per_instance():
+    import dataclasses
+    p = _params()
+    assert p.mu_bar is p.mu_bar and p.beta_max is p.beta_max
+    assert p.contraction is p.contraction
+    wider = dataclasses.replace(p, mu=0.2)
+    assert wider.mu_bar == (wider.L + 1) * 0.2 and p.mu_bar == 0.30000000000000004
 
 
 # --------------------------------------------------------------------------
