@@ -100,17 +100,26 @@ class DetectorStepResult:
 
 def detector_step(i: int, fused: DetectionSets, y_rel_own, y_abs_front, y_abs_own,
                   x_bar_own, bound_prev: float, n_vehicles: int, b: int,
-                  mu: float, eps: float, norm_A: float) -> DetectorStepResult:
+                  mu: float, eps: float, norm_A: float,
+                  memo: list | None = None) -> DetectorStepResult:
     """One detection update for vehicle ``i`` (fusion already applied).
 
     Applies, in order: the gap test on the pair ``(i-1, i)``, the innovation
     self test, the budget-exhaustion rule (suspicion alone already pins down
     ``b`` attacks, so everyone unsuspected is clean), and the completion
-    rule (all ``b`` attacks confirmed, so everyone else is clean).
+    rule (all ``b`` attacks confirmed, so everyone else is clean).  The
+    readings and the prediction are float pairs.
 
     A set is rebuilt only when a rule adds to it; when none does, the fused
     sets are returned as-is (same object), so callers can recognise an
     unchanged classification by identity.
+
+    ``memo``, if given, has one slot per vehicle, kept by the caller across
+    steps.  When neither measurement test fires, the counting rules'
+    outcome (exhaustion, completion and the suspect clean-up) depends only
+    on ``fused``, ``b`` and ``n_vehicles``, so slot ``i-1`` keeps that
+    outcome for the last fused object seen and returns it while the same
+    object recurs.
     """
     trusted = fused.trusted
     attacked = fused.attacked
@@ -131,6 +140,12 @@ def detector_step(i: int, fused: DetectionSets, y_rel_own, y_abs_front, y_abs_ow
                                        eps, mu, norm_A))
     if fired_inno:
         attacked = attacked | {i}
+
+    quiet = memo is not None and not (fired_pair or fired_inno)
+    if quiet:
+        entry = memo[i - 1]
+        if entry is not None and entry[0] is fused:
+            return entry[1]
 
     # trusted holds only sensors 1..N, so a size test plus disjointness shows
     # that a counting rule would add nobody
@@ -158,4 +173,7 @@ def detector_step(i: int, fused: DetectionSets, y_rel_own, y_abs_front, y_abs_ow
         sets = fused
     else:
         sets = DetectionSets(trusted, attacked, suspected)
-    return DetectorStepResult(sets, fired_pair, fired_inno, fired_exh, fired_comp)
+    res = DetectorStepResult(sets, fired_pair, fired_inno, fired_exh, fired_comp)
+    if quiet:
+        memo[i - 1] = (fused, res)
+    return res

@@ -8,6 +8,7 @@ virtual leader follows the same recursion with zero input and zero noise.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,40 +40,64 @@ class PlantMatrix:
         return cls(T=float(T), A=A, norm_A=plant_norm(T))
 
 
-def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray,
-                 plant: PlantMatrix) -> np.ndarray:
-    """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``."""
-    out = np.empty(x.shape)
-    out[..., 0] = x[..., 0] + plant.T * x[..., 1]
-    out[..., 1] = x[..., 1] + plant.T * u
-    out += d
+def rows_array(rows, width: int) -> np.ndarray:
+    """``(len(rows), width)`` array of float rows, built faster than
+    ``np.array(rows)`` and with the same bytes."""
+    out = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    out.resize((len(rows), width))  # same size, so in place, owning its data
     return out
 
 
-def reference_step(x0: np.ndarray, plant: PlantMatrix) -> np.ndarray:
-    """Advance the virtual leader: constant velocity, no input, no noise."""
-    return np.array([x0[0] + plant.T * x0[1], x0[1]])
+def step_rows(x: list, u: list, T: float, d: list | None = None) -> list:
+    """``A x + (0, T u)``, plus ``d`` when given, for float rows ``(s, v)``.
+
+    The plant step passes its process noise ``d`` (zero rows included, which
+    turn ``-0.0`` into ``0.0``); the observer's prediction passes none.
+    """
+    if d is None:
+        return [(s + T * v, v + T * uk) for (s, v), uk in zip(x, u)]
+    return [(s + T * v + d0, v + T * uk + d1)
+            for (s, v), uk, (d0, d1) in zip(x, u, d)]
 
 
-def desired_state_chain(x0: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray | None,
+                 plant: PlantMatrix) -> np.ndarray:
+    """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``
+    (array form of :func:`step_rows`; ``d=None`` adds no noise)."""
+    rows = np.reshape(x, (-1, 2))
+    out = step_rows(rows.tolist(), np.broadcast_to(u, len(rows)).tolist(), plant.T,
+                    None if d is None else np.broadcast_to(d, rows.shape).tolist())
+    return np.array(out).reshape(np.shape(x))
+
+
+def reference_step(x0, plant: PlantMatrix) -> np.ndarray:
+    """Advance the virtual leader ``(s, v)``: constant velocity, no input, no
+    noise, which is the step :func:`advance_deltas` takes."""
+    return np.array(advance_deltas((x0,), plant)[0])
+
+
+def desired_state_chain(x0, deltas) -> np.ndarray:
     """Desired states of all vehicles given the leader state and gaps.
 
     ``deltas[k]`` is the desired offset of vehicle ``k+2`` behind vehicle
     ``k+1`` (front state minus rear state), so the chain unrolls as
     ``x*_1 = x0`` and ``x*_{i} = x*_{i-1} - deltas[i-2]``.
     """
-    gaps = np.asarray(deltas, dtype=float).tolist()
     cur_s, cur_v = (float(x0[0]), float(x0[1]))
     rows = [(cur_s, cur_v)]
-    for d in gaps:
-        cur_s -= d[0]
-        cur_v -= d[1]
+    for d0, d1 in deltas:
+        cur_s -= d0
+        cur_v -= d1
         rows.append((cur_s, cur_v))
-    return np.array(rows)
+    return rows_array(rows, 2)
 
 
-def advance_deltas(deltas: np.ndarray, plant: PlantMatrix) -> np.ndarray:
-    """Propagate the desired-gap vectors one step: each follows ``A``."""
-    out = np.array(deltas, dtype=float, copy=True)
-    out[:, 0] += plant.T * out[:, 1]
-    return out
+def advance_deltas(deltas, plant: PlantMatrix):
+    """Propagate the desired-gap vectors one step: each follows ``A``.
+
+    Float rows give a list of rows and an ``(N-1, 2)`` array gives an array.
+    """
+    T = plant.T
+    if isinstance(deltas, np.ndarray):
+        return np.array(advance_deltas(deltas.tolist(), plant)).reshape(-1, 2)
+    return [(s + T * v, v) for s, v in deltas]

@@ -16,7 +16,6 @@ regardless of execution order, and Monte Carlo runs are independent.
 import json
 import logging
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ import numpy as np
 from . import controller, detector, observer, sensing
 from .core import (ConfigError, DetectionSets, InconsistentSetsError,
                    ScenarioConfig, describe_clash, fuse_sets)
-from .dynamics import advance_deltas, desired_state_chain, reference_step, step_vehicle
+from .dynamics import (advance_deltas, desired_state_chain, reference_step, rows_array,
+                       step_rows)
 from .rng import RunRandom
 
 LOG = logging.getLogger(__name__)
@@ -39,33 +39,12 @@ class SimulationError(RuntimeError):
 # performance metrics
 # --------------------------------------------------------------------------
 
-def performance_phi(xs, x_hats, x_stars) -> float:
-    """Mean over vehicles of estimation-error norm plus tracking-error norm."""
-    if not len(xs) == len(x_hats) == len(x_stars):
-        raise ValueError("state, estimate and target lists must have equal length")
-    xs = np.asarray(xs, dtype=float)
-    xh = np.asarray(x_hats, dtype=float)
-    xt = np.asarray(x_stars, dtype=float)
-    est = np.hypot(xh[:, 0] - xs[:, 0], xh[:, 1] - xs[:, 1])
-    trk = np.hypot(xs[:, 0] - xt[:, 0], xs[:, 1] - xt[:, 1])
-    return float((est + trk).sum()) / len(xs)
-
-
-def platoon_phi(xs, x_stars) -> float:
-    """Mean over vehicles of the tracking-error norm alone."""
-    if len(xs) != len(x_stars):
-        raise ValueError("state and target lists must have equal length")
-    xs = np.asarray(xs, dtype=float)
-    xt = np.asarray(x_stars, dtype=float)
-    return float(np.hypot(xs[:, 0] - xt[:, 0], xs[:, 1] - xt[:, 1]).sum()) / len(xs)
-
-
 def _phi_pair(xs, x_hats, x_stars) -> tuple:
-    """Both performance metrics at once, sharing the tracking-error norms."""
+    """Both performance metrics at once from rows of ``(s, v)`` pairs,
+    sharing the tracking-error norms."""
     total = 0.0
     track = 0.0
-    for (s, v), (hs, hv), (ts, tv) in zip(xs.tolist(), x_hats.tolist(),
-                                          x_stars.tolist()):
+    for (s, v), (hs, hv), (ts, tv) in zip(xs, x_hats, x_stars):
         est_i = math.hypot(hs - s, hv - v)
         trk_i = math.hypot(s - ts, v - tv)
         total += est_i + trk_i
@@ -150,33 +129,21 @@ def _validated_design(config: ScenarioConfig):
     return params, thr, gains
 
 
-def _control_all(n, x_star, x_leader, own_src, nb_src, g_s, g_v) -> np.ndarray:
-    """Whole-platoon control law, term for term the per-vehicle rule.
+def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
+    """Whole-platoon control law, term for term the per-vehicle rule, on
+    float rows: desired states, the leader, and the own and neighbour sources.
 
     Vehicle ``i`` couples to its physical neighbours ``i-1`` (the virtual
     leader for ``i=1``) and ``i+1`` (absent for ``i=N``); each coupling adds
     a spring term on position and a damper term on velocity, offset by the
-    desired formation gap.
+    desired formation gap, front coupling first.
     """
-    stars = x_star.tolist() if isinstance(x_star, np.ndarray) else x_star
-    own = own_src.tolist() if isinstance(own_src, np.ndarray) else own_src
-    nb = nb_src.tolist() if isinstance(nb_src, np.ndarray) else nb_src
-    lead = x_leader.tolist() if isinstance(x_leader, np.ndarray) else list(x_leader)
-    u = [0.0] * n
-    for k in range(n):
-        star_s, star_v = stars[k]
-        own_s, own_v = own[k]
-        front = lead if k == 0 else nb[k - 1]
-        front_star = lead if k == 0 else stars[k - 1]
-        uk = g_s * (front[0] - own_s + (star_s - front_star[0]))
-        uk += g_v * (front[1] - own_v + (star_v - front_star[1]))
-        if k < n - 1:
-            rear = nb[k + 1]
-            rear_star = stars[k + 1]
-            uk += g_s * (rear[0] - own_s + (star_s - rear_star[0]))
-            uk += g_v * (rear[1] - own_v + (star_v - rear_star[1]))
-        u[k] = uk
-    return np.array(u)
+    front = [g_s * (f0 - s + (ss - fs0)) + g_v * (f1 - v + (sv - fs1))
+             for (ss, sv), (s, v), (f0, f1), (fs0, fs1)
+             in zip(stars, own, [lead, *nb[:n - 1]], [lead, *stars[:n - 1]])]
+    return [uk + g_s * (r0 - s + (ss - rs0)) + g_v * (r1 - v + (sv - rs1))
+            for uk, (ss, sv), (s, v), (r0, r1), (rs0, rs1)
+            in zip(front, stars, own, nb[1:], stars[1:])] + front[n - 1:]
 
 
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
@@ -185,6 +152,9 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
 
     ``seed`` overrides ``config.seed``; ``run_index`` separates Monte Carlo
     runs in the random stream.  Identical arguments give identical traces.
+
+    Every per-vehicle quantity is carried as Python float rows ``(s, v)``;
+    numpy arrays are built once per step, for the ``StepTrace`` fields only.
     """
     params, thr, _ = _validated_design(config)
     topo = config.topology()
@@ -195,6 +165,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     n = config.N
     Lw = config.L
     width = 2 * Lw + 1
+    T = plant.T
     vehicles = range(1, n + 1)
     interior = [i in topo.v1 for i in vehicles]
     inner = slice(Lw, n - Lw)  # rows of the interior vehicles L+1 .. N-L
@@ -209,11 +180,13 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     has_attack = bool(config.attack.attacked)
     rnd = RunRandom(config.seed if seed is None else seed, run_index)
 
-    x = np.asarray(config.x_init, dtype=float)
-    x_hat = np.asarray(config.x_hat_init, dtype=float)
-    x_leader = np.asarray(config.x0, dtype=float)
-    deltas = np.asarray(config.delta_x, dtype=float)
-    x_star = desired_state_chain(x_leader, deltas)
+    x = [(float(s), float(v)) for s, v in config.x_init]
+    x_hat = [(float(s), float(v)) for s, v in config.x_hat_init]
+    lead = (float(config.x0[0]), float(config.x0[1]))
+    x_leader = np.array(lead)
+    deltas = [(float(s), float(v)) for s, v in config.delta_x]
+    x_star = desired_state_chain(lead, deltas)
+    stars = x_star.tolist()
 
     sets = [DetectionSets.empty()] * n
     # bounds that never apply to a vehicle's class stay NaN in the trace
@@ -223,64 +196,68 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     alpha = [params.q] * n
 
     att_state = sensing.AttackState(config.attack)
-    frame = sensing.measure(x, config.attack, mu, att_state, 0,
-                            rnd.measurement(0) if mu else None,
-                            rnd.attack(0) if has_attack else None)
-    ctrl_src = frame.y_abs if pwm else x_hat
-    u = _control_all(n, x_star, x_leader, ctrl_src, ctrl_src, g_s, g_v)
+    y_abs, _, norms = sensing.measure_rows(x, config.attack, mu, att_state, 0,
+                                           rnd.measurement(0) if mu else None,
+                                           rnd.attack(0) if has_attack else None)
+    ctrl_src = y_abs if pwm else x_hat
+    u = _control_all(n, stars, lead, ctrl_src, ctrl_src, g_s, g_v)
 
-    phi0, phi0_platoon = _phi_pair(x, x_hat, x_star)
+    phi0, phi0_platoon = _phi_pair(x, x_hat, stars)
+    x_hat_arr = rows_array(x_hat, 2)
     traces = [StepTrace(
-        t=0, x=x, x_star=x_star, x_leader=x_leader, x_hat=x_hat, x_bar=x_hat,
-        u=u, rho=tuple(rho), lam=tuple(lam), tau=tuple(tau), alpha=tuple(alpha),
-        beta=(nan,) * n, gains=np.full((n, width), np.nan), sets=tuple(sets),
-        fired=((False,) * 4,) * n, attack_norms=frame.attack_norms,
+        t=0, x=rows_array(x, 2), x_star=x_star, x_leader=x_leader, x_hat=x_hat_arr,
+        x_bar=x_hat_arr, u=np.array(u), rho=tuple(rho), lam=tuple(lam),
+        tau=tuple(tau), alpha=tuple(alpha), beta=(nan,) * n,
+        gains=np.full((n, width), np.nan), sets=tuple(sets),
+        fired=((False,) * 4,) * n, attack_norms=np.array(norms),
         phi=phi0, phi_platoon=phi0_platoon)]
 
-    # fusion is a pure function of its input sets, so its result is reused as
-    # long as the very same set objects recur; without this memo the N=101,
-    # H=500 run took about 22% longer (best of 10 on a 2-core Xeon host:
-    # 0.93 s -> 1.13 s)
-    fuse_in = [None] * n
-    fuse_out = [None] * n
+    # identity memos, one slot per vehicle; each is sound because fusion and
+    # detection hand back the very same sets object whenever no set grew:
+    # - fused: fusion is a pure function of its input sets, so it reruns only
+    #   for the vehicles in ``refuse``, whose own or a neighbour's sets object
+    #   changed in the last step; without this memo the N=101, H=500 run took
+    #   about 22% longer (best of 10 on a 2-core Xeon host: 0.93 s -> 1.13 s)
+    # - count_memo: the detector's counting rules on a quiet step
+    # - class_memo: an interior window's gate classes and count terms
+    # - edge_memo: an edge vehicle's source, its distance, and whether its
+    #   own sensor is trusted
+    fused = [None] * n
+    refuse = set(range(n))
+    local = [[k, *(j - 1 for j in nbr_lists[k])] for k in range(n)]
+    count_memo = [None] * n
     class_memo = [None] * n
-    nan_gains = np.full((n, width), np.nan)
+    edge_memo = [None] * n
+    nan_gains = [nan] * width
+    zero_noise = [(0.0, 0.0)] * n
 
-    zero_noise = np.zeros((n, 2))
     for t in range(1, config.horizon + 1):
-        d = sensing.sample_noise(rnd.process(t), eps, n) if eps else zero_noise
-        x = step_vehicle(x, u, d, plant)
-        x_leader = reference_step(x_leader, plant)
+        d = sensing.sample_noise(rnd.process(t), eps, n).tolist() if eps else zero_noise
+        x = step_rows(x, u, T, d)
+        x_leader = reference_step(lead, plant)
+        lead = x_leader.tolist()
         deltas = advance_deltas(deltas, plant)
-        x_star = desired_state_chain(x_leader, deltas)
+        x_star = desired_state_chain(lead, deltas)
+        stars = x_star.tolist()
 
-        frame = sensing.measure(x, config.attack, mu, att_state, t,
-                                rnd.measurement(t) if mu else None,
-                                rnd.attack(t) if has_attack else None)
-        y_abs = frame.y_abs
-        y_rel = frame.y_rel
-        x_bar = observer.time_update(x_hat, u, plant)
+        y_abs, y_rel, norms = sensing.measure_rows(
+            x, config.attack, mu, att_state, t,
+            rnd.measurement(t) if mu else None, rnd.attack(t) if has_attack else None)
+        pref = sensing.prefix_rows(y_rel)
+        x_bar = step_rows(x_hat, u, T)
 
         new_sets = []
         flags = []
         try:
             for i in vehicles:
                 k = i - 1
-                own = sets[k]
-                nb_sets = tuple(sets[j - 1] for j in nbr_lists[k])
-                cached = fuse_in[k]
-                if (cached is not None and cached[0] is own
-                        and all(map(operator.is_, cached[1], nb_sets))):
-                    fused = fuse_out[k]
-                else:
-                    fused = fuse_sets(own, nb_sets)
-                    fuse_in[k] = (own, nb_sets)
-                    fuse_out[k] = fused
+                if k in refuse:
+                    fused[k] = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
                 bound_prev = rho[k] if interior[k] else tau[k]
                 res = detector.detector_step(
-                    i, fused, y_rel[i - 2] if i >= 2 else None,
+                    i, fused[k], y_rel[i - 2] if i >= 2 else None,
                     y_abs[i - 2] if i >= 2 else None, y_abs[k],
-                    x_bar[k], bound_prev, n, b, mu, eps, norm_A)
+                    x_bar[k], bound_prev, n, b, mu, eps, norm_A, count_memo)
                 new_sets.append(res.sets)
                 flags.append((res.pairwise, res.innovation, res.exhaustion,
                               res.completion))
@@ -290,52 +267,53 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
             raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
                                         + (f"; {clash}" if clash else "")) from exc
 
-        x_hat_new = np.empty_like(x_hat)
-        gains_rows = nan_gains.copy()
+        x_hat = [None] * n
+        gains = [nan_gains] * n
         beta_row = [nan] * n
         alpha_new = [0.0] * n
-        estimates, gain_rows, betas, bounds = observer.interior_update(
-            x_bar, y_abs, frame.rel_prefix, new_sets, rho, thr, params,
-            class_memo)
-        x_hat_new[inner] = estimates
-        gains_rows[inner] = gain_rows
+        estimates, gain_rows, betas, bounds = observer.interior_rows(
+            x_bar, y_abs, pref, new_sets, rho, thr, params, class_memo)
+        x_hat[inner] = estimates
+        gains[inner] = gain_rows
         beta_row[inner] = betas
         rho[inner] = bounds
         alpha_new[inner] = bounds
         for i in edge_vehicles:
             k = i - 1
             si = new_sets[k]
-            j = observer.nearest_trusted(i, si, topo)
-            if i in si.trusted:
+            entry = edge_memo[k]
+            if entry is None or entry[0] is not si:
+                j = observer.nearest_trusted(i, si, topo)
+                entry = edge_memo[k] = (si, j, abs(j - i), i in si.trusted)
+            _, j, dist, own_trusted = entry
+            if own_trusted:
                 src = y_abs[k]
             else:
-                src = sensing.estimate_based_measurement(
-                    x_bar[j - 1], frame, i, j)
-            x_hat_new[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
-            tau[k] = observer.tau_update(tau[k], abs(j - i), alpha[j - 1],
-                                         params)
-            if i in si.trusted:
+                src = sensing.chained_rows((x_bar[j - 1],), (pref[j - 1],), pref[k])[0]
+            x_hat[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
+            tau[k] = observer.tau_update(tau[k], dist, alpha[j - 1], params)
+            if own_trusted:
                 lam[k] = observer.lambda_update(lam[k], params)
                 alpha_new[k] = lam[k]
             else:
                 lam[k] = tau[k]
                 alpha_new[k] = tau[k]
 
+        refuse = {j for k in range(n) if new_sets[k] is not sets[k] for j in local[k]}
         sets = new_sets
-        x_hat = x_hat_new
         alpha = alpha_new
         if pwm:
-            u = _control_all(n, x_star, x_leader, y_abs, y_abs, g_s, g_v)
+            u = _control_all(n, stars, lead, y_abs, y_abs, g_s, g_v)
         else:
-            u = _control_all(n, x_star, x_leader, x_hat, x_bar, g_s, g_v)
+            u = _control_all(n, stars, lead, x_hat, x_bar, g_s, g_v)
 
-        phi_t, phi_t_platoon = _phi_pair(x, x_hat, x_star)
+        phi_t, phi_t_platoon = _phi_pair(x, x_hat, stars)
         traces.append(StepTrace(
-            t=t, x=x, x_star=x_star, x_leader=x_leader, x_hat=x_hat, x_bar=x_bar,
-            u=u, rho=tuple(rho), lam=tuple(lam), tau=tuple(tau),
-            alpha=tuple(alpha), beta=tuple(beta_row), gains=gains_rows,
-            sets=tuple(new_sets), fired=tuple(flags),
-            attack_norms=frame.attack_norms,
+            t=t, x=rows_array(x, 2), x_star=x_star, x_leader=x_leader,
+            x_hat=rows_array(x_hat, 2), x_bar=rows_array(x_bar, 2), u=np.array(u),
+            rho=tuple(rho), lam=tuple(lam), tau=tuple(tau), alpha=tuple(alpha),
+            beta=tuple(beta_row), gains=rows_array(gains, width), sets=tuple(new_sets),
+            fired=tuple(flags), attack_norms=np.array(norms),
             phi=phi_t, phi_platoon=phi_t_platoon))
     return traces
 

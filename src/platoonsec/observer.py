@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
+from .dynamics import step_vehicle
 from .sensing import chained_rows
 
 LOG = logging.getLogger(__name__)
@@ -88,10 +89,7 @@ class ObserverParams:
 def time_update(x_hat: np.ndarray, u: float | np.ndarray, plant) -> np.ndarray:
     """Prediction ``A x_hat + (0, T u)`` for one vehicle ``(2,)`` or a platoon
     ``(N, 2)``; no zero noise is added, which would turn ``-0.0`` into ``0.0``."""
-    out = np.empty(x_hat.shape)
-    out[..., 0] = x_hat[..., 0] + plant.T * x_hat[..., 1]
-    out[..., 1] = x_hat[..., 1] + plant.T * u
-    return out
+    return step_vehicle(x_hat, u, None, plant)
 
 
 # gate class of a source: cut off, full weight, or clipped at the threshold
@@ -159,27 +157,32 @@ def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
 def interior_update(x_bar: np.ndarray, y_abs: np.ndarray, pref: np.ndarray,
                     sets, rho, thr: "ThresholdConfig", p: ObserverParams,
                     memo: list) -> tuple[list, list, list, list]:
+    """:func:`interior_rows` for ``(N, 2)`` arrays."""
+    return interior_rows(x_bar.tolist(), y_abs.tolist(), pref.tolist(), sets, rho,
+                         thr, p, memo)
+
+
+def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig",
+                  p: ObserverParams, memo: list) -> tuple[list, list, list, list]:
     """One observer step for every interior vehicle ``L+1 .. N-L`` at once.
 
-    ``x_bar`` and ``y_abs`` are the platoon's ``(N, 2)`` predictions and
-    absolute readings, ``pref`` the frame's ``rel_prefix``; ``sets`` and
-    ``rho`` hold each vehicle's current sets and previous bound.  Each
-    vehicle's window is stacked as in ``stack_measurements``, its threshold
-    taken from ``thr.beta_at``, its estimate and gains computed as in
-    ``measurement_update_v1`` and its bound advanced as in ``rho_update``,
-    bit for bit.  ``memo`` has one slot per vehicle, kept by the caller
-    across steps: it holds the window's gate classes and count terms for
-    the last sets object seen, which fusion and detection return unchanged,
-    by identity, whenever no set grew.
+    ``xb`` and ``ya`` are the platoon's predictions and absolute readings,
+    ``pf`` the gap-reading prefix sums (``sensing.prefix_rows``), all as
+    float rows; ``sets`` and ``rho`` hold each vehicle's current sets and
+    previous bound.  Each vehicle's window is stacked as in
+    ``stack_measurements``, its threshold taken from ``thr.beta_at``, its
+    estimate and gains computed as in ``measurement_update_v1`` and its
+    bound advanced as in ``rho_update``, bit for bit.  ``memo`` has one slot
+    per vehicle, kept by the caller across steps: it holds the window's
+    gate classes and count terms for the last sets object seen, which
+    fusion and detection return unchanged, by identity, whenever no set
+    grew.
 
     Returns, in vehicle order, the new estimates, the gain rows, the
     thresholds and the new bounds.
     """
     L = p.L
     scale = 2.0 * L
-    xb = x_bar.tolist()
-    ya = y_abs.tolist()
-    pf = pref.tolist()
     estimates, gains, betas, bounds = [], [], [], []
     for k in range(L, len(xb) - L):
         si = sets[k]
@@ -202,13 +205,12 @@ def interior_update(x_bar: np.ndarray, y_abs: np.ndarray, pref: np.ndarray,
     return estimates, gains, betas, bounds
 
 
-def measurement_update_v2(x_bar: np.ndarray, y_source: np.ndarray,
-                          varpi: float) -> np.ndarray:
-    """Edge-vehicle correction: fractional step toward the chosen source."""
-    xb0 = float(x_bar[0])
-    xb1 = float(x_bar[1])
-    return np.array((xb0 + (float(y_source[0]) - xb0) / varpi,
-                     xb1 + (float(y_source[1]) - xb1) / varpi))
+def measurement_update_v2(x_bar, y_source, varpi: float) -> tuple:
+    """Edge-vehicle correction: fractional step toward the chosen source,
+    for float pairs."""
+    xb0, xb1 = x_bar
+    y0, y1 = y_source
+    return (xb0 + (y0 - xb0) / varpi, xb1 + (y1 - xb1) / varpi)
 
 
 def nearest_trusted(i: int, sets: DetectionSets, topo: Topology) -> int:

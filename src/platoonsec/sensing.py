@@ -11,6 +11,7 @@ detector exploit.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,32 @@ LOG = logging.getLogger(__name__)
 ATTACK_KINDS = ("random", "dos", "bias", "replay")
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _count_at_least(low: int):
+    return lambda v: (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                      and v >= low)
+
+
+#: every attack knob, at the top level and per sensor: (check, what it must be)
+_KNOB_RULES = {
+    "start": (_count_at_least(0), "an integer >= 0"),
+    "record_len": (_count_at_least(1), "an integer >= 1"),
+    "scale": (_finite, "a finite number"),
+    "offset": (lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                          and all(map(_finite, v))), "a pair of finite numbers"),
+}
+
+
+def _check_knob(name: str, value, where: str) -> None:
+    check, rule = _KNOB_RULES[name]
+    if not check(value):
+        raise ValueError(f"attack {where}{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +79,18 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        if self.record_len < 1:
-            raise ValueError("record_len must be at least 1")
-        if self.start < 0:
-            raise ValueError("attack start must be nonnegative")
         if any(i < 1 for i in self.attacked):
             raise ValueError("attacked sensor indices are 1-based and positive")
+        for name in _KNOB_RULES:
+            _check_knob(name, getattr(self, name), "")
+        for i, over in (self.per_sensor or {}).items():
+            if i not in self.attacked:
+                raise ValueError(f"per-sensor override for sensor {i}, which is not in "
+                                 f"the attack set {sorted(self.attacked)}")
+            for name, value in over.items():
+                if name not in _KNOB_RULES:
+                    raise ValueError(f"unknown per-sensor attack param {name!r}")
+                _check_knob(name, value, f"sensor {i} ")
 
     def knob(self, i: int, name: str):
         if self.per_sensor and i in self.per_sensor and name in self.per_sensor[i]:
@@ -135,11 +168,10 @@ class AttackState:
         self.order = sorted(spec.attacked)
         self.start = {i: spec.knob(i, "start") for i in self.order}
         self.scale = {i: spec.knob(i, "scale") for i in self.order}
-        self.offset = {i: np.asarray(spec.knob(i, "offset"), dtype=float)
-                       for i in self.order}
+        self.offset = {i: tuple(map(float, spec.knob(i, "offset"))) for i in self.order}
         self.lag = {i: spec.knob(i, "record_len") for i in self.order}
         self.emitted: dict[int, list] = {i: [] for i in spec.attacked}
-        self.frozen: dict[int, np.ndarray] = {}
+        self.frozen: dict[int, tuple] = {}
 
 
 def sample_noise(rng: np.random.Generator, bound: float, n: int) -> np.ndarray:
@@ -154,36 +186,57 @@ def sample_noise(rng: np.random.Generator, bound: float, n: int) -> np.ndarray:
     return rng.uniform(0.0, bound / _SQRT2, size=(n, 2))
 
 
-def attack_signal(spec: AttackSpec, i: int, t: int, x_i: np.ndarray, noise_i: np.ndarray,
-                  state: AttackState, rng: np.random.Generator) -> np.ndarray:
-    """Additive corruption of sensor ``i`` at step ``t``.
+_ZERO = (0.0, 0.0)
+
+
+def attack_signal(spec: AttackSpec, i: int, t: int, x_i, noise_i,
+                  state: AttackState, rng: np.random.Generator) -> tuple:
+    """Additive corruption ``(a_s, a_v)`` of sensor ``i`` at step ``t``, from
+    its true state and noise as float pairs.
 
     The DoS and replay kinds cancel the true state plus fresh noise so the
-    emitted measurement is exactly the held (resp. recorded) reading.
+    emitted measurement is exactly the held (resp. recorded) reading:
+    ``held - x - n``.
     """
     if i not in spec.attacked or t < state.start[i]:
-        return np.zeros(2)
+        return _ZERO
     kind = spec.kind
     if kind == "random":
         w = rng.standard_normal() * state.scale[i]
-        return w * np.asarray(x_i, dtype=float)
+        return (w * x_i[0], w * x_i[1])
     if kind == "bias":
         return state.offset[i]
     if kind == "dos":
         held = state.frozen.get(i)
         if held is None:
-            return np.zeros(2)  # the attack-start emission becomes the held value
-        return held - x_i - noise_i
-    # replay
-    lag = state.lag[i]
-    if t - state.start[i] < lag:
-        return np.zeros(2)  # warm-up: nothing recorded far enough back
-    return state.emitted[i][t - lag] - x_i - noise_i
+            return _ZERO  # the attack-start emission becomes the held value
+    else:  # replay
+        lag = state.lag[i]
+        if t - state.start[i] < lag:
+            return _ZERO  # warm-up: nothing recorded far enough back
+        held = state.emitted[i][t - lag]
+    return (held[0] - x_i[0] - noise_i[0], held[1] - x_i[1] - noise_i[1])
+
+
+def prefix_rows(y_rel: list) -> list:
+    """Running sums of the gap-reading rows: row ``k`` holds the first ``k``.
+
+    Chaining from sensor ``j`` to vehicle ``i`` is then one subtraction,
+    ``pref[i-1] - pref[j-1]``, whichever side ``j`` is on.
+    """
+    rows = [_ZERO]
+    s0 = 0.0
+    s1 = 0.0
+    for r0, r1 in y_rel:
+        s0 += r0
+        s1 += r1
+        rows.append((s0, s1))
+    return rows
 
 
 @dataclass(frozen=True)
 class MeasurementFrame:
-    """All sensor outputs of one step.
+    """All sensor outputs of one step, as arrays.
 
     ``y_abs[i-1]`` is vehicle ``i``'s absolute reading; ``y_rel[j-2]`` is the
     secured gap reading ``x_j - x_{j-1}`` held by vehicle ``j`` (j >= 2).
@@ -200,58 +253,58 @@ class MeasurementFrame:
 
     @cached_property
     def rel_prefix(self) -> np.ndarray:
-        """Running sums of the gap readings: row ``k`` holds the first ``k``.
-
-        Chaining from sensor ``j`` to vehicle ``i`` is then one subtraction,
-        ``rel_prefix[i-1] - rel_prefix[j-1]``, whichever side ``j`` is on.
-        """
-        rows = [(0.0, 0.0)]
-        s0 = 0.0
-        s1 = 0.0
-        for r in self.y_rel.tolist():
-            s0 += r[0]
-            s1 += r[1]
-            rows.append((s0, s1))
-        return np.array(rows)
+        """:func:`prefix_rows` of the gap readings, as an ``(N, 2)`` array."""
+        return np.array(prefix_rows(self.y_rel.tolist()))
 
 
-def measure(xs: np.ndarray, spec: AttackSpec, mu: float, state: AttackState, t: int,
-            rng_measure: np.random.Generator, rng_attack: np.random.Generator) -> MeasurementFrame:
-    """Produce the step-``t`` measurement frame for true states ``xs``.
+def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: int,
+                 rng_measure: np.random.Generator,
+                 rng_attack: np.random.Generator) -> tuple[list, list, list]:
+    """The step-``t`` readings of true states ``xs`` (float rows ``(s, v)``).
 
+    Returns the absolute readings ``(x + n) + a``, the gap readings
+    ``(x_j - x_{j-1}) + n`` and the attack norms, as lists.  A zero noise
+    or attack signal is still added, so a ``-0.0`` state reads as ``0.0``.
     Must be called once per step in increasing ``t`` so replay/DoS history
     lines up with the emitted readings.
     """
     n = len(xs)
     if mu == 0.0:
-        noise_abs = np.zeros((n, 2))
-        noise_rel = np.zeros((n - 1, 2))
+        noise_abs = [_ZERO] * n
+        noise_rel = noise_abs[1:]
     else:
         # one draw covers both sensor families, absolute sensors first
-        buf = rng_measure.uniform(0.0, mu / _SQRT2, size=(2 * n - 1, 2))
+        buf = rng_measure.uniform(0.0, mu / _SQRT2, size=(2 * n - 1, 2)).tolist()
         noise_abs = buf[:n]
         noise_rel = buf[n:]
-    y_abs = xs + noise_abs
-    attack_norms = np.zeros(n)
+    y_abs = [(s + n0, v + n1) for (s, v), (n0, n1) in zip(xs, noise_abs)]
+    attack_norms = [0.0] * n
     for i in state.order:
         if i > n:
             continue
-        a = attack_signal(spec, i, t, xs[i - 1], noise_abs[i - 1], state, rng_attack)
-        y_abs[i - 1] += a
-        attack_norms[i - 1] = math.hypot(a[0], a[1])
+        k = i - 1
+        a0, a1 = attack_signal(spec, i, t, xs[k], noise_abs[k], state, rng_attack)
+        y0, y1 = y_abs[k]
+        y_abs[k] = row = (y0 + a0, y1 + a1)
+        attack_norms[k] = math.hypot(a0, a1)
         log = state.emitted[i]
         if len(log) != t:
             raise RuntimeError("measurement frames must be produced step by step")
-        log.append(y_abs[i - 1].copy())
+        log.append(row)
         if spec.kind == "dos" and t == state.start[i] and i not in state.frozen:
-            state.frozen[i] = y_abs[i - 1].copy()
-    y_rel = xs[1:] - xs[:-1] + noise_rel
-    return MeasurementFrame(t=t, y_abs=y_abs, y_rel=y_rel, attack_norms=attack_norms)
+            state.frozen[i] = row
+    y_rel = [(s1 - s0 + n0, v1 - v0 + n1)
+             for (s0, v0), (s1, v1), (n0, n1) in zip(xs, xs[1:], noise_rel)]
+    return y_abs, y_rel, attack_norms
 
 
-def chain_sum(frame: MeasurementFrame, lo: int, hi: int) -> np.ndarray:
-    """Sum of gap readings ``y_{m-1,m}`` for ``m`` in ``lo..hi`` inclusive."""
-    return frame.y_rel[lo - 2:hi - 1].sum(axis=0)
+def measure(xs: np.ndarray, spec: AttackSpec, mu: float, state: AttackState, t: int,
+            rng_measure: np.random.Generator, rng_attack: np.random.Generator) -> MeasurementFrame:
+    """:func:`measure_rows` for an ``(N, 2)`` array of true states, as a frame."""
+    y_abs, y_rel, attack_norms = measure_rows(
+        np.asarray(xs, dtype=float).tolist(), spec, mu, state, t, rng_measure, rng_attack)
+    return MeasurementFrame(t=t, y_abs=np.array(y_abs), y_rel=np.array(y_rel).reshape(-1, 2),
+                            attack_norms=np.array(attack_norms))
 
 
 def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.ndarray:
@@ -265,8 +318,7 @@ def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.nd
         raise ValueError(f"sensor {j} is outside the neighbourhood of vehicle {i}")
     if i == j:
         return frame.abs_of(i)
-    pref = frame.rel_prefix
-    return frame.abs_of(j) + (pref[i - 1] - pref[j - 1])
+    return _chain_to(frame.abs_of(j), frame, i, j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,11 +336,20 @@ class StackedMeasurement:
 
 def chained_rows(y_abs_rows: list, pref_rows: list, pref_own) -> list:
     """Reconstructions ``y_abs[j] + (pref_own - pref[j])`` of one vehicle's
-    state, as float pairs, from matching ``y_abs`` and ``rel_prefix`` rows
-    (``tolist()`` slices) and the vehicle's own prefix row."""
+    state, as float pairs, from matching rows of readings (or predictions)
+    held at vehicles ``j`` and of :func:`prefix_rows`, and the vehicle's own
+    prefix row."""
     p0, p1 = pref_own
     return [(a0 + (p0 - f0), a1 + (p1 - f1))
             for (a0, a1), (f0, f1) in zip(y_abs_rows, pref_rows)]
+
+
+def _chain_to(row, frame: MeasurementFrame, i: int, j: int) -> np.ndarray:
+    """:func:`chained_rows` of one ``(2,)`` reading held at vehicle ``j``,
+    carried to vehicle ``i`` through the frame's gap readings."""
+    pref = frame.rel_prefix
+    return np.array(chained_rows((np.asarray(row, dtype=float).tolist(),),
+                                 (pref[j - 1].tolist(),), pref[i - 1].tolist())[0])
 
 
 def stack_measurements(frame: MeasurementFrame, i: int, topo) -> StackedMeasurement:
@@ -310,5 +371,4 @@ def estimate_based_measurement(x_bar_j: np.ndarray, frame: MeasurementFrame,
     broadcast prediction instead of ``j``'s (possibly compromised) sensor."""
     if i == j:
         return np.asarray(x_bar_j, dtype=float)
-    pref = frame.rel_prefix
-    return x_bar_j + (pref[i - 1] - pref[j - 1])
+    return _chain_to(x_bar_j, frame, i, j)

@@ -112,6 +112,38 @@ def test_bad_attack_block_exits_with_error_code(tmp_path, caplog, attack):
     assert "invalid attack block" in caplog.text
 
 
+@pytest.mark.parametrize("attack, reason", [
+    ({"set": [3], "kind": "replay", "params": {"per_sensor": {"3": {"record_len": 0}}}},
+     "attack sensor 3 record_len must be an integer >= 1, got 0"),
+    ({"set": [3], "kind": "replay", "params": {"per_sensor": {"3": {"start": -2}}}},
+     "attack sensor 3 start must be an integer >= 0, got -2"),
+    ({"set": [3], "kind": "replay", "params": {"per_sensor": {"3": {"record_len": "x"}}}},
+     "attack sensor 3 record_len must be an integer >= 1, got 'x'"),
+    ({"set": [3], "kind": "random", "params": {"scale": "x"}},
+     "attack scale must be a finite number, got 'x'"),
+    ({"set": [3], "kind": "random", "params": {"scale": float("nan")}},
+     "attack scale must be a finite number, got nan"),
+    ({"set": [3], "kind": "bias", "params": {"offset": [float("inf"), 0.0]}},
+     "attack offset must be a pair of finite numbers, got (inf, 0.0)"),
+    ({"set": [3], "kind": "bias", "params": {"offset": [1.0]}},
+     "attack offset must be a pair of finite numbers, got (1.0,)"),
+    ({"set": [3], "kind": "dos", "params": {"start": 1.5}},
+     "attack start must be an integer >= 0, got 1.5"),
+    ({"set": [3], "kind": "bias",
+      "params": {"offset": [1.0, 0.0], "per_sensor": {"4": {"start": 2}}}},
+     "per-sensor override for sensor 4, which is not in the attack set [3]"),
+])
+def test_bad_attack_knob_exits_with_one_line(tmp_path, caplog, attack, reason):
+    """Every knob is checked at load time, at the top level and per sensor,
+    before the run starts; the reason is logged as one line."""
+    cfg_path = _config_file(tmp_path, horizon=40, attack=attack)
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"invalid attack block: {reason}"]
+    assert not os.path.exists(out)
+
+
 def test_inconsistent_sets_mid_run_exits_with_error_code(tmp_path, caplog,
                                                         monkeypatch):
     def clash(own, received):

@@ -8,6 +8,7 @@ as a bit-level mismatch.
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
+from oracles import performance_phi, platoon_phi
 from platoonsec import controller, detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError, Message,
                             fuse_sets, load_scenario)
@@ -31,8 +33,6 @@ from platoonsec.harness import (
     bound_envelopes,
     feasibility_report,
     monte_carlo,
-    performance_phi,
-    platoon_phi,
     run_simulation,
     stack_traces,
     summarize_run,
@@ -341,6 +341,10 @@ def test_run_matches_replica_static_threshold_and_run_index():
 @pytest.mark.parametrize("attack", [
     {"set": [6, 15], "kind": "random", "params": {"scale": 1.0}},
     {"set": [6, 15], "kind": "bias", "params": {"offset": [6.0, -1.0]}},
+    {"set": [6, 15], "kind": "dos",
+     "params": {"start": 5, "per_sensor": {"15": {"start": 30}}}},
+    {"set": [6, 15], "kind": "replay",
+     "params": {"record_len": 10, "per_sensor": {"6": {"start": 12}}}},
 ])
 def test_run_matches_replica_on_a_21_vehicle_string(attack):
     """Many interior vehicles and a budget of two, started inside ``q``."""
@@ -353,6 +357,29 @@ def test_run_matches_replica_on_a_21_vehicle_string(attack):
     traces = run_simulation(cfg)
     _assert_traces_equal(traces, _replica(cfg))
     assert any(s.attacked for s in traces[-1].sets)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mu": 0.0},
+    {"x_hat_init": [[200.0, -0.0], [100.0, 8.0], [-0.0, -0.0], [20.0, 4.0],
+                    [-0.0, 2.0]]},
+    {"x_hat_init": [[200.0, -0.0], [100.0, 8.0], [-0.0, -0.0], [20.0, 4.0],
+                    [-0.0, 2.0]], "epsilon": 0.0, "mu": 0.0,
+     "attack": {"set": [3], "kind": "bias", "params": {"offset": [4.0, 0.0]}}},
+])
+def test_run_matches_replica_on_the_sensing_edge_cases(overrides):
+    """Noise-free sensors under process noise, and estimates started at a
+    signed zero, which the zero noise added in the plant step turns into
+    ``+0.0`` while the prediction keeps it."""
+    cfg = load_scenario(baseline_doc(horizon=60, **overrides))
+    traces, rows = run_simulation(cfg), _replica(cfg)
+    _assert_traces_equal(traces, rows)
+    for tr, row in zip(traces, rows):  # the sign of a zero, too
+        for key in ("x", "x_hat", "x_bar", "u"):
+            assert getattr(tr, key).tobytes() == row[key].tobytes(), (key, tr.t)
+    if "x_hat_init" in overrides:
+        assert np.signbit(traces[1].x_bar[2, 0])
+    assert traces[-1].sets[2].attacked == {3}
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "static"])
@@ -604,6 +631,43 @@ def test_write_run_dir_is_byte_deterministic(tmp_path):
     pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces)
     for key in pa:
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
+
+
+#: SHA-256 of trace.csv followed by detection.csv for 60-step baseline
+#: variants, recorded before the step loop moved to float rows; any
+#: reordered float operation in the loop changes some of these bytes
+PINNED_ARTIFACTS = {
+    "baseline": ({}, "eb607bad56eb027631130e5fb95e37a01ce91cea093b7246b5831fb616bb7972"),
+    "pwm": ({"controller_mode": "pwm"},
+            "c712c3aa48b47100ad48044c75014231124863cb4d914c5c7cbaf9379c23b4e8"),
+    "dos": ({"attack": {"set": [3], "kind": "dos", "params": {"start": 5}}},
+            "39e0c951fbb5daba1f9fdffde01ea9a7a8f026b01279020714fbfa4086bf9c48"),
+    "bias": ({"attack": {"set": [3], "kind": "bias", "params": {"offset": [6.0, -1.0]}}},
+             "de89cdded28b463a6458240e583cb66200aaeafef3dfa3fbdc17af6c274dcba1"),
+    "replay": ({"attack": {"set": [3], "kind": "replay",
+                           "params": {"record_len": 7, "start": 2}}},
+               "a84f369868242d48553c04b0c9669a09ec88a19e1296199d6c88cb1df3632205"),
+    "static": ({"threshold_mode": {"mode": "static"}},
+               "97559aa5ea3e584691efce92e169a18461dcd12af0e653c9273cbb1343a32cbd"),
+    "noise_free": ({"epsilon": 0.0, "mu": 0.0,
+                    "attack": {"set": [], "kind": "random", "params": {}}},
+                   "6c7d440c34feb333ae5486db03f65a8620137ffa7f879f51b84c040f56b574ab"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_run_artifacts_match_their_pinned_bytes(tmp_path, name):
+    overrides, digest = PINNED_ARTIFACTS[name]
+    cfg = load_scenario(baseline_doc(horizon=60, **overrides))
+    traces = run_simulation(cfg)
+    h = hashlib.sha256()
+    for fname, write in (("trace.csv", lambda p: write_trace_csv(p, traces, cfg.L)),
+                         ("detection.csv", lambda p: write_detection_csv(p, traces))):
+        path = os.path.join(tmp_path, fname)
+        write(path)
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest() == digest
 
 
 # --------------------------------------------------------------------------

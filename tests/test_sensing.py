@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import chain_sum
 from platoonsec import core, rng as prng, sensing
 from platoonsec.sensing import (
     AttackSpec,
     AttackState,
     attack_spec_from_json,
-    chain_sum,
     estimate_based_measurement,
     measure,
     reconstruct_absolute,
