@@ -136,14 +136,23 @@ def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
     Vehicle ``i`` couples to its physical neighbours ``i-1`` (the virtual
     leader for ``i=1``) and ``i+1`` (absent for ``i=N``); each coupling adds
     a spring term on position and a damper term on velocity, offset by the
-    desired formation gap, front coupling first.
+    desired formation gap.
     """
-    front = [g_s * (f0 - s + (ss - fs0)) + g_v * (f1 - v + (sv - fs1))
-             for (ss, sv), (s, v), (f0, f1), (fs0, fs1)
-             in zip(stars, own, [lead, *nb[:n - 1]], [lead, *stars[:n - 1]])]
-    return [uk + g_s * (r0 - s + (ss - rs0)) + g_v * (r1 - v + (sv - rs1))
-            for uk, (ss, sv), (s, v), (r0, r1), (rs0, rs1)
-            in zip(front, stars, own, nb[1:], stars[1:])] + front[n - 1:]
+    u = [0.0] * n
+    for k in range(n):
+        star_s, star_v = stars[k]
+        own_s, own_v = own[k]
+        front = lead if k == 0 else nb[k - 1]
+        front_star = lead if k == 0 else stars[k - 1]
+        uk = g_s * (front[0] - own_s + (star_s - front_star[0]))
+        uk += g_v * (front[1] - own_v + (star_v - front_star[1]))
+        if k < n - 1:
+            rear = nb[k + 1]
+            rear_star = stars[k + 1]
+            uk += g_s * (rear[0] - own_s + (star_s - rear_star[0]))
+            uk += g_v * (rear[1] - own_v + (star_v - rear_star[1]))
+        u[k] = uk
+    return u
 
 
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,

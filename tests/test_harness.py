@@ -365,12 +365,13 @@ def test_run_matches_replica_on_a_21_vehicle_string(attack):
                     [-0.0, 2.0]]},
     {"x_hat_init": [[200.0, -0.0], [100.0, 8.0], [-0.0, -0.0], [20.0, 4.0],
                     [-0.0, 2.0]], "epsilon": 0.0, "mu": 0.0,
+     "x_init": [[200.0, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [-0.0, -0.0]],
      "attack": {"set": [3], "kind": "bias", "params": {"offset": [4.0, 0.0]}}},
 ])
 def test_run_matches_replica_on_the_sensing_edge_cases(overrides):
-    """Noise-free sensors under process noise, and estimates started at a
-    signed zero, which the zero noise added in the plant step turns into
-    ``+0.0`` while the prediction keeps it."""
+    """Noise-free sensors under process noise, and estimates and states
+    started at a signed zero, which the prediction keeps and the zero noise
+    of a noise-free plant clears: compared byte for byte."""
     cfg = load_scenario(baseline_doc(horizon=60, **overrides))
     traces, rows = run_simulation(cfg), _replica(cfg)
     _assert_traces_equal(traces, rows)
@@ -379,6 +380,8 @@ def test_run_matches_replica_on_the_sensing_edge_cases(overrides):
             assert getattr(tr, key).tobytes() == row[key].tobytes(), (key, tr.t)
     if "x_hat_init" in overrides:
         assert np.signbit(traces[1].x_bar[2, 0])
+    if "x_init" in overrides:
+        assert np.signbit(traces[0].x[4, 0]) and not np.signbit(traces[1].x[4, 0])
     assert traces[-1].sets[2].attacked == {3}
 
 
