@@ -10,7 +10,11 @@ the detection tests themselves only use previous-step bounds and predictions.
 
 Every random draw comes from a counter-based generator keyed by
 ``(seed, run, t, vehicle, stream)``, so a run is reproducible bit for bit
-regardless of execution order, and Monte Carlo runs are independent.
+regardless of execution order, and Monte Carlo runs are independent.  In a
+run with an attack set, the measurement noise and the random attack's
+normals are both drawn at the attack site ``(seed, run, t, 0,
+STREAM_ATTACK)``, noise first; the ``STREAM_MEASURE`` site serves
+attack-free runs only.
 """
 
 import json
@@ -228,7 +232,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     #   changed in the last step; without this memo the N=101, H=500 run took
     #   about 22% longer (best of 10 on a 2-core Xeon host: 0.93 s -> 1.13 s)
     # - count_memo: the detector's counting rules on a quiet step
-    # - class_memo: an interior window's gate classes and count terms
+    # - class_memo: an interior window's gate classes and count terms, plus
+    #   its gain row and trusted sources once it holds no unknown source
     # - edge_memo: an edge vehicle's source, its distance, and whether its
     #   own sensor is trusted
     fused = [None] * n
@@ -378,7 +383,7 @@ def monte_carlo(config: ScenarioConfig, runs: int,
     """Aggregate ``runs`` independent simulations; run ``k`` is seeded with
     ``base_seed + k`` so the ensemble is reproducible and order-independent."""
     if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
+        raise ConfigError(f"need at least one run, got {runs}")
     base = config.seed if base_seed is None else base_seed
     per_run = []
     for k in range(runs):

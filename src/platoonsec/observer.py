@@ -28,6 +28,7 @@ from .sensing import chained_rows
 LOG = logging.getLogger(__name__)
 
 DEFAULT_OMEGA_GRID = tuple(round(0.01 * k, 2) for k in range(1, 100))
+_OMEGA_GRID = np.array(DEFAULT_OMEGA_GRID)
 
 
 class InfeasibleThresholdError(RuntimeError):
@@ -178,6 +179,12 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     fusion and detection return unchanged, by identity, whenever no set
     grew.
 
+    A window with no unknown source has a fixed 0/1 gate, so its memo entry
+    also holds the gain row (a tuple) and the indices of its trusted
+    sources: the estimate then adds those sources' innovations straight
+    from the float rows, in sensor order.  That is the general path's sum exactly,
+    since ``1.0 * e == e`` and attacked sources add nothing.
+
     Returns, in vehicle order, the new estimates, the gain rows, the
     thresholds and the new bounds.
     """
@@ -191,13 +198,29 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
             classes = _gate_classes(range(k + 1 - L, k + L + 2), si)
             terms = _count_terms(classes.count(_TRUSTED), classes.count(_ATTACKED),
                                  len(si.attacked), p)
-            entry = memo[k] = (si, classes, terms)
-        _, classes, terms = entry
+            if _UNKNOWN in classes:
+                fixed, trusted = None, None
+            else:
+                fixed = tuple(1.0 if c == _TRUSTED else 0.0 for c in classes)
+                trusted = [k - L + m for m, c in enumerate(classes) if c == _TRUSTED]
+            entry = memo[k] = (si, classes, terms, fixed, trusted)
+        _, classes, terms, fixed, trusted = entry
         rho_prev = rho[k]
         bt = thr.beta_at(rho_prev, p)
         xb0, xb1 = xb[k]
-        rows = chained_rows(ya[k - L:k + L + 1], pf[k - L:k + L + 1], pf[k])
-        x0, x1, g = _saturated_update(xb0, xb1, rows, classes, bt, scale)
+        if fixed is None:
+            rows = chained_rows(ya[k - L:k + L + 1], pf[k - L:k + L + 1], pf[k])
+            x0, x1, g = _saturated_update(xb0, xb1, rows, classes, bt, scale)
+        else:
+            p0, p1 = pf[k]
+            corr0 = 0.0
+            corr1 = 0.0
+            for j in trusted:
+                a0, a1 = ya[j]
+                f0, f1 = pf[j]
+                corr0 += (a0 + (p0 - f0)) - xb0
+                corr1 += (a1 + (p1 - f1)) - xb1
+            x0, x1, g = xb0 + corr0 / scale, xb1 + corr1 / scale, fixed
         estimates.append((x0, x1))
         gains.append(g)
         betas.append(bt)
@@ -318,15 +341,17 @@ def realtime_bound(i: int, sets: DetectionSets, topo: Topology,
 # saturation-threshold design
 # --------------------------------------------------------------------------
 
-def static_threshold_interval(omega: float, p: ObserverParams) -> tuple[float, float]:
+def static_threshold_interval(omega, p: ObserverParams) -> tuple:
     """Admissible static-threshold interval for contraction target ``omega``.
 
     A feasible threshold must be large enough that honest saturated gains
     keep the error contracting at rate ``omega`` (lower end) and small
     enough that the at-most-``b`` compromised sources cannot push the bound
-    back above its previous value (upper end).
+    back above its previous value (upper end).  ``omega`` may also be an
+    array of targets, such as the whole grid; the ends are then arrays too.
     """
-    if not 0.0 < omega < 1.0:
+    targets = np.asarray(omega)
+    if not np.all((targets > 0.0) & (targets < 1.0)):
         raise ConfigError(f"omega must lie in (0, 1), got {omega}")
     window = 2 * p.L + 1
     if p.b >= window:
@@ -335,7 +360,7 @@ def static_threshold_interval(omega: float, p: ObserverParams) -> tuple[float, f
     lbar = window - p.b
     beta0 = p.beta_max
     lower = (two_l / lbar) * ((omega + p.norm_A - 1.0) * beta0 / p.norm_A)
-    upper = min(beta0, (two_l / p.b) * (omega * p.q - (p.eps + p.mu_bar) * lbar / two_l))
+    upper = np.minimum(beta0, (two_l / p.b) * (omega * p.q - (p.eps + p.mu_bar) * lbar / two_l))
     return lower, upper
 
 
@@ -364,12 +389,9 @@ def _feasible_intervals(p: ObserverParams) -> list:
     positive threshold interval."""
     if p.b >= 2 * p.L + 1:
         return []
-    out = []
-    for w in DEFAULT_OMEGA_GRID:
-        lo, hi = static_threshold_interval(w, p)
-        if 0.0 < lo < hi:
-            out.append((w, lo, hi))
-    return out
+    lower, upper = static_threshold_interval(_OMEGA_GRID, p)
+    return [(w, lo, hi) for w, lo, hi in zip(DEFAULT_OMEGA_GRID, lower.tolist(), upper.tolist())
+            if 0.0 < lo < hi]
 
 
 def feasible_omegas(p: ObserverParams) -> list:
@@ -412,7 +434,7 @@ def design_threshold(p: ObserverParams, mode: str, beta: float | None = None,
     interval = None
     if beta is None:
         if omega is not None:
-            lo, hi = static_threshold_interval(omega, p)
+            lo, hi = map(float, static_threshold_interval(omega, p))
             if not 0.0 < lo < hi:
                 raise InfeasibleThresholdError(
                     f"threshold interval empty at omega={omega}: ({lo:.6g}, {hi:.6g})")
@@ -431,7 +453,7 @@ def design_threshold(p: ObserverParams, mode: str, beta: float | None = None,
             LOG.warning("threshold beta=%.6g is at or above the honest innovation "
                         "ceiling %.6g; saturation will never engage", beta, p.beta_max)
         if omega is not None:
-            lo, hi = static_threshold_interval(omega, p)
+            lo, hi = map(float, static_threshold_interval(omega, p))
             interval = (lo, hi)
             if not lo < beta < hi:
                 LOG.warning("explicit beta=%.6g lies outside the designed interval "

@@ -4,6 +4,13 @@ Every draw site is addressed by the tuple ``(seed, run, t, vehicle, stream)``
 so a run produces the same numbers no matter how many runs execute, in what
 order, or on which thread.  Streams are backed by Philox, whose 256-bit
 counter we key directly.
+
+:class:`RunRandom` hands out one shared generator, repositioned per site,
+so two sites cannot be drawn from side by side.  The simulation asks for
+the measurement site and then the attack site of step ``t`` before it
+measures; with an attack set, the measurement noise and the random
+attack's normals are therefore both drawn at ``(seed, run, t, 0,
+STREAM_ATTACK)``, and ``STREAM_MEASURE`` is drawn only in attack-free runs.
 """
 
 import numpy as np
@@ -31,7 +38,8 @@ class RunRandom:
 
     Holds a single Philox instance keyed by ``(seed, run)`` and repositions
     its counter for each draw site, which avoids per-site generator
-    construction in the hot loop.
+    construction in the hot loop.  Every method returns the same generator,
+    positioned at the site asked for last.
     """
 
     def __init__(self, seed: int, run: int = 0):

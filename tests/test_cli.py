@@ -60,6 +60,17 @@ def test_monte_carlo_command(tmp_path, capsys):
     assert len(metrics) == 1 + 5 * 5
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_monte_carlo_without_runs_exits_with_one_line(tmp_path, caplog, runs):
+    cfg_path = _config_file(tmp_path, horizon=4)
+    out = os.path.join(tmp_path, "mc")
+    assert cli.main(["monte-carlo", "--config", cfg_path, "--runs", runs,
+                     "--out", out]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"need at least one run, got {runs}"]
+    assert not os.path.exists(out)
+
+
 def test_check_feasibility_prints_the_report(tmp_path, capsys):
     cfg_path = _config_file(tmp_path)
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 0

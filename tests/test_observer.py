@@ -268,6 +268,68 @@ def test_interior_update_zero_innovation_zero_ceiling_and_negative_zero(mode):
     assert gains[0] == [1.0] * 5 and gains[1] == [1.0, 1.0, 0.0, 1.0, 1.0]
 
 
+def _classified_sets(rng, n, trusted_share):
+    """Sets with every sensor trusted or confirmed attacked, none unknown."""
+    trusted = rng.random(n) < trusted_share
+    return DetectionSets(frozenset(int(j) + 1 for j in np.flatnonzero(trusted)),
+                         frozenset(int(j) + 1 for j in np.flatnonzero(~trusted)),
+                         frozenset())
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+def test_interior_update_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
+    """The same sets objects over several steps, with fresh predictions,
+    readings and bounds: windows of trusted and attacked sources only skip
+    the general gate and still equal stack_measurements -> beta_at ->
+    measurement_update_v1 -> rho_update bit for bit, and a gain row handed
+    out at one step is unchanged by later steps."""
+    L, n = 2, 23
+    p = ObserverParams(L=L, b=2, q=300.0, eps=0.1, mu=0.1,
+                       norm_A=plant_norm(0.01), varpi=2.0)
+    thr = design_threshold(p, mode)
+    topo = Topology.build(n, L)
+    rng = np.random.default_rng(7)
+    every = DetectionSets(frozenset(range(1, n + 1)), frozenset(), frozenset())
+    sets = [every if k % 3 == 0 else _classified_sets(rng, n, 0.7) for k in range(n)]
+    memo = [None] * n
+    general = []
+    gate = observer._saturated_update
+
+    def counted(*args):
+        general.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(observer, "_saturated_update", counted)
+    handed_out = []
+    for step in range(6):
+        coord = rng.normal(0.0, 50.0, size=(3, n, 2))
+        coord[:, rng.random(n) < 0.3] = 0.0
+        coord[:, rng.random(n) < 0.3] = -0.0
+        x_bar, y_abs, y_rel = coord[0], coord[1], coord[2, :n - 1]
+        if step == 2:  # every innovation exactly zero, with -0.0 rows
+            x_bar = y_abs = np.full((n, 2), -0.0)
+            y_rel = np.zeros((n - 1, 2))
+        rho = rng.uniform(0.0, 300.0, size=n).tolist()
+        frame = sensing.MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
+        gated = len(general)
+        got_x, got_g, got_b, got_r = observer.interior_update(
+            x_bar, y_abs, frame.rel_prefix, sets, rho, thr, p, memo)
+        assert len(general) == gated  # no window went through the general gate
+        for row, i in enumerate(sorted(topo.v1)):
+            k = i - 1
+            bt = thr.beta_at(rho[k], p)
+            stacked = sensing.stack_measurements(frame, i, topo)
+            xh, g = measurement_update_v1(x_bar[k], stacked, sets[k], bt, L)
+            assert _bits(got_x[row]) == _bits(xh)
+            assert _bits(got_g[row]) == _bits(g)
+            assert _bits(got_b[row]) == _bits(bt)
+            assert _bits(got_r[row]) == _bits(rho_update(rho[k], sets[k], i, topo, bt, p))
+        handed_out.append((got_g, [list(g) for g in got_g]))
+    for rows, copies in handed_out:
+        assert [list(g) for g in rows] == copies
+    assert any(0.0 in g for g in handed_out[0][0])  # some window holds an attacked source
+
+
 def test_derived_params_are_computed_once_per_instance():
     import dataclasses
     p = _params()
@@ -393,7 +455,7 @@ def test_baseline_interval_and_design():
     assert thr.beta_at(12345.0, p) == thr.beta0  # static ignores the bound
 
 
-def test_design_evaluates_each_grid_point_once(monkeypatch):
+def test_design_evaluates_the_grid_in_one_call(monkeypatch):
     calls = []
     interval = observer.static_threshold_interval
 
@@ -403,7 +465,46 @@ def test_design_evaluates_each_grid_point_once(monkeypatch):
 
     monkeypatch.setattr(observer, "static_threshold_interval", counted)
     assert design_threshold(_params(), "static").omega == 0.26
-    assert sorted(calls) == list(DEFAULT_OMEGA_GRID)
+    assert len(calls) == 1 and calls[0].tolist() == list(DEFAULT_OMEGA_GRID)
+
+
+def _per_omega_design(p):
+    """The grid search one scalar ``omega`` at a time: the feasible
+    ``(omega, lower, upper)`` triples and the first widest of them."""
+    if p.b >= 2 * p.L + 1:
+        return [], None
+    found = []
+    for w in DEFAULT_OMEGA_GRID:
+        lo, hi = static_threshold_interval(w, p)
+        if 0.0 < lo < hi:
+            found.append((w, float(lo), float(hi)))
+    return found, max(found, key=lambda c: c[2] - c[1]) if found else None
+
+
+def test_grid_search_matches_the_per_omega_loop():
+    """One array pass over the grid gives the scalar loop's intervals bit for
+    bit, and the design picks the same first widest one, on random
+    parameters that include infeasible and over-budget ones."""
+    rng = np.random.default_rng(20261018)
+    infeasible = 0
+    for _ in range(300):
+        L = int(rng.integers(1, 5))
+        p = ObserverParams(L=L, b=int(rng.integers(1, 2 * L + 2)),
+                           q=float(rng.uniform(1.0, 600.0)),
+                           eps=float(rng.uniform(0.0, 3.0)), mu=float(rng.uniform(0.0, 3.0)),
+                           norm_A=plant_norm(float(rng.uniform(0.005, 0.05))), varpi=2.0)
+        found, best = _per_omega_design(p)
+        assert repr(observer._feasible_intervals(p)) == repr(found)
+        assert feasible_omegas(p) == [w for w, _, _ in found]
+        if best is None:
+            infeasible += 1
+            with pytest.raises(InfeasibleThresholdError):
+                design_threshold(p, "static")
+            continue
+        thr = design_threshold(p, "adaptive")
+        assert repr((thr.omega, thr.interval)) == repr((best[0], best[1:]))
+        assert thr.beta0 == 0.5 * (best[1] + best[2])
+    assert 0 < infeasible < 300
 
 
 def test_feasibility_check_agrees_with_the_interval():

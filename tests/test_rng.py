@@ -6,8 +6,11 @@ generator at the same address produces.
 """
 
 import numpy as np
+import pytest
 
-from platoonsec import rng as prng
+from conftest import baseline_doc
+from platoonsec import harness, sensing, rng as prng
+from platoonsec.core import load_scenario
 
 
 def test_stream_rng_is_deterministic():
@@ -65,3 +68,24 @@ def test_streams_are_order_independent_across_runs():
     prng.RunRandom(55, 0).at(2, 1, 1).uniform(size=6)
     prng.RunRandom(55, 1).at(9, 0, 0).uniform(size=60)
     assert np.array_equal(prng.RunRandom(55, 3).at(2, 1, 1).uniform(size=6), lone)
+
+
+@pytest.mark.parametrize("attacked, stream", [([3], prng.STREAM_ATTACK),
+                                              ([], prng.STREAM_MEASURE)])
+def test_run_draws_measurement_noise_at_the_attack_site_when_attacked(
+        monkeypatch, attacked, stream):
+    """With an attack set, the measurement noise and the random attack share
+    one generator, positioned at ``(seed, run, t, 0, STREAM_ATTACK)``; only
+    attack-free runs draw their noise at the ``STREAM_MEASURE`` site."""
+    seen = []
+    measure = sensing.measure_rows
+
+    def spy(x, attack, mu, state, t, meas_rng, att_rng):
+        counter = meas_rng.bit_generator.state["state"]["counter"].tolist()
+        seen.append((t, meas_rng is att_rng, counter))
+        return measure(x, attack, mu, state, t, meas_rng, att_rng)
+
+    monkeypatch.setattr(sensing, "measure_rows", spy)
+    attack = {"set": attacked, "kind": "random", "params": {"scale": 1.0}}
+    harness.run_simulation(load_scenario(baseline_doc(horizon=4, attack=attack)))
+    assert seen == [(t, bool(attacked), [0, t, 0, stream]) for t in range(5)]
