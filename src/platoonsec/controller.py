@@ -20,29 +20,6 @@ from .dynamics import PlantMatrix, plant_norm
 log = logging.getLogger(__name__)
 
 
-def controller_neighbors(i: int, n: int) -> tuple:
-    """Control neighbours of vehicle ``i`` on the chain; ``0`` is the leader."""
-    if not 1 <= i <= n:
-        raise ValueError(f"vehicle index {i} outside 1..{n}")
-    if i == n:
-        return (n - 1,) if n > 1 else (0,)
-    return (i - 1, i + 1)
-
-
-def control_input(x_own, neighbor_terms, g_s: float, g_v: float) -> float:
-    """Acceleration command from the own state estimate and neighbour data.
-
-    ``neighbor_terms`` is a sequence of ``(x_j, delta_ji)`` pairs where
-    ``x_j`` is the neighbour's broadcast state and ``delta_ji`` the desired
-    offset making ``x_j + delta_ji`` the spot this vehicle should occupy.
-    """
-    u = 0.0
-    for x_j, delta in neighbor_terms:
-        u += g_s * (x_j[0] - x_own[0] + delta[0])
-        u += g_v * (x_j[1] - x_own[1] + delta[1])
-    return u
-
-
 def grounded_laplacian(n: int) -> np.ndarray:
     """Laplacian of the chain graph with the leader link grounding node 1."""
     if n < 1:

@@ -1,5 +1,5 @@
-"""Vehicle-string topology, detection-set bookkeeping, message format, and
-scenario configuration.
+"""Vehicle-string topology, detection-set bookkeeping, and scenario
+configuration.
 
 Vehicles are labelled ``1..N`` front to back.  A vehicle exchanges messages
 with every vehicle at most ``L`` hops away, so the interior vehicles (the
@@ -113,15 +113,6 @@ class DetectionSets:
     def empty(cls) -> "DetectionSets":
         return cls()
 
-    def normalized(self) -> "DetectionSets":
-        if self.suspected & self.attacked:
-            return DetectionSets(self.trusted, self.attacked, self.suspected - self.attacked)
-        return self
-
-    def issubset_of(self, other: "DetectionSets") -> bool:
-        return (self.trusted <= other.trusted and self.attacked <= other.attacked
-                and self.suspected <= other.suspected | other.attacked)
-
     def sorted_lists(self) -> dict:
         return {"trusted": sorted(self.trusted), "attacked": sorted(self.attacked),
                 "suspected": sorted(self.suspected)}
@@ -155,8 +146,9 @@ def fuse_sets(own: DetectionSets, received) -> DetectionSets:
 
 
 def describe_clash(parties) -> str:
-    """Who disagrees, for every sensor that one of the ``(vehicle, sets)``
-    parties trusts and another has confirmed attacked; empty if none does."""
+    """Error path: who disagrees, for every sensor that one of the
+    ``(vehicle, sets)`` parties trusts and another has confirmed attacked;
+    empty if none does."""
     trusted = set().union(*(s.trusted for _, s in parties))
     attacked = set().union(*(s.attacked for _, s in parties))
     return "; ".join(
@@ -164,40 +156,6 @@ def describe_clash(parties) -> str:
         f"{[v for v, s in parties if sensor in s.trusted]} and confirmed attacked "
         f"by vehicles {[v for v, s in parties if sensor in s.attacked]}"
         for sensor in sorted(trusted & attacked))
-
-
-# --------------------------------------------------------------------------
-# messages
-# --------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class Message:
-    """What vehicle ``sender`` broadcasts to its neighbours at step ``t``.
-
-    Carries the current sensor readings and state prediction together with
-    the previous step's detection sets and error bound; consumers must check
-    the step tag so information never flows backwards in time.  Messages are
-    value objects: never mutate one after handing it out.
-    """
-
-    sender: int
-    t: int
-    y_abs: np.ndarray
-    y_rel: np.ndarray | None  # gap reading to the vehicle ahead; None for vehicle 1
-    x_bar: np.ndarray
-    sets: DetectionSets
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"error bound must be finite and nonnegative, got {self.alpha}")
-        if self.sender >= 2 and self.y_rel is None:
-            raise ValueError(f"vehicle {self.sender} must forward its gap reading")
-        sets = self.sets
-        if sets.suspected and sets.trusted and (sets.trusted & sets.suspected):
-            raise InconsistentSetsError(
-                f"sensors {sorted(sets.trusted & sets.suspected)} "
-                "both trusted and suspected in an outgoing message")
 
 
 # --------------------------------------------------------------------------
@@ -269,10 +227,18 @@ class ScenarioConfig:
         }
 
 
+def _number(value, name: str, rule: str = "a finite number", ok=math.isfinite) -> float:
+    """``value`` as a float if it is a finite number that ``ok`` accepts; JSON
+    also admits ``NaN``, ``Infinity`` and integers too large for a float."""
+    if not (sensing._finite(value) and ok(value)):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
 def _vec2(value, name: str) -> tuple:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+            or not (sensing._finite(value[0]) and sensing._finite(value[1]))):
+        raise ConfigError(f"{name} must be a pair of finite numbers, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -283,15 +249,11 @@ def _vec2_list(value, name: str, expected_len: int) -> tuple:
 
 
 def _positive(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    return float(value)
+    return _number(value, name, "a positive finite number", lambda v: v > 0)
 
 
 def _nonnegative(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise ConfigError(f"{name} must be a nonnegative number, got {value!r}")
-    return float(value)
+    return _number(value, name, "a nonnegative finite number", lambda v: v >= 0)
 
 
 def _integer(value, name: str) -> int:
@@ -311,7 +273,10 @@ def load_scenario(source) -> ScenarioConfig:
         doc = dict(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ConfigError(f"scenario file {source} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("scenario document must be a JSON object")
 
@@ -343,6 +308,8 @@ def load_scenario(source) -> ScenarioConfig:
     g_v = _positive(doc["g_v"], "g_v")
 
     norm_A = dynamics.plant_norm(T)
+    if not 1.0 < norm_A < math.inf:
+        raise ConfigError(f"T={T!r} gives the plant norm {norm_A!r}; it must lie in (1, inf)")
     varpi_hi = norm_A / (norm_A - 1.0)
     if "varpi" in doc and doc["varpi"] is not None:
         varpi = _positive(doc["varpi"], "varpi")
@@ -388,7 +355,7 @@ def load_scenario(source) -> ScenarioConfig:
     delta_x = _vec2_list(doc["delta_x"], "delta_x", N - 1)
     x0 = _vec2(doc["x0"], "x0")
     if "v0" in doc and doc["v0"] is not None:
-        v0 = float(doc["v0"])
+        v0 = _number(doc["v0"], "v0")
         if v0 != x0[1]:
             raise ConfigError(f"v0={v0} contradicts x0 velocity {x0[1]}")
 

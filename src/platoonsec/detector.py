@@ -46,22 +46,6 @@ def innovation_check(y_abs_own, x_bar_own, bound_prev: float,
     return math.hypot(r0, r1) - SLACK > eps + mu + norm_A * bound_prev
 
 
-def split_suspicious(indices) -> list:
-    """Maximal runs of consecutive indices, ascending."""
-    runs = []
-    cur = []
-    for v in sorted(indices):
-        if cur and v == cur[-1] + 1:
-            cur.append(v)
-        else:
-            if cur:
-                runs.append(tuple(cur))
-            cur = [v]
-    if cur:
-        runs.append(tuple(cur))
-    return runs
-
-
 def min_attacked_count(indices) -> int:
     """Least number of attacked sensors that could explain the suspicion.
 

@@ -60,16 +60,6 @@ def step_rows(x: list, u: list, T: float, d: list | None = None) -> list:
             for (s, v), uk, (d0, d1) in zip(x, u, d)]
 
 
-def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray | None,
-                 plant: PlantMatrix) -> np.ndarray:
-    """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``
-    (array form of :func:`step_rows`; ``d=None`` adds no noise)."""
-    rows = np.reshape(x, (-1, 2))
-    out = step_rows(rows.tolist(), np.broadcast_to(u, len(rows)).tolist(), plant.T,
-                    None if d is None else np.broadcast_to(d, rows.shape).tolist())
-    return np.array(out).reshape(np.shape(x))
-
-
 def reference_step(x0, plant: PlantMatrix) -> np.ndarray:
     """Advance the virtual leader ``(s, v)``: constant velocity, no input, no
     noise, which is the step :func:`advance_deltas` takes."""

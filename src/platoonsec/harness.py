@@ -542,25 +542,8 @@ def bound_envelopes(config: ScenarioConfig) -> list:
 # persistence (deterministic byte-stable formats)
 # --------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Serialize one cell: the byte format every CSV artifact follows.
-
-    Floats use 17 significant digits (round-trip exact), every NaN is ``nan``,
-    flags are ``0``/``1``.  The writers render whole rows at once through
-    :func:`_row_format` templates and the memoised detection cells, which
-    give the same bytes as this function applied cell by cell.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
-
-
 def _json_default(obj):
+    """Error path of the JSON writers: numpy values other than float64."""
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -585,8 +568,8 @@ def trace_columns(L: int) -> list:
 
 def _row_format(n_floats: int) -> str:
     """printf template of one CSV row: the integer cells ``t`` and ``i``,
-    then ``n_floats`` float cells, each rendered byte for byte as
-    :func:`_fmt` renders it (``%.17g`` prints every NaN as ``nan``)."""
+    then ``n_floats`` float cells, each rendered byte for byte as ``_fmt``
+    in ``tests/oracles.py`` renders it (``%.17g`` prints every NaN as ``nan``)."""
     return "%d,%d," + ",".join(["%.17g"] * n_floats) + "\n"
 
 
@@ -663,8 +646,9 @@ def summarize_run(config: ScenarioConfig, traces) -> dict:
 
 
 def write_run_dir(outdir: str, config: ScenarioConfig, traces) -> dict:
-    """Persist one run: resolved scenario, feasibility report, both trace
-    CSVs, and a scalar summary.  Returns the path of each artifact."""
+    """Persist one run: resolved scenario, both trace CSVs, a scalar summary
+    and, last, the feasibility report, whose certificate can fail after the
+    run succeeded.  Returns the path of each artifact."""
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "scenario": os.path.join(outdir, "scenario.json"),
@@ -674,10 +658,10 @@ def write_run_dir(outdir: str, config: ScenarioConfig, traces) -> dict:
         "summary": os.path.join(outdir, "summary.json"),
     }
     write_json(paths["scenario"], config.to_json())
-    write_json(paths["feasibility"], feasibility_report(config))
     write_trace_csv(paths["trace"], traces, config.L)
     write_detection_csv(paths["detection"], traces)
     write_json(paths["summary"], summarize_run(config, traces))
+    write_json(paths["feasibility"], feasibility_report(config))
     return paths
 
 
@@ -691,7 +675,6 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
         "metrics": os.path.join(outdir, "metrics.csv"),
     }
     write_json(paths["scenario"], config.to_json())
-    write_json(paths["feasibility"], feasibility_report(config))
     write_json(paths["summary"], summary.to_json())
     fmt = _row_format(6)
     with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
@@ -702,4 +685,6 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
                 summary.zeta_pos[t], summary.zeta_vel[t],
                 np.full(summary.n, summary.phi[t]),
                 np.full(summary.n, summary.phi_platoon[t]))))
+    # last: its certificate can fail after the ensemble is done
+    write_json(paths["feasibility"], feasibility_report(config))
     return paths

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
-from .dynamics import step_vehicle
 from .sensing import chained_rows
 
 LOG = logging.getLogger(__name__)
@@ -87,12 +86,6 @@ class ObserverParams:
 # state updates
 # --------------------------------------------------------------------------
 
-def time_update(x_hat: np.ndarray, u: float | np.ndarray, plant) -> np.ndarray:
-    """Prediction ``A x_hat + (0, T u)`` for one vehicle ``(2,)`` or a platoon
-    ``(N, 2)``; no zero noise is added, which would turn ``-0.0`` into ``0.0``."""
-    return step_vehicle(x_hat, u, None, plant)
-
-
 # gate class of a source: cut off, full weight, or clipped at the threshold
 _ATTACKED, _TRUSTED, _UNKNOWN = 0, 1, 2
 
@@ -134,14 +127,6 @@ def _saturated_update(xb0: float, xb1: float, rows, classes, beta: float,
     return xb0 + corr0 / scale, xb1 + corr1 / scale, gains
 
 
-def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
-                    beta: float) -> float:
-    """Weight of one innovation block (see :func:`_saturated_update`)."""
-    row = (float(innovation[0]), float(innovation[1]))
-    return _saturated_update(0.0, 0.0, (row,), _gate_classes((sensor,), sets),
-                             beta, 1.0)[2][0]
-
-
 def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
                           beta: float, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Interior-vehicle correction: saturated average of all local innovations.
@@ -153,14 +138,6 @@ def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
         float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(),
         _gate_classes(stacked.labels, sets), beta, 2.0 * L)
     return np.array((x0, x1)), np.array(gains)
-
-
-def interior_update(x_bar: np.ndarray, y_abs: np.ndarray, pref: np.ndarray,
-                    sets, rho, thr: "ThresholdConfig", p: ObserverParams,
-                    memo: list) -> tuple[list, list, list, list]:
-    """:func:`interior_rows` for ``(N, 2)`` arrays."""
-    return interior_rows(x_bar.tolist(), y_abs.tolist(), pref.tolist(), sets, rho,
-                         thr, p, memo)
 
 
 def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig",
@@ -327,16 +304,6 @@ def tau_update(tau_prev: float, dist: int, s_prev: float, p: ObserverParams) -> 
     return p.contraction * tau_prev + drive
 
 
-def realtime_bound(i: int, sets: DetectionSets, topo: Topology,
-                   rho_i: float, lam_i: float, tau_i: float) -> float:
-    """The currently-valid error bound of vehicle ``i``."""
-    if i in topo.v1:
-        return rho_i
-    if i in sets.trusted:
-        return lam_i
-    return tau_i
-
-
 # --------------------------------------------------------------------------
 # saturation-threshold design
 # --------------------------------------------------------------------------
@@ -362,26 +329,6 @@ def static_threshold_interval(omega, p: ObserverParams) -> tuple:
     lower = (two_l / lbar) * ((omega + p.norm_A - 1.0) * beta0 / p.norm_A)
     upper = np.minimum(beta0, (two_l / p.b) * (omega * p.q - (p.eps + p.mu_bar) * lbar / two_l))
     return lower, upper
-
-
-def feasibility_check(omega: float, p: ObserverParams) -> bool:
-    """Sufficient condition for a non-empty threshold interval at ``omega``."""
-    if not 0.0 < omega < 1.0:
-        raise ConfigError(f"omega must lie in (0, 1), got {omega}")
-    window = 2 * p.L + 1
-    if p.b >= window:
-        return False
-    two_l = 2.0 * p.L
-    lbar = window - p.b
-    f1 = (p.eps + p.mu_bar) * lbar / two_l
-    f2 = (omega * (p.eps + p.mu_bar) + (p.norm_A - 1.0) * p.beta_max) / p.norm_A
-    den = omega * p.q - f1
-    if den <= 0.0:
-        return False
-    ratio = (omega * p.q + f2) / den
-    cond_budget = lbar / p.b > ratio > 0.0
-    cond_rate = lbar / two_l > (omega + p.norm_A - 1.0) / p.norm_A
-    return cond_budget and cond_rate
 
 
 def _feasible_intervals(p: ObserverParams) -> list:

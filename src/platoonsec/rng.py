@@ -11,6 +11,7 @@ the measurement site and then the attack site of step ``t`` before it
 measures; with an attack set, the measurement noise and the random
 attack's normals are therefore both drawn at ``(seed, run, t, 0,
 STREAM_ATTACK)``, and ``STREAM_MEASURE`` is drawn only in attack-free runs.
+The tests compare its draws with ``stream_rng`` in ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -20,17 +21,6 @@ STREAM_MEASURE = 1
 STREAM_ATTACK = 2
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def stream_rng(seed: int, run: int, t: int, vehicle: int, stream: int) -> np.random.Generator:
-    """Build a fresh generator positioned at the given draw site.
-
-    Reference implementation: constructs a new Philox bit generator each
-    call.  :class:`RunRandom` produces bitwise-identical draws faster.
-    """
-    key = np.array([seed & _MASK, run & _MASK], dtype=np.uint64)
-    counter = np.array([0, t & _MASK, vehicle & _MASK, stream & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 class RunRandom:

@@ -25,8 +25,11 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _count_at_least(low: int):
@@ -134,8 +137,14 @@ def attack_spec_from_json(doc: dict) -> AttackSpec:
     raw = doc.get("set", [])
     if not isinstance(raw, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in raw):
         raise ValueError("attack set must be a list of integers")
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"attack params must be an object, got {params!r}")
+    params = dict(params)
     per_raw = params.pop("per_sensor", None)
+    if not (per_raw is None or isinstance(per_raw, dict)
+            and all(isinstance(p, dict) for p in per_raw.values())):
+        raise ValueError(f"attack per_sensor must map sensor ids to objects, got {per_raw!r}")
     allowed = _PARAM_KEYS[kind]
     unknown = set(params) - allowed
     if unknown:
@@ -151,7 +160,7 @@ def attack_spec_from_json(doc: dict) -> AttackSpec:
 
     per_sensor = None
     if per_raw is not None:
-        per_sensor = {int(i): _clean(dict(p)) for i, p in per_raw.items()}
+        per_sensor = {int(i): _clean(p) for i, p in per_raw.items()}
     kwargs = _clean(params)
     return AttackSpec(attacked=frozenset(raw), kind=kind, per_sensor=per_sensor, **kwargs)
 
@@ -248,9 +257,6 @@ class MeasurementFrame:
     y_rel: np.ndarray
     attack_norms: np.ndarray = field(default=None)
 
-    def abs_of(self, i: int) -> np.ndarray:
-        return self.y_abs[i - 1]
-
     @cached_property
     def rel_prefix(self) -> np.ndarray:
         """:func:`prefix_rows` of the gap readings, as an ``(N, 2)`` array."""
@@ -307,20 +313,6 @@ def measure(xs: np.ndarray, spec: AttackSpec, mu: float, state: AttackState, t: 
                             attack_norms=np.array(attack_norms))
 
 
-def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.ndarray:
-    """Vehicle ``i``'s absolute state as seen through sensor ``j``.
-
-    Chains the secured gap readings between ``j`` and ``i`` onto ``j``'s
-    absolute reading.  Any attack on sensor ``j`` carries through additively
-    and the accumulated noise stays within ``(|i-j|+1) * mu``.
-    """
-    if j != i and j not in topo.neighbors[i]:
-        raise ValueError(f"sensor {j} is outside the neighbourhood of vehicle {i}")
-    if i == j:
-        return frame.abs_of(i)
-    return _chain_to(frame.abs_of(j), frame, i, j)
-
-
 @dataclass(frozen=True, slots=True)
 class StackedMeasurement:
     """Reconstructed absolute states of vehicle ``i`` from every local sensor."""
@@ -328,10 +320,6 @@ class StackedMeasurement:
     vehicle: int
     labels: tuple
     blocks: np.ndarray  # shape (2L+1, 2), row s belongs to labels[s]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.blocks.reshape(-1)
 
 
 def chained_rows(y_abs_rows: list, pref_rows: list, pref_own) -> list:

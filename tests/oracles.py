@@ -1,8 +1,20 @@
-"""Independent array-code routes to quantities the package computes on float
-rows, kept as test oracles: the two performance metrics and the direct sum
-of a run of gap readings."""
+"""Reference routes the tests compare the package against: array-code
+forms of quantities the package computes on float rows (the performance
+metrics, the direct sum of a run of gap readings, the plant step, a
+reconstruction), per-vehicle forms of batched code (the control law, the
+saturation gain), a fresh generator per draw site, the per-cell CSV format,
+and the message and run-splitting helpers the reference step loop uses."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError
+from platoonsec.dynamics import PlantMatrix, step_rows
+from platoonsec.observer import ObserverParams, _gate_classes, _saturated_update
+from platoonsec.rng import _MASK
+from platoonsec.sensing import MeasurementFrame, _chain_to
 
 
 def performance_phi(xs, x_hats, x_stars) -> float:
@@ -29,3 +41,153 @@ def platoon_phi(xs, x_stars) -> float:
 def chain_sum(frame, lo: int, hi: int) -> np.ndarray:
     """Sum of gap readings ``y_{m-1,m}`` for ``m`` in ``lo..hi`` inclusive."""
     return frame.y_rel[lo - 2:hi - 1].sum(axis=0)
+
+
+@dataclass(slots=True)
+class Message:
+    """What vehicle ``sender`` broadcasts to its neighbours at step ``t``.
+
+    Carries the current sensor readings and state prediction together with
+    the previous step's detection sets and error bound; consumers must check
+    the step tag so information never flows backwards in time.  Messages are
+    value objects: never mutate one after handing it out.
+    """
+
+    sender: int
+    t: int
+    y_abs: np.ndarray
+    y_rel: np.ndarray | None  # gap reading to the vehicle ahead; None for vehicle 1
+    x_bar: np.ndarray
+    sets: DetectionSets
+    alpha: float
+
+    def __post_init__(self):
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"error bound must be finite and nonnegative, got {self.alpha}")
+        if self.sender >= 2 and self.y_rel is None:
+            raise ValueError(f"vehicle {self.sender} must forward its gap reading")
+        sets = self.sets
+        if sets.suspected and sets.trusted and (sets.trusted & sets.suspected):
+            raise InconsistentSetsError(
+                f"sensors {sorted(sets.trusted & sets.suspected)} "
+                "both trusted and suspected in an outgoing message")
+
+
+def controller_neighbors(i: int, n: int) -> tuple:
+    """Control neighbours of vehicle ``i`` on the chain; ``0`` is the leader."""
+    if not 1 <= i <= n:
+        raise ValueError(f"vehicle index {i} outside 1..{n}")
+    if i == n:
+        return (n - 1,) if n > 1 else (0,)
+    return (i - 1, i + 1)
+
+
+def control_input(x_own, neighbor_terms, g_s: float, g_v: float) -> float:
+    """Acceleration command from the own state estimate and neighbour data.
+
+    ``neighbor_terms`` is a sequence of ``(x_j, delta_ji)`` pairs where
+    ``x_j`` is the neighbour's broadcast state and ``delta_ji`` the desired
+    offset making ``x_j + delta_ji`` the spot this vehicle should occupy.
+    """
+    u = 0.0
+    for x_j, delta in neighbor_terms:
+        u += g_s * (x_j[0] - x_own[0] + delta[0])
+        u += g_v * (x_j[1] - x_own[1] + delta[1])
+    return u
+
+
+def split_suspicious(indices) -> list:
+    """Maximal runs of consecutive indices, ascending."""
+    runs = []
+    cur = []
+    for v in sorted(indices):
+        if cur and v == cur[-1] + 1:
+            cur.append(v)
+        else:
+            if cur:
+                runs.append(tuple(cur))
+            cur = [v]
+    if cur:
+        runs.append(tuple(cur))
+    return runs
+
+
+def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray | None,
+                 plant: PlantMatrix) -> np.ndarray:
+    """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``
+    (array form of :func:`step_rows`; ``d=None`` adds no noise)."""
+    rows = np.reshape(x, (-1, 2))
+    out = step_rows(rows.tolist(), np.broadcast_to(u, len(rows)).tolist(), plant.T,
+                    None if d is None else np.broadcast_to(d, rows.shape).tolist())
+    return np.array(out).reshape(np.shape(x))
+
+
+def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
+                    beta: float) -> float:
+    """Weight of one innovation block (see :func:`_saturated_update`)."""
+    row = (float(innovation[0]), float(innovation[1]))
+    return _saturated_update(0.0, 0.0, (row,), _gate_classes((sensor,), sets),
+                             beta, 1.0)[2][0]
+
+
+def feasibility_check(omega: float, p: ObserverParams) -> bool:
+    """Sufficient condition for a non-empty threshold interval at ``omega``."""
+    if not 0.0 < omega < 1.0:
+        raise ConfigError(f"omega must lie in (0, 1), got {omega}")
+    window = 2 * p.L + 1
+    if p.b >= window:
+        return False
+    two_l = 2.0 * p.L
+    lbar = window - p.b
+    f1 = (p.eps + p.mu_bar) * lbar / two_l
+    f2 = (omega * (p.eps + p.mu_bar) + (p.norm_A - 1.0) * p.beta_max) / p.norm_A
+    den = omega * p.q - f1
+    if den <= 0.0:
+        return False
+    ratio = (omega * p.q + f2) / den
+    cond_budget = lbar / p.b > ratio > 0.0
+    cond_rate = lbar / two_l > (omega + p.norm_A - 1.0) / p.norm_A
+    return cond_budget and cond_rate
+
+
+def stream_rng(seed: int, run: int, t: int, vehicle: int, stream: int) -> np.random.Generator:
+    """Build a fresh generator positioned at the given draw site.
+
+    Reference implementation: constructs a new Philox bit generator each
+    call.  :class:`RunRandom` produces bitwise-identical draws faster.
+    """
+    key = np.array([seed & _MASK, run & _MASK], dtype=np.uint64)
+    counter = np.array([0, t & _MASK, vehicle & _MASK, stream & _MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.ndarray:
+    """Vehicle ``i``'s absolute state as seen through sensor ``j``.
+
+    Chains the secured gap readings between ``j`` and ``i`` onto ``j``'s
+    absolute reading.  Any attack on sensor ``j`` carries through additively
+    and the accumulated noise stays within ``(|i-j|+1) * mu``.
+    """
+    if j != i and j not in topo.neighbors[i]:
+        raise ValueError(f"sensor {j} is outside the neighbourhood of vehicle {i}")
+    if i == j:
+        return frame.y_abs[i - 1]
+    return _chain_to(frame.y_abs[j - 1], frame, i, j)
+
+
+def _fmt(value) -> str:
+    """Serialize one cell: the byte format every CSV artifact follows.
+
+    Floats use 17 significant digits (round-trip exact), every NaN is ``nan``,
+    flags are ``0``/``1``.  The writers render whole rows at once through
+    :func:`_row_format` templates and the memoised detection cells, which
+    give the same bytes as this function applied cell by cell.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if math.isnan(v):
+        return "nan"
+    return format(v, ".17g")

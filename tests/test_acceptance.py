@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
+from oracles import reconstruct_absolute
 from platoonsec import cli, controller, observer, sensing
 from platoonsec.core import DetectionSets, Topology, load_scenario
 from platoonsec.dynamics import plant_norm
@@ -316,7 +317,7 @@ def test_acceptance_8_reconstruction_identities():
                 stacked = sensing.stack_measurements(frame, i, topo)
                 pairs = list(zip(stacked.blocks, stacked.labels))
             else:  # truncated neighbourhood: reconstruct sensor by sensor
-                pairs = [(sensing.reconstruct_absolute(frame, i, j, topo), j)
+                pairs = [(reconstruct_absolute(frame, i, j, topo), j)
                          for j in sorted({i} | set(topo.neighbors[i]))]
             x_i = xs[i - 1]
             deviants = set()

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from conftest import baseline_doc
+from oracles import _fmt
 from platoonsec import cli, controller, detector, harness
 from platoonsec.core import DetectionSets, InconsistentSetsError, load_scenario
 
@@ -42,7 +43,7 @@ def test_run_seed_override_lands_in_the_written_scenario(tmp_path, capsys):
     want = harness.run_simulation(load_scenario(baseline_doc(horizon=5)), seed=999)
     got = [line for line in open(os.path.join(out, "trace.csv"), encoding="utf-8")]
     assert len(got) == 1 + 6 * 5
-    assert got[1].split(",")[2] == harness._fmt(want[0].x[0][0])
+    assert got[1].split(",")[2] == _fmt(want[0].x[0][0])
 
 
 def test_monte_carlo_command(tmp_path, capsys):
@@ -153,6 +154,80 @@ def test_bad_attack_knob_exits_with_one_line(tmp_path, caplog, attack, reason):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"invalid attack block: {reason}"]
     assert not os.path.exists(out)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BIAS = {"set": [3], "kind": "bias"}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ('{"N": 5,', "is not valid JSON: Expecting property name"),
+    (b"\xff{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ({"v0": "x"}, "v0 must be a finite number, got 'x'"),
+    ({"v0": True}, "v0 must be a finite number, got True"),
+    ({"attack": {**_BIAS, "params": []}},
+     "invalid attack block: attack params must be an object, got []"),
+    ({"attack": {**_BIAS, "params": {"per_sensor": []}}},
+     "invalid attack block: attack per_sensor must map sensor ids to objects, got []"),
+    ({"attack": {**_BIAS, "params": {"per_sensor": {"3": []}}}},
+     "invalid attack block: attack per_sensor must map sensor ids to objects, "
+     "got {'3': []}"),
+    ({"attack": {"set": [3], "kind": "random", "params": {"scale": 10 ** 310}}},
+     "invalid attack block: attack scale must be a finite number, got 1000"),
+    ({"T": 1e-300}, "T=1e-300 gives the plant norm 1.0; it must lie in (1, inf)"),
+    ({"x0": [_NAN, 10.0]}, "x0 must be a pair of finite numbers, got [nan, 10.0]"),
+    ({"x_init": [[200.0, 10.0], [100.0, 8.0], [50.0, _NAN], [20.0, 4.0], [0.0, 2.0]]},
+     "x_init[2] must be a pair of finite numbers, got [50.0, nan]"),
+    ({"x_hat_init": [[0.0, 0.0]] * 4 + [[_INF, 0.0]]},
+     "x_hat_init[4] must be a pair of finite numbers, got [inf, 0.0]"),
+    ({"delta_x": [[20.0, 0.0]] * 3 + [[-_INF, 0.0]]},
+     "delta_x[3] must be a pair of finite numbers, got [-inf, 0.0]"),
+    ({"epsilon": _NAN}, "epsilon must be a nonnegative finite number, got nan"),
+    ({"mu": _NAN}, "mu must be a nonnegative finite number, got nan"),
+    ({"threshold_mode": {"mode": "adaptive", "beta": _INF}},
+     "threshold_mode.beta must be a positive finite number, got inf"),
+], ids=["not-json", "not-utf8", "v0-string", "v0-bool", "params-list", "per-sensor-list",
+        "per-sensor-entry-list", "scale-beyond-float", "T-tiny", "x0-nan", "x-init-nan",
+        "x-hat-init-inf", "delta-x-minus-inf", "epsilon-nan", "mu-nan", "beta-inf"])
+def test_malformed_scenario_exits_with_one_line(tmp_path, caplog, capsys, doc, reason):
+    """A scenario file that is not JSON, or a field that is not a finite
+    number of the right kind, is refused at load time with one line naming
+    the field, before any output is written."""
+    path = os.path.join(tmp_path, "scenario.json")
+    if isinstance(doc, dict):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(baseline_doc(**doc), fh)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(doc if isinstance(doc, bytes) else doc.encode())
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", path, "--out", out]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and reason in errors[0] and "\n" not in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, kept", [
+    (["run"], ("trace.csv", "detection.csv", "summary.json")),
+    (["monte-carlo", "--runs", "2"], ("summary.json", "metrics.csv")),
+], ids=["run", "monte-carlo"])
+def test_certificate_failure_keeps_the_run_artifacts(tmp_path, caplog, monkeypatch,
+                                                     command, kept):
+    """The feasibility report is written after the run's own artifacts, so a
+    certificate that fails once the run is done leaves the run on disk."""
+    def no_convergence(mat, *args, **kwargs):
+        raise controller.CertificateError(
+            "Lyapunov series failed to converge within the term budget")
+
+    monkeypatch.setattr(controller, "lyapunov_series", no_convergence)
+    out = os.path.join(tmp_path, "out")
+    assert cli.main([*command, "--config", _config_file(tmp_path, horizon=5),
+                     "--out", out]) == 2
+    assert "failed to converge" in caplog.text
+    for name in kept:
+        assert os.path.isfile(os.path.join(out, name))
+    assert not os.path.exists(os.path.join(out, "feasibility.json"))
 
 
 def test_inconsistent_sets_mid_run_exits_with_error_code(tmp_path, caplog,

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import control_input, controller_neighbors
 from platoonsec.controller import (
     IssCertificate,
     block_spectrum,
     check_gains,
     closed_loop_matrix,
-    control_input,
-    controller_neighbors,
     estimation_disturbance,
     grounded_laplacian,
     iss_certificate,

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
+from oracles import Message
 from platoonsec import core
 from platoonsec.core import (
     ConfigError,
     DetectionSets,
     InconsistentSetsError,
-    Message,
     Topology,
     describe_clash,
     fuse_sets,
@@ -165,23 +165,6 @@ def test_detection_sets_empty_and_sorted_lists():
 def test_detection_sets_reject_trusted_attacked_overlap():
     with pytest.raises(InconsistentSetsError):
         DetectionSets(frozenset({1, 2}), frozenset({2}), frozenset())
-
-
-def test_detection_sets_normalized_strips_attacked_from_suspected():
-    s = DetectionSets(frozenset(), frozenset({3}), frozenset({2, 3}))
-    n = s.normalized()
-    assert n.suspected == frozenset({2})
-    assert n.attacked == frozenset({3})
-    # already-normal sets come back unchanged (same object)
-    assert n.normalized() is n
-
-
-def test_detection_sets_issubset_of():
-    small = DetectionSets(frozenset({1}), frozenset({3}), frozenset({2}))
-    # a previously-suspected sensor may have been promoted to attacked
-    big = DetectionSets(frozenset({1, 4}), frozenset({2, 3}), frozenset())
-    assert small.issubset_of(big)
-    assert not big.issubset_of(small)
 
 
 def test_fuse_sets_unions_all_three_classes():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import split_suspicious
 from platoonsec import sensing
 from platoonsec.core import DetectionSets, InconsistentSetsError
 from platoonsec.detector import (
@@ -19,7 +20,6 @@ from platoonsec.detector import (
     min_attacked_count,
     pairwise_check,
     saturation_check,
-    split_suspicious,
 )
 
 EMPTY = DetectionSets.empty()

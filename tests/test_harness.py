@@ -18,17 +18,17 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
-from oracles import performance_phi, platoon_phi
-from platoonsec import controller, detector, harness, observer, sensing
-from platoonsec.core import (DetectionSets, InconsistentSetsError, Message,
+from oracles import (Message, _fmt, control_input, controller_neighbors,
+                     performance_phi, platoon_phi, step_vehicle)
+from platoonsec import detector, harness, observer, sensing
+from platoonsec.core import (DetectionSets, InconsistentSetsError,
                             fuse_sets, load_scenario)
 from platoonsec.dynamics import (advance_deltas, desired_state_chain,
-                                 reference_step, step_vehicle)
+                                 reference_step)
 from platoonsec.harness import (
     MonteCarloSummary,
     SimulationError,
     StepTrace,
-    _fmt,
     _phi_pair,
     bound_envelopes,
     feasibility_report,
@@ -156,13 +156,13 @@ def _u_all(n, x_star, x_leader, own_src, nb_src, g_s, g_v):
     u = []
     for i in range(1, n + 1):
         terms = []
-        for j in controller.controller_neighbors(i, n):
+        for j in controller_neighbors(i, n):
             if j == 0:
                 x_j, star_j = x_leader, x_leader
             else:
                 x_j, star_j = nb_src[j - 1], x_star[j - 1]
             terms.append((x_j, x_star[i - 1] - star_j))
-        u.append(controller.control_input(own_src[i - 1], terms, g_s, g_v))
+        u.append(control_input(own_src[i - 1], terms, g_s, g_v))
     return np.array(u)
 
 
@@ -228,7 +228,7 @@ def _replica(cfg, seed=None, run_index=0):
                                 rnd.measurement(t) if cfg.mu else None,
                                 rnd.attack(t) if has_attack else None)
         y_abs, y_rel = frame.y_abs, frame.y_rel
-        x_bar = np.stack([observer.time_update(x_hat[k], float(u[k]), plant)
+        x_bar = np.stack([step_vehicle(x_hat[k], float(u[k]), None, plant)
                           for k in range(n)])
         msgs = [Message(sender=i, t=t, y_abs=y_abs[i - 1],
                         y_rel=y_rel[i - 2] if i >= 2 else None,

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc
-from platoonsec import core, observer, sensing, rng as prng
+from oracles import feasibility_check, saturation_gain, step_vehicle, stream_rng
+from platoonsec import core, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
 from platoonsec.observer import (
@@ -21,18 +22,14 @@ from platoonsec.observer import (
     asymptotic_bounds_adaptive,
     asymptotic_bounds_static,
     design_threshold,
-    feasibility_check,
     feasible_omegas,
     lambda_update,
     measurement_update_v1,
     measurement_update_v2,
     nearest_trusted,
-    realtime_bound,
     rho_update,
-    saturation_gain,
     static_threshold_interval,
     tau_update,
-    time_update,
 )
 
 TOPO5 = Topology.build(5, 2)
@@ -79,7 +76,7 @@ def test_time_update_matches_plant_prediction():
     from platoonsec import dynamics
     plant = dynamics.PlantMatrix.build(0.01)
     x_hat = np.array([12.0, -3.0])
-    got = time_update(x_hat, 7.0, plant)
+    got = step_vehicle(x_hat, 7.0, None, plant)
     assert np.array_equal(got, np.array([12.0 + 0.01 * -3.0, -3.0 + 0.01 * 7.0]))
 
 
@@ -104,7 +101,7 @@ def test_measurement_update_v1_equals_saturation_gain_composition():
         mu = float(rng.uniform(0.0, 0.4))
         frame = sensing.measure(frame_states, spec, mu,
                                 sensing.AttackState(spec), 0,
-                                prng.stream_rng(trial, 0, 0, 0, 1) if mu else None, None)
+                                stream_rng(trial, 0, 0, 0, 1) if mu else None, None)
         stacked = sensing.stack_measurements(frame, 3, TOPO5)
         labels = set(stacked.labels)
         att = {int(v) for v in rng.choice(sorted(labels), size=int(rng.integers(0, 2)), replace=False)}
@@ -179,7 +176,7 @@ def _bits(values) -> bytes:
 
 
 def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
-    """``interior_update`` equals stack_measurements -> beta_at ->
+    """``interior_rows`` equals stack_measurements -> beta_at ->
     measurement_update_v1 -> rho_update, bit for bit, for a fresh memo and
     again for a reused memo whose sets objects changed."""
     n = len(x_bar)
@@ -187,8 +184,9 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
     frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
     memo = [None] * n
     for view in (sets, sets, sets[::-1]):
-        got_x, got_g, got_b, got_r = observer.interior_update(
-            x_bar, y_abs, frame.rel_prefix, view, rho, thr, p, memo)
+        got_x, got_g, got_b, got_r = observer.interior_rows(
+            x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), view, rho, thr, p,
+            memo)
         want_x, want_g, want_b, want_r = [], [], [], []
         for i in sorted(topo.v1):
             k = i - 1
@@ -261,8 +259,9 @@ def test_interior_update_zero_innovation_zero_ceiling_and_negative_zero(mode):
     mixed = DetectionSets(frozenset({1, 2}), frozenset({4}), frozenset({5}))
     sets = [EMPTY, mixed, EMPTY, mixed, EMPTY, mixed, EMPTY]
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, [0.0] * n)
-    _, gains, betas, bounds = observer.interior_update(
-        x_bar, y_abs, sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix,
+    _, gains, betas, bounds = observer.interior_rows(
+        x_bar.tolist(), y_abs.tolist(),
+        sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, [0.0] * n, thr, p, [None] * n)
     assert betas == [0.0] * (n - 2 * L) and bounds == [0.0] * (n - 2 * L)
     assert gains[0] == [1.0] * 5 and gains[1] == [1.0, 1.0, 0.0, 1.0, 1.0]
@@ -312,8 +311,9 @@ def test_interior_update_reuses_classified_windows_bit_for_bit(mode, monkeypatch
         rho = rng.uniform(0.0, 300.0, size=n).tolist()
         frame = sensing.MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
         gated = len(general)
-        got_x, got_g, got_b, got_r = observer.interior_update(
-            x_bar, y_abs, frame.rel_prefix, sets, rho, thr, p, memo)
+        got_x, got_g, got_b, got_r = observer.interior_rows(
+            x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
+            memo)
         assert len(general) == gated  # no window went through the general gate
         for row, i in enumerate(sorted(topo.v1)):
             k = i - 1
@@ -424,13 +424,6 @@ def test_edge_bound_distance_and_source_error_raise_the_drive():
     base = tau_update(100.0, 1, 50.0, p)
     assert tau_update(100.0, 2, 50.0, p) > base
     assert tau_update(100.0, 1, 80.0, p) > base
-
-
-def test_realtime_bound_selects_by_vehicle_class():
-    sets = DetectionSets(frozenset({1}), frozenset(), frozenset())
-    assert realtime_bound(3, sets, TOPO5, 7.0, 8.0, 9.0) == 7.0   # interior
-    assert realtime_bound(1, sets, TOPO5, 7.0, 8.0, 9.0) == 8.0   # cleared edge
-    assert realtime_bound(5, sets, TOPO5, 7.0, 8.0, 9.0) == 9.0   # leaning edge
 
 
 # --------------------------------------------------------------------------
@@ -600,3 +593,64 @@ def test_asymptotic_bounds_diverge_for_weak_gains_on_fast_sampling():
     topo = Topology.build(3, 1)
     with pytest.raises(InfeasibleBoundError):
         asymptotic_bounds_static(EMPTY, topo, 1.0, p)
+
+
+def _grown_sets(rng, n, b):
+    """Fault-free sets grown one true sensor at a time, from empty until
+    every sensor is classified: up to ``b`` sensors are truly attacked."""
+    attacked = {int(v) for v in rng.choice(np.arange(1, n + 1),
+                                           size=int(rng.integers(0, b + 1)), replace=False)}
+    trusted, convicted = set(), set()
+    grown = [EMPTY]
+    for s in rng.permutation(np.arange(1, n + 1)).tolist():
+        (convicted if s in attacked else trusted).add(s)
+        grown.append(DetectionSets(frozenset(trusted), frozenset(convicted)))
+    return grown
+
+
+def test_interior_asymptotic_bound_never_rises_while_windows_hold_at_most_lbar_trusted():
+    """Paper claim 2 where the code's derivation claims it: growing the sets
+    never raises a1, in either mode, while every interior window holds at
+    most 2L+1-b trusted sources (the first branch of ``_count_terms``)."""
+    rng = np.random.default_rng(2)
+    checked = designs = 0
+    while designs < 150:
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(2 * L + 1, 41))
+        p = ObserverParams(L=L, b=int(rng.integers(1, L + 1)),
+                           q=float(rng.uniform(100.0, 500.0)),
+                           eps=float(rng.uniform(0.01, 0.3)), mu=float(rng.uniform(0.01, 0.3)),
+                           norm_A=plant_norm(float(rng.uniform(0.005, 0.02))), varpi=2.0)
+        if not feasible_omegas(p):
+            continue
+        designs += 1
+        beta0 = design_threshold(p, "static").beta0
+        topo = Topology.build(n, L)
+        lbar = 2 * L + 1 - p.b
+        prev = None
+        for sets in _grown_sets(rng, n, p.b):
+            a1 = (asymptotic_bounds_static(sets, topo, beta0, p)[0],
+                  asymptotic_bounds_adaptive(sets, topo, beta0, p)[0])
+            if all(observer._local_counts(sets, i, topo)[0] <= lbar for i in topo.v1):
+                if prev is not None:
+                    assert a1[0] <= prev[0] and a1[1] <= prev[1]
+                    checked += 1
+            prev = a1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+def test_interior_asymptotic_bound_rises_past_lbar_trusted_a_known_departure(mode):
+    """Where paper claim 2 does not hold: trusting sensor 6 gives vehicle 5's
+    window 3 > 2L+1-b = 2 trusted sources.  The update still divides by
+    2L, the gains sum above 2L and overshoot, and a1 rises."""
+    p = ObserverParams(L=1, b=1, q=300.0, eps=0.1, mu=0.1,
+                       norm_A=plant_norm(0.01), varpi=2.0)
+    topo = Topology.build(6, 1)
+    beta0 = design_threshold(p, mode).beta0
+    bounds = asymptotic_bounds_static if mode == "static" else asymptotic_bounds_adaptive
+    before = DetectionSets(frozenset({1, 2, 4, 5}), frozenset({3}))
+    after = DetectionSets(frozenset({1, 2, 4, 5, 6}), frozenset({3}))
+    assert observer._local_counts(after, 5, topo)[0] == 3
+    assert bounds(before, topo, beta0, p)[0] == pytest.approx(0.3000, abs=5e-5)
+    assert bounds(after, topo, beta0, p)[0] == pytest.approx(0.7035, abs=5e-5)

@@ -9,21 +9,22 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
+from oracles import stream_rng
 from platoonsec import harness, sensing, rng as prng
 from platoonsec.core import load_scenario
 
 
 def test_stream_rng_is_deterministic():
-    a = prng.stream_rng(42, 0, 7, 3, 1).uniform(size=8)
-    b = prng.stream_rng(42, 0, 7, 3, 1).uniform(size=8)
+    a = stream_rng(42, 0, 7, 3, 1).uniform(size=8)
+    b = stream_rng(42, 0, 7, 3, 1).uniform(size=8)
     assert np.array_equal(a, b)
 
 
 def test_stream_rng_separates_every_key_component():
-    base = prng.stream_rng(42, 0, 7, 3, 1).uniform(size=8)
+    base = stream_rng(42, 0, 7, 3, 1).uniform(size=8)
     for other in [(43, 0, 7, 3, 1), (42, 1, 7, 3, 1), (42, 0, 8, 3, 1),
                   (42, 0, 7, 4, 1), (42, 0, 7, 3, 2)]:
-        assert not np.array_equal(base, prng.stream_rng(*other).uniform(size=8))
+        assert not np.array_equal(base, stream_rng(*other).uniform(size=8))
 
 
 def test_run_random_matches_reference_generator_bitwise():
@@ -31,14 +32,14 @@ def test_run_random_matches_reference_generator_bitwise():
     sites = [(0, 0, 0), (1, 0, 1), (1, 0, 2), (17, 4, 1), (500, 0, 0), (17, 4, 1)]
     for t, vehicle, stream in sites:
         got = rr.at(t, vehicle, stream).uniform(size=11)
-        want = prng.stream_rng(20260823, 5, t, vehicle, stream).uniform(size=11)
+        want = stream_rng(20260823, 5, t, vehicle, stream).uniform(size=11)
         assert np.array_equal(got, want)
 
 
 def test_run_random_matches_reference_for_normal_draws():
     rr = prng.RunRandom(99, 0)
     got = rr.at(3, 2, 2).standard_normal(7)
-    want = prng.stream_rng(99, 0, 3, 2, 2).standard_normal(7)
+    want = stream_rng(99, 0, 3, 2, 2).standard_normal(7)
     assert np.array_equal(got, want)
 
 
@@ -55,11 +56,11 @@ def test_run_random_repositioning_is_stateless():
 def test_stream_helpers_map_to_the_documented_streams():
     rr = prng.RunRandom(1234, 2)
     assert np.array_equal(rr.process(9).uniform(size=4),
-                          prng.stream_rng(1234, 2, 9, 0, prng.STREAM_PROCESS).uniform(size=4))
+                          stream_rng(1234, 2, 9, 0, prng.STREAM_PROCESS).uniform(size=4))
     assert np.array_equal(rr.measurement(9).uniform(size=4),
-                          prng.stream_rng(1234, 2, 9, 0, prng.STREAM_MEASURE).uniform(size=4))
+                          stream_rng(1234, 2, 9, 0, prng.STREAM_MEASURE).uniform(size=4))
     assert np.array_equal(rr.attack(9).uniform(size=4),
-                          prng.stream_rng(1234, 2, 9, 0, prng.STREAM_ATTACK).uniform(size=4))
+                          stream_rng(1234, 2, 9, 0, prng.STREAM_ATTACK).uniform(size=4))
 
 
 def test_streams_are_order_independent_across_runs():
