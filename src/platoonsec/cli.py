@@ -8,8 +8,10 @@ the offline worst-case error-bound envelopes.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
+import operator
 import sys
 
 from . import controller, harness
@@ -62,8 +64,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     traces = harness.run_simulation(config)
-    harness.write_run_dir(args.out, config, traces)
-    print(json.dumps(harness.summarize_run(config, traces), indent=2))
+    summary = harness.summarize_run(config, traces)
+    harness.write_run_dir(args.out, config, traces, summary)
+    print(json.dumps(summary, indent=2))
     return 0
 
 
@@ -89,10 +92,12 @@ def _cmd_bounds(args) -> int:
     config = load_scenario(args.config)
     rows = harness.bound_envelopes(config)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    fmt = harness._row_format(4)
     try:
         out.write("t,i,rho,lambda,tau,alpha\n")
-        out.writelines(fmt % row for row in rows)
+        for t, step in itertools.groupby(rows, operator.itemgetter(0)):
+            step = list(step)
+            harness._write_step(out, harness._row_format([row[1] for row in step], 4), t,
+                                itertools.chain.from_iterable(row[2:] for row in step))
     finally:
         if args.out:
             out.close()

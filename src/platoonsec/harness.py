@@ -20,6 +20,7 @@ attack-free runs only.
 import json
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -566,30 +567,53 @@ def trace_columns(L: int) -> list:
             "attack_norm", "phi", "phi_platoon"] + gains
 
 
-def _row_format(n_floats: int) -> str:
-    """printf template of one CSV row: the integer cells ``t`` and ``i``,
-    then ``n_floats`` float cells, each rendered byte for byte as ``_fmt``
-    in ``tests/oracles.py`` renders it (``%.17g`` prints every NaN as ``nan``)."""
-    return "%d,%d," + ",".join(["%.17g"] * n_floats) + "\n"
+def _row_format(labels, n_floats: int, end: str = "\n") -> list:
+    """printf lines of one step's CSV rows, each without its leading ``t,``:
+    the row label ``i``, then ``n_floats`` float cells rendered byte for byte
+    as ``_fmt`` in ``tests/oracles.py`` renders them (``%.17g`` prints every
+    NaN as ``nan``), then ``end``.  The list opens with an empty line, so
+    joining it on ``t,`` puts the prefix in front of every row."""
+    cells = ",".join(["%.17g"] * n_floats)
+    return ["", *(f"{i},{cells}{end}" for i in labels)]
 
 
-def _write_step(fh, fmt: str, t: int, cells: np.ndarray) -> None:
-    """Write one step's rows; row ``i - 1`` of ``cells`` is vehicle ``i``."""
-    fh.write("".join([fmt % (t, i, *row)
-                      for i, row in enumerate(cells.tolist(), 1)]))
+def _write_step(fh, lines, t: int, cells) -> None:
+    """Write one step's rows with one format call; ``cells`` fills the
+    ``_row_format`` ``lines`` in order."""
+    fh.write(("%d," % t).join(lines) % tuple(cells))
 
 
 def write_trace_csv(path: str, traces, L: int) -> None:
+    """``trace.csv``: per row the head ``x, x_star, x_hat, x_bar, u``, distinct
+    on nearly every row, then the tail ``rho`` .. ``phi_platoon`` and the
+    gains, which few vehicles of a step differ in.  Each distinct tail is
+    formatted once per step and taken by the row template as ``%s``; tails
+    are told apart by their bytes, since ``0.0 == -0.0`` prints differently
+    and ``nan != nan``."""
     cols = trace_columns(L)
-    fmt = _row_format(len(cols) - 2)
+    n_tail = len(cols) - 11
+    tail_fmt = ",".join(["%.17g"] * n_tail)
+    tail_bytes = np.dtype((np.void, 8 * n_tail))
+    lines = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for tr in traces:
             n = len(tr.x)
-            _write_step(fh, fmt, tr.t, np.column_stack((
-                tr.x, tr.x_star, tr.x_hat, tr.x_bar, tr.u, tr.rho, tr.lam,
-                tr.tau, tr.alpha, tr.beta, tr.attack_norms,
-                np.full(n, tr.phi), np.full(n, tr.phi_platoon), tr.gains)))
+            if lines is None:
+                lines = _row_format(range(1, n + 1), 9, ",%s\n")
+            tail = np.column_stack((
+                tr.rho, tr.lam, tr.tau, tr.alpha, tr.beta, tr.attack_norms,
+                np.full(n, tr.phi), np.full(n, tr.phi_platoon), tr.gains))
+            keys = tail.view(tail_bytes).ravel().tolist()
+            tails = dict(zip(keys, tail.tolist()))
+            for key, row in tails.items():
+                tails[key] = tail_fmt % tuple(row)
+            cells = []
+            for row, key in zip(np.column_stack((tr.x, tr.x_star, tr.x_hat, tr.x_bar,
+                                                 tr.u)).tolist(), keys):
+                cells += row
+                cells.append(tails[key])
+            _write_step(fh, lines, tr.t, cells)
 
 
 def write_detection_csv(path: str, traces) -> None:
@@ -599,31 +623,37 @@ def write_detection_csv(path: str, traces) -> None:
     # joined once; the memo holds the object itself, so its id stays unique
     set_cells = {}
     flag_cells = {}
+    last = None  # the last step whose rows were built
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for tr in traces:
-            rows = []
-            for i, (s, flags) in enumerate(zip(tr.sets, tr.fired), 1):
-                entry = set_cells.get(id(s))
-                if entry is None:
-                    entry = set_cells[id(s)] = (s, ",".join(
-                        "|".join(map(str, sorted(part)))
-                        for part in (s.trusted, s.attacked, s.suspected)))
-                flag_cell = flag_cells.get(flags)
-                if flag_cell is None:
-                    flag_cell = flag_cells[flags] = ",".join(
-                        "1" if f else "0" for f in flags)
-                rows.append(f"{tr.t},{i},{entry[1]},{flag_cell}\n")
-            fh.write("".join(rows))
+            # a quiet step hands back the very same set objects and flags,
+            # so its rows differ from the last built step's only in ``t``
+            if (last is None or tr.fired != last.fired
+                    or not all(map(operator.is_, tr.sets, last.sets))):
+                last = tr
+                rows = [""]
+                for i, (s, flags) in enumerate(zip(tr.sets, tr.fired), 1):
+                    entry = set_cells.get(id(s))
+                    if entry is None:
+                        entry = set_cells[id(s)] = (s, ",".join(
+                            "|".join(map(str, sorted(part)))
+                            for part in (s.trusted, s.attacked, s.suspected)))
+                    flag_cell = flag_cells.get(flags)
+                    if flag_cell is None:
+                        flag_cell = flag_cells[flags] = ",".join(
+                            "1" if f else "0" for f in flags)
+                    rows.append(f"{i},{entry[1]},{flag_cell}\n")
+            fh.write(f"{tr.t},".join(rows))
 
 
 def summarize_run(config: ScenarioConfig, traces) -> dict:
     """Scalar digest of one run for summary.json."""
     if not traces:
         return {"horizon": 0, "steps": 0}
-    data = stack_traces(traces)
-    err = np.linalg.norm(data["x_hat"] - data["x"], axis=2)
-    violations = int(np.sum(err > data["alpha"] + 1e-9))
+    x = np.stack([tr.x for tr in traces])
+    err = np.linalg.norm(np.stack([tr.x_hat for tr in traces]) - x, axis=2)
+    violations = int(np.sum(err > np.array([tr.alpha for tr in traces]) + 1e-9))
     true_attacked = frozenset(config.attack.attacked)
     trusted_goal = frozenset(range(1, config.N + 1)) - true_attacked
     first_full = None
@@ -645,10 +675,11 @@ def summarize_run(config: ScenarioConfig, traces) -> dict:
     }
 
 
-def write_run_dir(outdir: str, config: ScenarioConfig, traces) -> dict:
-    """Persist one run: resolved scenario, both trace CSVs, a scalar summary
-    and, last, the feasibility report, whose certificate can fail after the
-    run succeeded.  Returns the path of each artifact."""
+def write_run_dir(outdir: str, config: ScenarioConfig, traces, summary: dict) -> dict:
+    """Persist one run: resolved scenario, both trace CSVs, its
+    ``summarize_run`` digest ``summary`` and, last, the feasibility report,
+    whose certificate can fail after the run succeeded.  Returns the path of
+    each artifact."""
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "scenario": os.path.join(outdir, "scenario.json"),
@@ -660,7 +691,7 @@ def write_run_dir(outdir: str, config: ScenarioConfig, traces) -> dict:
     write_json(paths["scenario"], config.to_json())
     write_trace_csv(paths["trace"], traces, config.L)
     write_detection_csv(paths["detection"], traces)
-    write_json(paths["summary"], summarize_run(config, traces))
+    write_json(paths["summary"], summary)
     write_json(paths["feasibility"], feasibility_report(config))
     return paths
 
@@ -676,15 +707,15 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
     }
     write_json(paths["scenario"], config.to_json())
     write_json(paths["summary"], summary.to_json())
-    fmt = _row_format(6)
+    lines = _row_format(range(1, summary.n + 1), 6)
     with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
         fh.write("t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon\n")
         for t in range(summary.phi.shape[0]):
-            _write_step(fh, fmt, t, np.column_stack((
+            _write_step(fh, lines, t, np.column_stack((
                 summary.eta_pos[t], summary.eta_vel[t],
                 summary.zeta_pos[t], summary.zeta_vel[t],
                 np.full(summary.n, summary.phi[t]),
-                np.full(summary.n, summary.phi_platoon[t]))))
+                np.full(summary.n, summary.phi_platoon[t]))).ravel().tolist())
     # last: its certificate can fail after the ensemble is done
     write_json(paths["feasibility"], feasibility_report(config))
     return paths

@@ -10,6 +10,7 @@ from platoonsec.dynamics import (
     desired_state_chain,
     plant_norm,
     reference_step,
+    step_rows,
 )
 
 
@@ -58,19 +59,30 @@ def test_step_vehicle_hand_example():
     assert np.array_equal(out, np.array([1.0 + 0.2 + 0.5, 2.0 + 1.0 - 0.5]))
 
 
+def _plant_step(x, u, d, A, T):
+    """``A x + (0, T u) + d`` of one vehicle, written out row by row of ``A``;
+    ``d=None`` adds no noise, as in the observer's prediction."""
+    s, v = x
+    pos = A[0][0] * s + A[0][1] * v
+    vel = A[1][0] * s + A[1][1] * v + T * u
+    return (pos, vel) if d is None else (pos + d[0], vel + d[1])
+
+
 @pytest.mark.parametrize("n", [5, 21])
-def test_platoon_step_and_prediction_equal_per_vehicle_calls_bit_for_bit(n):
+def test_step_rows_equals_the_per_vehicle_plant_step_bit_for_bit(n):
     plant = PlantMatrix.build(0.01)
+    A, T = plant.A.tolist(), plant.T
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 2)) * 100
     u = rng.normal(size=n) * 50
     d = rng.normal(size=(n, 2)) * 0.1
     x[0] = u[0] = -0.0  # a signed zero must survive the prediction
-    got = step_vehicle(x, u, d, plant)
-    want = np.stack([step_vehicle(x[k], float(u[k]), d[k], plant) for k in range(n)])
+    x, u, d = x.tolist(), u.tolist(), d.tolist()
+    got = np.array(step_rows(x, u, T, d))
+    want = np.array([_plant_step(x[k], u[k], d[k], A, T) for k in range(n)])
     assert got.tobytes() == want.tobytes()
-    got = step_vehicle(x, u, None, plant)
-    want = np.stack([step_vehicle(x[k], float(u[k]), None, plant) for k in range(n)])
+    got = np.array(step_rows(x, u, T))
+    want = np.array([_plant_step(x[k], u[k], None, A, T) for k in range(n)])
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[0]).all()
 

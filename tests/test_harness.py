@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -606,7 +607,7 @@ def test_write_run_dir_artifacts(tmp_path):
     cfg = load_scenario(baseline_doc(horizon=5))
     traces = run_simulation(cfg)
     out = os.path.join(tmp_path, "run")
-    paths = write_run_dir(out, cfg, traces)
+    paths = write_run_dir(out, cfg, traces, summarize_run(cfg, traces))
     assert sorted(paths) == ["detection", "feasibility", "scenario", "summary",
                              "trace"]
     for p in paths.values():
@@ -630,16 +631,32 @@ def test_write_run_dir_artifacts(tmp_path):
 def test_write_run_dir_is_byte_deterministic(tmp_path):
     cfg = load_scenario(baseline_doc(horizon=4))
     traces = run_simulation(cfg)
-    pa = write_run_dir(os.path.join(tmp_path, "a"), cfg, traces)
-    pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces)
+    pa = write_run_dir(os.path.join(tmp_path, "a"), cfg, traces, summarize_run(cfg, traces))
+    pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces, summarize_run(cfg, traces))
     for key in pa:
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
 
 
+def _string_overrides(n, attacked):
+    """The long-string geometry over the baseline: L=2, b=2, random attack,
+    20 m spacing, estimates started at the true states."""
+    x0 = [200.0 + 20.0 * (n - 1), 10.0]
+    deltas = [[20.0, 0.0]] * (n - 1)
+    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
+    return {"N": n, "b": 2, "delta_x": deltas, "x0": x0, "x_init": chain,
+            "x_hat_init": chain,
+            "attack": {"set": attacked, "kind": "random", "params": {"scale": 1.0}}}
+
+
 #: SHA-256 of trace.csv followed by detection.csv for 60-step baseline
-#: variants, recorded before the step loop moved to float rows; any
-#: reordered float operation in the loop changes some of these bytes
+#: variants, recorded before the step loop moved to float rows, and for an
+#: N=21 string, where tail blocks and quiet detection steps repeat, recorded
+#: before the writers formatted each distinct block once per step; any
+#: reordered float operation in the loop or changed cell in a writer
+#: changes some of these bytes
 PINNED_ARTIFACTS = {
+    "string21": (_string_overrides(21, [6, 15]),
+                 "5c0aaf92db10ff5666a7e2654851247b353bd1bc622964e934e11a1d7ff02557"),
     "baseline": ({}, "eb607bad56eb027631130e5fb95e37a01ce91cea093b7246b5831fb616bb7972"),
     "pwm": ({"controller_mode": "pwm"},
             "c712c3aa48b47100ad48044c75014231124863cb4d914c5c7cbaf9379c23b4e8"),
@@ -806,6 +823,76 @@ def test_run_csvs_match_the_oracle_on_special_floats(tmp_path):
              ((False, True, False, True),) * 2),
     ]
     _assert_run_csvs_match_oracle(tmp_path, traces, 1)
+
+
+def _synthetic_step(t, n, L, *, sets=None, fired=None, phi=1.5, **tail):
+    """An ``n``-vehicle step whose head rows all differ; the tail fields are
+    shared by every vehicle unless given in ``tail``."""
+    head = np.arange(2.0 * n).reshape(n, 2) + 0.125
+    fields = {"rho": (2.0,) * n, "lam": (3.0,) * n, "tau": (4.0,) * n,
+              "alpha": (2.0,) * n, "beta": (0.5,) * n,
+              "gains": np.ones((n, 2 * L + 1)), "attack_norms": np.zeros(n)}
+    fields.update(tail)
+    return StepTrace(
+        t=t, x=head, x_star=head + 1.0, x_leader=np.zeros(2), x_hat=head / 3.0,
+        x_bar=head - 7.0, u=np.arange(float(n)),
+        sets=sets or (DetectionSets.empty(),) * n, fired=fired or ((False,) * 4,) * n,
+        phi=phi, phi_platoon=phi / 3.0, **fields)
+
+
+def test_trace_tails_are_told_apart_by_their_bytes(tmp_path):
+    """Rows whose tails differ only in the sign of a zero or in a NaN's
+    payload, and a step whose tails recur in the next one under another phi,
+    each print as the per-cell oracle prints them."""
+    n, L = 4, 1
+    nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+    signed_gain = np.ones((n, 3))
+    signed_gain[[0, 2], 1] = 0.0
+    signed_gain[[1, 3], 1] = -0.0
+    nans = {"rho": (math.nan, -math.nan, nan_payload, math.nan),
+            "attack_norms": np.array([0.0, -0.0, 0.0, 3.0])}
+    traces = [
+        _synthetic_step(0, n, L, gains=signed_gain),
+        _synthetic_step(1, n, L, rho=(0.0, -0.0, 0.0, -0.0)),
+        _synthetic_step(2, n, L, attack_norms=np.array([-0.0, 0.0, 0.0, -0.0])),
+        _synthetic_step(3, n, L, **nans),
+        _synthetic_step(4, n, L, phi=-0.0, **nans),
+    ]
+    _assert_run_csvs_match_oracle(tmp_path, traces, L)
+    path = os.path.join(tmp_path, "trace.csv")
+    write_trace_csv(path, traces, L)
+    rows = open(path, encoding="utf-8").read().splitlines()
+    assert rows[1].endswith(",1,0,1") and rows[2].endswith(",1,-0,1")
+    assert [row.split(",")[11] for row in rows[5:9]] == ["0", "-0", "0", "-0"]
+    assert {row.split(",")[17] for row in rows[13:17]} == {"1.5"}
+    assert {row.split(",")[17] for row in rows[17:21]} == {"-0"}
+
+
+def test_detection_rows_are_reused_only_for_the_same_sets_and_flags(tmp_path):
+    """Quiet steps (the same set objects and flags) differ only in ``t``; a
+    flipped flag, equal but distinct set objects and a changed set each
+    print as the per-cell oracle prints them."""
+    n = 3
+    a = DetectionSets(trusted=frozenset({1, 2}), attacked=frozenset({3}),
+                      suspected=frozenset())
+    b = DetectionSets(suspected=frozenset({2}))
+    sets = (a, b, a)
+    quiet = ((False,) * 4, (True, False, False, False), (False,) * 4)
+    flipped = ((False,) * 4, (True, False, False, True), (False,) * 4)
+    equal = (DetectionSets(trusted=frozenset({1, 2}), attacked=frozenset({3}),
+                           suspected=frozenset()), b, a)
+    grown = (a, DetectionSets(suspected=frozenset({2, 3})), a)
+    traces = [_synthetic_step(t, n, 1, sets=s, fired=f) for t, s, f in [
+        (0, sets, quiet), (1, sets, quiet), (2, sets, quiet), (3, sets, flipped),
+        (4, sets, quiet), (5, equal, quiet), (6, grown, quiet), (7, grown, quiet)]]
+    _assert_run_csvs_match_oracle(tmp_path, traces, 1)
+    path = os.path.join(tmp_path, "detection.csv")
+    write_detection_csv(path, traces)
+    rows = open(path, encoding="utf-8").read().splitlines()
+    assert [row.split(",", 1)[1] for row in rows[4:7]] == [
+        row.split(",", 1)[1] for row in rows[1:4]]
+    assert rows[11] == "3,2,,,2,1,0,0,1" and rows[14] == "4,2,,,2,1,0,0,0"
+    assert rows[20] == "6,2,,,2|3,1,0,0,0"
 
 
 def test_metrics_csv_matches_the_per_cell_oracle(tmp_path):

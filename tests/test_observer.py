@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc
-from oracles import feasibility_check, saturation_gain, step_vehicle, stream_rng
+from oracles import feasibility_check, saturation_gain, stream_rng
 from platoonsec import core, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
@@ -72,12 +72,10 @@ def test_params_reject_varpi_outside_open_interval():
 # observer updates
 # --------------------------------------------------------------------------
 
-def test_time_update_matches_plant_prediction():
+def test_step_rows_matches_plant_prediction():
     from platoonsec import dynamics
-    plant = dynamics.PlantMatrix.build(0.01)
-    x_hat = np.array([12.0, -3.0])
-    got = step_vehicle(x_hat, 7.0, None, plant)
-    assert np.array_equal(got, np.array([12.0 + 0.01 * -3.0, -3.0 + 0.01 * 7.0]))
+    got = dynamics.step_rows([(12.0, -3.0)], [7.0], 0.01)
+    assert got == [(12.0 + 0.01 * -3.0, -3.0 + 0.01 * 7.0)]
 
 
 def test_saturation_gain_cases():
@@ -241,12 +239,12 @@ def _interior_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_interior_cases())
-def test_interior_update_matches_the_per_vehicle_functions(case):
+def test_interior_rows_matches_the_per_vehicle_functions(case):
     _assert_pass_matches_per_vehicle(*case)
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive"])
-def test_interior_update_zero_innovation_zero_ceiling_and_negative_zero(mode):
+def test_interior_rows_zero_innovation_zero_ceiling_and_negative_zero(mode):
     """beta = 0 with exactly-zero innovations keeps full gain; a noise-free
     bound at rho = 0 has a zero ceiling; -0.0 inputs keep their bits."""
     L, n = 2, 7
@@ -276,7 +274,7 @@ def _classified_sets(rng, n, trusted_share):
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive"])
-def test_interior_update_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
+def test_interior_rows_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
     """The same sets objects over several steps, with fresh predictions,
     readings and bounds: windows of trusted and attacked sources only skip
     the general gate and still equal stack_measurements -> beta_at ->
