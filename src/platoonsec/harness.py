@@ -86,26 +86,6 @@ class StepTrace:
     phi_platoon: float
 
 
-def stack_traces(traces) -> dict:
-    """Bundle a trace list into time-major arrays for analysis."""
-    if not traces:
-        return {}
-    return {
-        "t": np.array([tr.t for tr in traces]),
-        "x": np.stack([tr.x for tr in traces]),
-        "x_star": np.stack([tr.x_star for tr in traces]),
-        "x_leader": np.stack([tr.x_leader for tr in traces]),
-        "x_hat": np.stack([tr.x_hat for tr in traces]),
-        "u": np.stack([tr.u for tr in traces]),
-        "alpha": np.array([tr.alpha for tr in traces]),
-        "rho": np.array([tr.rho for tr in traces]),
-        "lam": np.array([tr.lam for tr in traces]),
-        "tau": np.array([tr.tau for tr in traces]),
-        "phi": np.array([tr.phi for tr in traces]),
-        "phi_platoon": np.array([tr.phi_platoon for tr in traces]),
-    }
-
-
 # --------------------------------------------------------------------------
 # single deterministic run
 # --------------------------------------------------------------------------
@@ -160,6 +140,17 @@ def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
     return u
 
 
+def _sensing_streams(rnd: RunRandom, t: int, mu: float, has_attack: bool) -> tuple:
+    """The measurement and attack generators of step ``t``'s sensing.  With an
+    attack set, one generator positioned once at the attack site serves
+    both, the noise drawn first; otherwise the noise, if any, is drawn at
+    the measurement site and there is no attack generator."""
+    if has_attack:
+        gen = rnd.attack(t)
+        return (gen if mu else None), gen
+    return (rnd.measurement(t) if mu else None), None
+
+
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                    run_index: int = 0) -> list:
     """Simulate one closed-loop run and return a trace row per step.
@@ -211,8 +202,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
 
     att_state = sensing.AttackState(config.attack)
     y_abs, _, norms = sensing.measure_rows(x, config.attack, mu, att_state, 0,
-                                           rnd.measurement(0) if mu else None,
-                                           rnd.attack(0) if has_attack else None)
+                                           *_sensing_streams(rnd, 0, mu, has_attack))
     ctrl_src = y_abs if pwm else x_hat
     u = _control_all(n, stars, lead, ctrl_src, ctrl_src, g_s, g_v)
 
@@ -256,8 +246,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         stars = x_star.tolist()
 
         y_abs, y_rel, norms = sensing.measure_rows(
-            x, config.attack, mu, att_state, t,
-            rnd.measurement(t) if mu else None, rnd.attack(t) if has_attack else None)
+            x, config.attack, mu, att_state, t, *_sensing_streams(rnd, t, mu, has_attack))
         pref = sensing.prefix_rows(y_rel)
         x_bar = step_rows(x_hat, u, T)
 
@@ -369,13 +358,15 @@ class MonteCarloSummary:
 
 
 def _run_metrics(traces) -> dict:
-    data = stack_traces(traces)
-    err = data["x_hat"] - data["x"]
-    rel = data["x"] - data["x_leader"][:, None, :]
+    """One run's per-step metrics, from the only trace fields they read."""
+    x = np.stack([tr.x for tr in traces])
+    err = np.stack([tr.x_hat for tr in traces]) - x
+    rel = x - np.stack([tr.x_leader for tr in traces])[:, None, :]
     return {
         "eta_pos": np.abs(err[:, :, 0]), "eta_vel": np.abs(err[:, :, 1]),
         "zeta_pos": rel[:, :, 0], "zeta_vel": rel[:, :, 1],
-        "phi": data["phi"], "phi_platoon": data["phi_platoon"],
+        "phi": np.array([tr.phi for tr in traces]),
+        "phi_platoon": np.array([tr.phi_platoon for tr in traces]),
     }
 
 
@@ -414,8 +405,9 @@ def monte_carlo(config: ScenarioConfig, runs: int,
 
 def feasibility_report(config: ScenarioConfig) -> dict:
     """Every design check in one JSON-ready document: initial error against
-    ``q``, threshold interval, gain margins, closed-loop spectrum, Lyapunov
-    data, and the asymptotic estimation/tracking bounds evaluated with empty
+    ``q``, the interior vehicles whose window can reach the overshoot regime,
+    threshold interval, gain margins, closed-loop spectrum, Lyapunov data,
+    and the asymptotic estimation/tracking bounds evaluated with empty
     detection sets."""
     topo = config.topology()
     plant = config.plant()
@@ -431,6 +423,10 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                      "diameter": topo.diameter()},
         "initial_error": {"max": worst, "vehicle": vehicle, "q": config.q,
                           "within_q": worst <= config.q},
+        # windows with fewer than b configured attacks can come to trust more
+        # than 2L+1-b sources, where the interior bound may rise as sets grow
+        "interior_overshoot": [i for i in sorted(topo.v1)
+                               if len(topo.local_group(i) & config.attack.attacked) < config.b],
     }
 
     feasible_omegas = observer.feasible_omegas(params)

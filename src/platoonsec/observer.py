@@ -162,12 +162,25 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     from the float rows, in sensor order.  That is the general path's sum exactly,
     since ``1.0 * e == e`` and attacked sources add nothing.
 
+    Vehicles that share the previous bound and the count terms share the
+    bound step too: ``steps`` maps a previous bound to the ``(terms, beta,
+    rho_next)`` computed from it in this call, so ``beta_at`` and
+    ``_rho_next`` run once per distinct pair, and the sharing vehicles get
+    the same float objects.  Only equal floats with equal bits may share a
+    key, so a nonzero bound is keyed by its value and a zero by its object,
+    since ``0.0 == -0.0``; a NaN matches only itself.  The object ids stay
+    unique because ``rho`` holds every key's object for the whole call.
+    Count terms come from the window's counts and ``p`` alone, and no float
+    in them is a zero whose sign differs between windows, so equal terms
+    give bit-equal steps.
+
     Returns, in vehicle order, the new estimates, the gain rows, the
     thresholds and the new bounds.
     """
     L = p.L
     scale = 2.0 * L
     estimates, gains, betas, bounds = [], [], [], []
+    steps = {}
     for k in range(L, len(xb) - L):
         si = sets[k]
         entry = memo[k]
@@ -183,7 +196,18 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
             entry = memo[k] = (si, classes, terms, fixed, trusted)
         _, classes, terms, fixed, trusted = entry
         rho_prev = rho[k]
-        bt = thr.beta_at(rho_prev, p)
+        key = rho_prev or (id(rho_prev),)  # a zero by its object: 0.0 == -0.0
+        shared = steps.get(key)
+        if shared is None:
+            shared = steps[key] = []
+        for step in shared:
+            if step[0] == terms:
+                break
+        else:
+            bt = thr.beta_at(rho_prev, p)
+            step = (terms, bt, _rho_next(rho_prev, terms, bt, p))
+            shared.append(step)
+        _, bt, rho_new = step
         xb0, xb1 = xb[k]
         if fixed is None:
             rows = chained_rows(ya[k - L:k + L + 1], pf[k - L:k + L + 1], pf[k])
@@ -201,7 +225,7 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
         estimates.append((x0, x1))
         gains.append(g)
         betas.append(bt)
-        bounds.append(_rho_next(rho_prev, terms, bt, p))
+        bounds.append(rho_new)
     return estimates, gains, betas, bounds
 
 

@@ -5,13 +5,13 @@ so a run produces the same numbers no matter how many runs execute, in what
 order, or on which thread.  Streams are backed by Philox, whose 256-bit
 counter we key directly.
 
-:class:`RunRandom` hands out one shared generator, repositioned per site,
-so two sites cannot be drawn from side by side.  The simulation asks for
-the measurement site and then the attack site of step ``t`` before it
-measures; with an attack set, the measurement noise and the random
-attack's normals are therefore both drawn at ``(seed, run, t, 0,
-STREAM_ATTACK)``, and ``STREAM_MEASURE`` is drawn only in attack-free runs.
-The tests compare its draws with ``stream_rng`` in ``tests/oracles.py``.
+:class:`RunRandom` hands out one shared generator, repositioned once per
+draw site, so two sites cannot be drawn from side by side.  With an attack
+set, the simulation positions it at the attack site of step ``t`` before it
+measures, and the measurement noise and the random attack's normals are
+both drawn there, noise first, at ``(seed, run, t, 0, STREAM_ATTACK)``;
+``STREAM_MEASURE`` is drawn only in attack-free runs.  The tests compare
+its draws with ``stream_rng`` in ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -28,25 +28,26 @@ class RunRandom:
 
     Holds a single Philox instance keyed by ``(seed, run)`` and repositions
     its counter for each draw site, which avoids per-site generator
-    construction in the hot loop.  Every method returns the same generator,
-    positioned at the site asked for last.
+    construction in the hot loop.  The state it sets is a dict of plain
+    Python ints built once here: the setter reads ints faster than numpy
+    arrays, and an empty buffer (``buffer_pos`` 4, no cached ``uint32``)
+    makes every site start fresh whatever was drawn before.  Every method
+    returns the same generator, positioned at the site asked for last.
     """
 
     def __init__(self, seed: int, run: int = 0):
         self.seed = int(seed)
         self.run = int(run)
-        key = np.array([self.seed & _MASK, self.run & _MASK], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        key = [self.seed & _MASK, self.run & _MASK]
+        self._bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
+        self._position = {"counter": [0, 0, 0, 0], "key": key}
+        self._state = {"bit_generator": "Philox", "state": self._position,
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def at(self, t: int, vehicle: int, stream: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["counter"][:] = (0, t & _MASK, vehicle & _MASK, stream & _MASK)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        self._position["counter"] = [0, t & _MASK, vehicle & _MASK, stream & _MASK]
+        self._bitgen.state = self._state
         return self._gen
 
     def process(self, t: int) -> np.random.Generator:

@@ -3,7 +3,8 @@ forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
 reconstruction), per-vehicle forms of batched code (the control law, the
 saturation gain), a fresh generator per draw site, the per-cell CSV format,
-and the message and run-splitting helpers the reference step loop uses."""
+the message and run-splitting helpers the reference step loop uses, and the
+stack of every array field of a trace list."""
 
 import math
 from dataclasses import dataclass
@@ -191,3 +192,23 @@ def _fmt(value) -> str:
     if math.isnan(v):
         return "nan"
     return format(v, ".17g")
+
+
+def stack_traces(traces) -> dict:
+    """Bundle a trace list into time-major arrays for analysis."""
+    if not traces:
+        return {}
+    return {
+        "t": np.array([tr.t for tr in traces]),
+        "x": np.stack([tr.x for tr in traces]),
+        "x_star": np.stack([tr.x_star for tr in traces]),
+        "x_leader": np.stack([tr.x_leader for tr in traces]),
+        "x_hat": np.stack([tr.x_hat for tr in traces]),
+        "u": np.stack([tr.u for tr in traces]),
+        "alpha": np.array([tr.alpha for tr in traces]),
+        "rho": np.array([tr.rho for tr in traces]),
+        "lam": np.array([tr.lam for tr in traces]),
+        "tau": np.array([tr.tau for tr in traces]),
+        "phi": np.array([tr.phi for tr in traces]),
+        "phi_platoon": np.array([tr.phi_platoon for tr in traces]),
+    }

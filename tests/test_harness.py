@@ -20,7 +20,7 @@ import pytest
 
 from conftest import baseline_doc
 from oracles import (Message, _fmt, control_input, controller_neighbors,
-                     performance_phi, platoon_phi, step_vehicle)
+                     performance_phi, platoon_phi, stack_traces, step_vehicle)
 from platoonsec import detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError,
                             fuse_sets, load_scenario)
@@ -35,7 +35,6 @@ from platoonsec.harness import (
     feasibility_report,
     monte_carlo,
     run_simulation,
-    stack_traces,
     summarize_run,
     trace_columns,
     write_detection_csv,
@@ -535,6 +534,21 @@ def test_feasibility_report_baseline(baseline_cfg):
     json.dumps(rep)
 
 
+def test_feasibility_report_names_the_interior_overshoot_windows(baseline_cfg):
+    """``interior_overshoot`` lists the interior vehicles whose window holds
+    fewer than b configured attacked sensors: the baseline's one window
+    holds sensor 3, and in the pinned departure (N=6, L=1, b=1, attacked
+    {3}) only vehicle 5's window {4, 5, 6} misses it."""
+    assert feasibility_report(baseline_cfg)["interior_overshoot"] == []
+    x_init = [[200.0 - 20.0 * k, 10.0] for k in range(6)]
+    doc = baseline_doc(N=6, L=1, b=1, delta_x=[[20.0, 0.0]] * 5, x_init=x_init,
+                       x_hat_init=x_init)
+    rep = feasibility_report(load_scenario(doc))
+    assert rep["topology"]["interior"] == [2, 3, 4, 5]
+    assert rep["interior_overshoot"] == [5]
+    json.dumps(rep)
+
+
 def test_feasibility_report_with_infeasible_threshold():
     doc = baseline_doc(L=1, b=3, N=3, delta_x=[[20.0, 0.0]] * 2,
                        x_init=[[200.0, 10.0], [100.0, 8.0], [50.0, 6.0]])
@@ -688,6 +702,35 @@ def test_run_artifacts_match_their_pinned_bytes(tmp_path, name):
         with open(path, "rb") as fh:
             h.update(fh.read())
     assert h.hexdigest() == digest
+
+
+def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
+    """Interior vehicles that share their count terms and their previous
+    bound share one bound step: in each step's interior pass ``_rho_next``
+    runs exactly once per distinct (terms, previous bound) pair, far fewer
+    times than there are interior vehicles."""
+    cfg = load_scenario(baseline_doc(horizon=40, **_string_overrides(21, [6, 15])))
+    topo = cfg.topology()
+    params = observer.ObserverParams.from_config(cfg)
+    steps = []
+    rows, advance = observer.interior_rows, observer._rho_next
+
+    def counted_rows(xb, ya, pf, sets, rho, *rest):
+        pairs = {(observer._count_terms(*observer._local_counts(sets[i - 1], i, topo), params),
+                  struct.pack("<d", rho[i - 1])) for i in topo.v1}
+        steps.append([0, len(pairs)])
+        return rows(xb, ya, pf, sets, rho, *rest)
+
+    def counted_advance(*args):
+        steps[-1][0] += 1
+        return advance(*args)
+
+    monkeypatch.setattr(observer, "interior_rows", counted_rows)
+    monkeypatch.setattr(observer, "_rho_next", counted_advance)
+    run_simulation(cfg)
+    assert len(steps) == 40
+    assert [calls for calls, _ in steps] == [distinct for _, distinct in steps]
+    assert sum(calls for calls, _ in steps) < 40 * len(topo.v1) // 2
 
 
 # --------------------------------------------------------------------------

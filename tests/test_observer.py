@@ -328,6 +328,44 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
     assert any(0.0 in g for g in handed_out[0][0])  # some window holds an attacked source
 
 
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+@pytest.mark.parametrize("noise", [0.1, 0.0, -0.0])
+def test_interior_rows_shares_bound_steps_bit_for_bit(mode, noise):
+    """Vehicles that share a previous bound, as one float object or as equal
+    floats, but differ in count terms each get the bound step of their own
+    terms; noise-free passes at rho = 0, with 0.0 and -0.0 side by side in
+    one class, keep each bound's bits (with -0.0 noise the adaptive
+    threshold's sign of zero follows the bound's); and vehicles alike in
+    both share the very same result objects."""
+    L, n = 2, 17
+    p = ObserverParams(L=L, b=2, q=300.0, eps=noise, mu=noise,
+                       norm_A=plant_norm(0.01), varpi=2.0)
+    thr = observer.ThresholdConfig(mode=mode, beta0=0.5 * p.beta_max, k0=0.5)
+    rng = np.random.default_rng(11)
+    every = DetectionSets(frozenset(range(1, n + 1)), frozenset(), frozenset())
+    mixed = DetectionSets(frozenset({1, 2, 6, 7, 8, 9}), frozenset({4, 11}), frozenset({5}))
+    sets = [EMPTY, every, mixed, EMPTY, every, mixed, every, EMPTY, mixed,
+            every, every, EMPTY, mixed, mixed, EMPTY, every, EMPTY]
+    coord = rng.normal(0.0, 50.0, size=(3, n, 2))
+    x_bar, y_abs, y_rel = coord[0], coord[1], coord[2, :n - 1]
+    shared = 123.456
+    rho = [shared, 200.0 + 0.5, shared, shared, shared, float("123.456"), shared, 77.0,
+           shared + 0.0, float("123.456"), shared, 77.0, shared, 0.0, -0.0, 0.0, -0.0]
+    _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho)
+    zeros = [0.0, -0.0] * 8 + [0.0]
+    _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, zeros)
+    _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, [every] * n, zeros)
+    _, _, betas, bounds = observer.interior_rows(
+        x_bar.tolist(), y_abs.tolist(),
+        sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
+        sets, rho, thr, p, [None] * n)
+    # vehicles 5, 7 and 11 hold the one object, vehicle 10 an equal float,
+    # all four with an all-trusted window
+    alike = [i - 1 - L for i in (5, 7, 10, 11)]
+    assert len({id(bounds[r]) for r in alike}) == 1
+    assert len({id(betas[r]) for r in alike}) == 1
+
+
 def test_derived_params_are_computed_once_per_instance():
     import dataclasses
     p = _params()

@@ -1,0 +1,79 @@
+"""Scenario-level properties of the closed loop at sizes beyond the
+acceptance gate's N <= 9: random platoons up to N=40 with windows up to
+L=4, every attack kind with a start time per attacked sensor, and both
+threshold modes.  Every step and vehicle of every run must keep the true
+state inside its real-time error bound, and every vehicle's detection sets
+must stay fault-free and never shrink."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from platoonsec.core import DetectionSets, load_scenario
+from platoonsec.dynamics import plant_norm
+from platoonsec.harness import run_simulation
+
+#: ``bound_violations`` tolerance, as in ``summarize_run`` and acceptance 1
+SLACK = 1e-9
+
+
+@st.composite
+def scenarios(draw):
+    L = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * L + 1, 40))
+    b = draw(st.integers(1, L))
+    T = draw(st.floats(0.005, 0.02))
+    q = draw(st.floats(100.0, 500.0))
+    eps = draw(st.floats(0.01, 0.3))
+    mu = draw(st.floats(0.01, 0.3))
+    # g_v <= 0.45/T keeps the rate margin positive for every N, and
+    # g_v >= 5 > T * g_s the velocity margin
+    g_v = draw(st.floats(5.0, 0.45 / T))
+    g_s = draw(st.floats(5.0, 80.0))
+    kind = draw(st.sampled_from(("random", "dos", "bias", "replay")))
+    attacked = sorted(draw(st.sets(st.integers(1, n), min_size=b, max_size=b)))
+    params = {"start": draw(st.integers(0, 7)),
+              "per_sensor": {str(i): {"start": draw(st.integers(0, 7))} for i in attacked}}
+    if kind == "random":
+        params["scale"] = math.exp(draw(st.floats(math.log(1e-3), math.log(10.0))))
+    elif kind == "bias":
+        beta_max = plant_norm(T) * q + eps + (L + 1) * mu
+        mag = math.exp(draw(st.floats(math.log(0.3 * mu), math.log(10.0 * beta_max))))
+        ang = draw(st.floats(0.0, 2.0 * math.pi))
+        params["offset"] = [mag * math.cos(ang), mag * math.sin(ang)]
+    elif kind == "replay":
+        params["record_len"] = draw(st.integers(1, 9))
+    # estimates start at zero, within q of states whose position is at most
+    # 0.6 q / sqrt(2) and whose speed is at most 10
+    pos = draw(st.lists(st.floats(0.0, 0.6 * q / math.sqrt(2.0)), min_size=n, max_size=n))
+    vel = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    x_init = [[p, v] for p, v in zip(pos, vel)]
+    return {
+        "N": n, "L": L, "b": b, "T": T, "q": q, "epsilon": eps, "mu": mu,
+        "g_s": g_s, "g_v": g_v,
+        "threshold_mode": {"mode": draw(st.sampled_from(("static", "adaptive")))},
+        "attack": {"set": attacked, "kind": kind, "params": params},
+        "horizon": draw(st.integers(1, 20)),
+        "seed": draw(st.integers(0, 2 ** 31 - 1)),
+        "delta_x": [[20.0, 0.0]] * (n - 1),
+        "x0": x_init[0],
+        "x_init": x_init,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_bounds_hold_and_sets_stay_fault_free_and_monotone(doc):
+    cfg = load_scenario(doc)
+    attacked = frozenset(cfg.attack.attacked)
+    clean = frozenset(range(1, cfg.N + 1)) - attacked
+    prev = (DetectionSets.empty(),) * cfg.N
+    for tr in run_simulation(cfg):
+        err = np.hypot(*(tr.x_hat - tr.x).T)
+        worst = float(np.max(err - np.asarray(tr.alpha)))
+        assert worst <= SLACK, (tr.t, int(np.argmax(err - np.asarray(tr.alpha))) + 1, worst)
+        for i, (was, now) in enumerate(zip(prev, tr.sets), 1):
+            assert now.attacked <= attacked and now.trusted <= clean, (tr.t, i, now)
+            assert was.attacked <= now.attacked and was.trusted <= now.trusted, (tr.t, i)
+        prev = tr.sets

@@ -90,3 +90,51 @@ def test_run_draws_measurement_noise_at_the_attack_site_when_attacked(
     attack = {"set": attacked, "kind": "random", "params": {"scale": 1.0}}
     harness.run_simulation(load_scenario(baseline_doc(horizon=4, attack=attack)))
     assert seen == [(t, bool(attacked), [0, t, 0, stream]) for t in range(5)]
+
+
+@pytest.mark.parametrize("seed, run, t", [(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1),
+                                          (-1, 3, 2 ** 32), (0, 0, 2 ** 32 + 5),
+                                          (20260823, 2 ** 63, 7)])
+def test_run_random_matches_reference_at_extreme_keys_and_after_a_dirty_buffer(seed, run, t):
+    """Every site of every stream starts fresh: uniform and normal draws
+    equal a new generator's at keys and counters up to 2**64 - 1, also right
+    after draws that left a partly used buffer and a cached uint32."""
+    rr = prng.RunRandom(seed, run)
+    for stream in (prng.STREAM_PROCESS, prng.STREAM_MEASURE, prng.STREAM_ATTACK):
+        for vehicle in (0, 2 ** 64 - 1):
+            got = rr.at(t, vehicle, stream)
+            assert np.array_equal(got.uniform(size=5),
+                                  stream_rng(seed, run, t, vehicle, stream).uniform(size=5))
+            got.random()
+            got.integers(0, 2 ** 32, dtype=np.uint32)
+            state = got.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+            assert np.array_equal(rr.at(t, vehicle, stream).standard_normal(6),
+                                  stream_rng(seed, run, t, vehicle, stream).standard_normal(6))
+
+
+@pytest.mark.parametrize("attacked, noise, sites", [
+    ([3], 0.1, (prng.STREAM_PROCESS, prng.STREAM_ATTACK)),
+    ([], 0.1, (prng.STREAM_PROCESS, prng.STREAM_MEASURE)),
+    ([3], 0.0, (prng.STREAM_ATTACK,)),
+    ([], 0.0, ()),
+])
+def test_run_positions_the_generator_once_per_draw_site_per_step(monkeypatch, attacked,
+                                                                 noise, sites):
+    """A step repositions the generator once per site it draws from: the
+    process noise, then the attack site, or the measurement site in an
+    attack-free run; step 0 draws no process noise."""
+    seen = []
+    at = prng.RunRandom.at
+
+    def spy(self, t, vehicle, stream):
+        seen.append((t, vehicle, stream))
+        return at(self, t, vehicle, stream)
+
+    monkeypatch.setattr(prng.RunRandom, "at", spy)
+    attack = {"set": attacked, "kind": "random", "params": {"scale": 1.0}}
+    harness.run_simulation(load_scenario(baseline_doc(horizon=4, attack=attack,
+                                                      epsilon=noise, mu=noise)))
+    want = [(t, 0, s) for t in range(5) for s in sites
+            if t > 0 or s != prng.STREAM_PROCESS]
+    assert seen == want
