@@ -5,19 +5,16 @@ predecessor and follower, the first one also to the virtual leader), which
 is deliberately independent of the wider sensing topology.  The analysis
 half of the module certifies the gain pair: a grounded-Laplacian eigenvalue
 condition, the closed-loop spectral radius (computed two independent ways),
-and a Lyapunov-based ISS gain that converts bounded estimation error into a
-bounded formation tracking error.
+and a Lyapunov-based ISS gain, checked by its own residual, that converts
+bounded estimation error into a bounded formation tracking error.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .dynamics import PlantMatrix, plant_norm
-
-log = logging.getLogger(__name__)
 
 
 def grounded_laplacian(n: int) -> np.ndarray:
@@ -91,7 +88,7 @@ class CertificateError(RuntimeError):
 #: after ``SERIES_MAX_TERMS`` terms
 SERIES_TOL = 1e-12
 SERIES_MAX_TERMS = 200000
-#: largest relative disagreement between the solver and the series route
+#: largest admitted ``sqrt(dim) * ||R||_F``, which bounds the relative error of M
 CROSS_CHECK_TOL = 1e-6
 
 
@@ -116,36 +113,39 @@ class IssCertificate:
     M: np.ndarray
     kappa: float
     spectral_radius: float
+    #: Frobenius norm of ``P^T M P - M + I``, and the extreme eigenvalues of M
+    residual: float
+    lam_min: float
+    lam_max: float
 
     def xi(self, sigma: float) -> float:
         """Ultimate tracking-error radius for disturbances of norm ``sigma``."""
-        lam_max = float(np.max(np.linalg.eigvalsh(self.M)))
-        lam_min = float(np.min(np.linalg.eigvalsh(self.M)))
-        return float(np.sqrt(2.0 * self.kappa * sigma * sigma * lam_max / lam_min))
+        return float(np.sqrt(2.0 * self.kappa * sigma * sigma * self.lam_max / self.lam_min))
 
 
 def iss_certificate(mat: np.ndarray) -> IssCertificate:
     """Solve ``P^T M P - M = -I`` and derive the ISS constant ``kappa``.
 
-    The solver result is cross-checked against the direct series sum; a
-    disagreement beyond ``CROSS_CHECK_TOL`` (relative) aborts, since both
-    routes must describe the same closed loop.
+    The solution is checked by its own residual ``R``: for Schur ``P`` the
+    exact ``M*`` has ``M - M* = -sum_k (P^T)^k R P^k``, so ``||M - M*||_F <=
+    sqrt(dim) ||R||_F ||M*||_F``; a bound above ``CROSS_CHECK_TOL`` (or NaN) aborts.
     """
     radius = spectral_radius(mat)
     if radius >= 1.0:
         raise ValueError(
             f"closed loop is not Schur stable (spectral radius {radius:.6f} >= 1)")
-    M = scipy.linalg.solve_discrete_lyapunov(mat.T, np.eye(mat.shape[0]))
-    M_series = lyapunov_series(mat)
-    gap = np.linalg.norm(M - M_series)
-    if gap > CROSS_CHECK_TOL * max(1.0, np.linalg.norm(M)):
+    dim = mat.shape[0]
+    M = scipy.linalg.solve_discrete_lyapunov(mat.T, np.eye(dim))
+    residual = float(np.linalg.norm(mat.T @ M @ mat - M + np.eye(dim)))
+    if not np.sqrt(dim) * residual <= CROSS_CHECK_TOL:
         raise CertificateError(
-            f"Lyapunov solver and series route disagree by {gap:.3e}; "
+            f"Lyapunov residual {residual:.3e} exceeds {CROSS_CHECK_TOL:.0e}/sqrt({dim}); "
             "refusing to certify the closed loop")
+    eigs = np.linalg.eigvalsh(M)
     norm_M = float(np.linalg.norm(M, 2))
     norm_MP = float(np.linalg.norm(M @ mat, 2))
     kappa = norm_M + 2.0 * norm_MP * norm_MP
-    return IssCertificate(M=M, kappa=kappa, spectral_radius=radius)
+    return IssCertificate(M, kappa, radius, residual, float(np.min(eigs)), float(np.max(eigs)))
 
 
 def estimation_disturbance(alpha_hat: float, n: int, T: float,
@@ -174,13 +174,11 @@ class TrackingBound:
 
 
 def tracking_bound(alpha_hat: float, n: int, T: float, g_s: float, g_v: float,
-                   eps: float, cert: IssCertificate = None) -> TrackingBound:
+                   eps: float, cert: IssCertificate) -> TrackingBound:
     """Ultimate bound on ``||x_i - x_i*||`` under resilient estimation.
 
-    ``alpha_hat`` is the worst asymptotic estimation radius across vehicles;
-    the certificate is recomputed from the loop matrix when not supplied.
+    ``alpha_hat`` is the worst asymptotic estimation radius across vehicles
+    and ``cert`` the certificate of the ``n``-vehicle loop.
     """
-    if cert is None:
-        cert = iss_certificate(closed_loop_matrix(n, T, g_s, g_v))
     sigma = estimation_disturbance(alpha_hat, n, T, g_s, g_v, eps)
     return TrackingBound(alpha_hat=alpha_hat, sigma=sigma, xi=cert.xi(sigma))

@@ -90,6 +90,15 @@ class StepTrace:
 # single deterministic run
 # --------------------------------------------------------------------------
 
+def _designed_threshold(config: ScenarioConfig, params):
+    """The configured threshold policy, or a structured failure."""
+    try:
+        return observer.design_threshold(params, config.threshold_mode,
+                                         beta=config.beta, omega=config.omega)
+    except (observer.InfeasibleThresholdError, ConfigError) as exc:
+        raise SimulationError(f"threshold design failed: {exc}") from exc
+
+
 def _validated_design(config: ScenarioConfig):
     """Initial error within ``q``, threshold policy and gain certificate, or a
     structured failure."""
@@ -100,11 +109,7 @@ def _validated_design(config: ScenarioConfig):
             f"q={config.q:.6g}; the error bounds and the detector's guarantees "
             "do not hold")
     params = observer.ObserverParams.from_config(config)
-    try:
-        thr = observer.design_threshold(params, config.threshold_mode,
-                                        beta=config.beta, omega=config.omega)
-    except (observer.InfeasibleThresholdError, ConfigError) as exc:
-        raise SimulationError(f"threshold design failed: {exc}") from exc
+    thr = _designed_threshold(config, params)
     gains = controller.check_gains(config.g_s, config.g_v, config.T, config.N)
     if not gains.ok:
         raise SimulationError(
@@ -452,17 +457,16 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                        "rate_margin": g.rate_margin}
 
     P = controller.closed_loop_matrix(config.N, config.T, config.g_s, config.g_v)
-    radius = controller.spectral_radius(P)
     block = controller.block_spectrum(config.N, config.T, config.g_s, config.g_v)
     full = np.array(sorted(np.linalg.eigvals(P), key=lambda z: (abs(z), z.real, z.imag)))
+    radius = float(np.max(np.abs(full)))
     report["closed_loop"] = {"spectral_radius": radius, "schur": radius < 1.0,
                              "spectrum_gap": float(np.max(np.abs(block - full)))}
 
     cert = None
     if radius < 1.0:
         cert = controller.iss_certificate(P)
-        residual = np.linalg.norm(P.T @ cert.M @ P - cert.M + np.eye(2 * config.N))
-        report["closed_loop"]["lyapunov_residual"] = float(residual)
+        report["closed_loop"]["lyapunov_residual"] = cert.residual
         report["closed_loop"]["kappa"] = cert.kappa
 
     def _triple(fn, level):
@@ -499,11 +503,7 @@ def bound_envelopes(config: ScenarioConfig) -> list:
     """
     topo = config.topology()
     params = observer.ObserverParams.from_config(config)
-    try:
-        thr = observer.design_threshold(params, config.threshold_mode,
-                                        beta=config.beta, omega=config.omega)
-    except (observer.InfeasibleThresholdError, ConfigError) as exc:
-        raise SimulationError(f"threshold design failed: {exc}") from exc
+    thr = _designed_threshold(config, params)
     empty = DetectionSets.empty()
     nan = float("nan")
 

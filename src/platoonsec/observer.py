@@ -289,7 +289,10 @@ def _contraction_and_drive(terms: tuple, kfloor: float,
     attack-free source."""
     if terms[0]:
         _, two_l, s1, free, noise, open_ = terms
-        return 1.0 - (s1 + free * kfloor) / two_l, (noise + open_ * beta_t) / two_l
+        m = 1.0 - (s1 + free * kfloor) / two_l
+        if s1 + free > two_l:  # b = 0: 2L+1 honest weights can overshoot 2L
+            m = max(m, (s1 + free) / two_l - 1.0)
+        return m, (noise + open_ * beta_t) / two_l
     _, two_l, m, base, unknown = terms
     return m, base + unknown * beta_t / two_l
 
@@ -351,6 +354,8 @@ def static_threshold_interval(omega, p: ObserverParams) -> tuple:
     lbar = window - p.b
     beta0 = p.beta_max
     lower = (two_l / lbar) * ((omega + p.norm_A - 1.0) * beta0 / p.norm_A)
+    if p.b == 0:  # the b -> 0 limit: with no compromised source only beta0 caps it
+        return lower, np.full(np.shape(lower), beta0)
     upper = np.minimum(beta0, (two_l / p.b) * (omega * p.q - (p.eps + p.mu_bar) * lbar / two_l))
     return lower, upper
 
@@ -478,22 +483,18 @@ def asymptotic_bounds_adaptive(sets: DetectionSets, topo: Topology, beta0: float
     """
     k0 = beta0 / p.beta_max
     two_l = 2.0 * p.L
-    window = 2 * p.L + 1
-    lbar = window - p.b
+    lbar = 2 * p.L + 1 - p.b
     a1 = 0.0
     for i in sorted(topo.v1):
-        s1, sa1, sa = _local_counts(sets, i, topo)
-        if s1 <= lbar:
-            bp = max(p.b - sa, 0)
-            factor = 1.0 - (s1 + (lbar - s1) * k0) / two_l + bp * k0 / two_l
+        terms = _count_terms(*_local_counts(sets, i, topo), p)
+        m, _ = _contraction_and_drive(terms, k0, 0.0)
+        bp = terms[-1]  # sources that may still be compromised
+        factor = m + bp * k0 / two_l
+        if terms[0]:
             offset = (lbar + bp * k0) * (p.eps + p.mu_bar) / two_l
         else:
-            m, _ = _contraction_and_drive(_count_terms(s1, sa1, sa, p), k0, 0.0)
-            c_hi = window - sa1
-            bp = max(0, min(p.b - sa, window - s1 - sa1))
-            factor = m + bp * k0 / two_l
-            offset = (m * p.eps + (c_hi / two_l) * p.mu_bar
-                      + (bp * k0 / two_l) * (p.eps + p.mu_bar))
+            # terms[3] is the overshoot branch's noise drive
+            offset = terms[3] + (bp * k0 / two_l) * (p.eps + p.mu_bar)
         den = 1.0 - factor * p.norm_A
         if den <= 0.0:
             raise InfeasibleBoundError(

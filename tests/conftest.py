@@ -2,9 +2,11 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from platoonsec import core
+from platoonsec.dynamics import desired_state_chain
 
 # The five-vehicle baseline scenario used throughout the tests and docs:
 # one interior vehicle (3) whose sensor is hit by a state-proportional
@@ -26,6 +28,17 @@ def baseline_doc(**overrides):
     doc = copy.deepcopy(BASELINE)
     doc.update(overrides)
     return doc
+
+
+def string_overrides(n, attacked):
+    """The long-string geometry over the baseline: L=2, b=2, random attack,
+    20 m spacing, estimates started at the true states."""
+    x0 = [200.0 + 20.0 * (n - 1), 10.0]
+    deltas = [[20.0, 0.0]] * (n - 1)
+    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
+    return {"N": n, "b": 2, "delta_x": deltas, "x0": x0, "x_init": chain,
+            "x_hat_init": chain,
+            "attack": {"set": attacked, "kind": "random", "params": {"scale": 1.0}}}
 
 
 @pytest.fixture

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import pytest
+import scipy.linalg
 
-from conftest import baseline_doc
+from conftest import baseline_doc, string_overrides
 from oracles import _fmt
-from platoonsec import cli, controller, detector, harness
+from platoonsec import cli, controller, detector, harness, observer
 from platoonsec.core import DetectionSets, InconsistentSetsError, load_scenario
 
 
@@ -208,6 +210,14 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, caplog, capsys, doc, r
     assert not os.path.exists(out)
 
 
+def _perturb_the_lyapunov_solve(monkeypatch):
+    """Scale every Lyapunov solution by 1 + 1e-4, so that the certificate's
+    own residual check refuses it."""
+    solve = scipy.linalg.solve_discrete_lyapunov
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
+                        lambda a, q: solve(a, q) * (1.0 + 1e-4))
+
+
 @pytest.mark.parametrize("command, kept", [
     (["run"], ("trace.csv", "detection.csv", "summary.json")),
     (["monte-carlo", "--runs", "2"], ("summary.json", "metrics.csv")),
@@ -216,15 +226,11 @@ def test_certificate_failure_keeps_the_run_artifacts(tmp_path, caplog, monkeypat
                                                      command, kept):
     """The feasibility report is written after the run's own artifacts, so a
     certificate that fails once the run is done leaves the run on disk."""
-    def no_convergence(mat, *args, **kwargs):
-        raise controller.CertificateError(
-            "Lyapunov series failed to converge within the term budget")
-
-    monkeypatch.setattr(controller, "lyapunov_series", no_convergence)
+    _perturb_the_lyapunov_solve(monkeypatch)
     out = os.path.join(tmp_path, "out")
     assert cli.main([*command, "--config", _config_file(tmp_path, horizon=5),
                      "--out", out]) == 2
-    assert "failed to converge" in caplog.text
+    assert "Lyapunov residual" in caplog.text
     for name in kept:
         assert os.path.isfile(os.path.join(out, name))
     assert not os.path.exists(os.path.join(out, "feasibility.json"))
@@ -300,12 +306,52 @@ def test_initial_error_above_q_exits_with_error_code(tmp_path, caplog):
 
 def test_certificate_failure_exits_with_error_code(tmp_path, caplog,
                                                    monkeypatch):
-    def no_convergence(mat, *args, **kwargs):
-        raise controller.CertificateError(
-            "Lyapunov series failed to converge within the term budget")
-
-    monkeypatch.setattr(controller, "lyapunov_series", no_convergence)
+    _perturb_the_lyapunov_solve(monkeypatch)
     assert issubclass(controller.CertificateError, RuntimeError)
     cfg_path = _config_file(tmp_path)
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 2
-    assert "failed to converge" in caplog.text
+    assert "Lyapunov residual" in caplog.text
+
+
+def test_zero_attack_budget_runs_every_command(tmp_path, capsys):
+    """With b = 0 no compromised source exists: the threshold interval ends
+    at the honest innovation ceiling, every command exits 0, the run trusts
+    every sensor and its bounds hold."""
+    cfg_path = _config_file(tmp_path, b=0,
+                            attack={"set": [], "kind": "random", "params": {}})
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
+    digest = json.loads(capsys.readouterr().out)
+    assert digest["bound_violations"] == 0
+    assert all(s["trusted"] == [1, 2, 3, 4, 5] for s in digest["final_sets"])
+    assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    params = observer.ObserverParams.from_config(load_scenario(cfg_path))
+    assert report["threshold"]["interval"][1] == params.beta_max
+    assert cli.main(["bounds", "--config", cfg_path]) == 0
+
+
+@pytest.fixture(scope="module")
+def string101(tmp_path_factory):
+    """The 101-vehicle string, whose certificate the dense route still covers."""
+    path = os.path.join(tmp_path_factory.mktemp("string101"), "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(baseline_doc(horizon=20, **string_overrides(101, [30, 70])), fh)
+    return path
+
+
+def test_check_feasibility_certifies_the_101_vehicle_string(string101, capsys):
+    assert cli.main(["check-feasibility", "--config", string101]) == 0
+    loop = json.loads(capsys.readouterr().out)["closed_loop"]
+    assert loop["schur"] is True
+    assert math.sqrt(202) * loop["lyapunov_residual"] <= controller.CROSS_CHECK_TOL
+
+
+def test_run_writes_every_artifact_on_the_101_vehicle_string(string101, tmp_path, capsys):
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", string101, "--out", out]) == 0
+    for name in ("scenario.json", "feasibility.json", "trace.csv",
+                 "detection.csv", "summary.json"):
+        assert os.path.isfile(os.path.join(out, name))
+    with open(os.path.join(out, "feasibility.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["closed_loop"]["schur"] is True

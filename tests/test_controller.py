@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import control_input, controller_neighbors
 from platoonsec.controller import (
+    CROSS_CHECK_TOL,
+    CertificateError,
     IssCertificate,
     block_spectrum,
     check_gains,
@@ -175,6 +178,33 @@ def test_iss_certificate_baseline_pins(cert):
     assert cert.xi(2.0) == pytest.approx(2.0 * cert.xi(1.0), rel=1e-12)
 
 
+def test_iss_certificate_keeps_its_residual_and_the_extremes_of_m(cert):
+    M = cert.M
+    assert cert.residual == float(np.linalg.norm(LOOP.T @ M @ LOOP - M + np.eye(2 * N)))
+    eigs = np.linalg.eigvalsh(M)
+    assert (cert.lam_min, cert.lam_max) == (float(np.min(eigs)), float(np.max(eigs)))
+
+
+@pytest.mark.parametrize("scale, refused", [
+    (1e-4, True),
+    # a solve scaled by 1+d has residual -d*I, so sqrt(dim)*||R||_F = d*dim:
+    # just under and just over CROSS_CHECK_TOL at dim = 10
+    (0.99e-7, False),
+    (1.01e-7, True),
+    (float("nan"), True),
+])
+def test_iss_certificate_refuses_a_solve_by_its_residual(monkeypatch, scale, refused):
+    solve = scipy.linalg.solve_discrete_lyapunov
+    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
+                        lambda a, q: solve(a, q) * (1.0 + scale))
+    if not refused:
+        c = iss_certificate(LOOP)
+        assert math.sqrt(2 * N) * c.residual <= CROSS_CHECK_TOL
+        return
+    with pytest.raises(CertificateError, match="Lyapunov residual"):
+        iss_certificate(LOOP)
+
+
 def test_iss_certificate_trivial_and_unstable_loops():
     triv = iss_certificate(np.zeros((2, 2)))
     assert np.array_equal(triv.M, np.eye(2))
@@ -222,7 +252,3 @@ def test_tracking_bound_pinned_for_both_threshold_designs(cert):
         assert tb.total == tb.alpha_hat + tb.xi
         assert tb.xi == pytest.approx(cert.xi(tb.sigma), rel=1e-12)
 
-
-def test_tracking_bound_recomputes_the_certificate_when_absent(cert):
-    tb = tracking_bound(1.0, N, T, G_S, G_V, 0.1)
-    assert tb.xi == pytest.approx(cert.xi(tb.sigma), rel=1e-9)

@@ -18,11 +18,11 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import baseline_doc
+from conftest import baseline_doc, string_overrides
 from oracles import (Message, _fmt, control_input, controller_neighbors,
                      performance_phi, platoon_phi, stack_traces, step_vehicle)
 from platoonsec import detector, harness, observer, sensing
-from platoonsec.core import (DetectionSets, InconsistentSetsError,
+from platoonsec.core import (DetectionSets, InconsistentSetsError, Topology,
                             fuse_sets, load_scenario)
 from platoonsec.dynamics import (advance_deltas, desired_state_chain,
                                  reference_step)
@@ -651,17 +651,6 @@ def test_write_run_dir_is_byte_deterministic(tmp_path):
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
 
 
-def _string_overrides(n, attacked):
-    """The long-string geometry over the baseline: L=2, b=2, random attack,
-    20 m spacing, estimates started at the true states."""
-    x0 = [200.0 + 20.0 * (n - 1), 10.0]
-    deltas = [[20.0, 0.0]] * (n - 1)
-    chain = desired_state_chain(np.array(x0), np.array(deltas)).tolist()
-    return {"N": n, "b": 2, "delta_x": deltas, "x0": x0, "x_init": chain,
-            "x_hat_init": chain,
-            "attack": {"set": attacked, "kind": "random", "params": {"scale": 1.0}}}
-
-
 #: SHA-256 of trace.csv followed by detection.csv for 60-step baseline
 #: variants, recorded before the step loop moved to float rows, and for an
 #: N=21 string, where tail blocks and quiet detection steps repeat, recorded
@@ -669,7 +658,7 @@ def _string_overrides(n, attacked):
 #: reordered float operation in the loop or changed cell in a writer
 #: changes some of these bytes
 PINNED_ARTIFACTS = {
-    "string21": (_string_overrides(21, [6, 15]),
+    "string21": (string_overrides(21, [6, 15]),
                  "5c0aaf92db10ff5666a7e2654851247b353bd1bc622964e934e11a1d7ff02557"),
     "baseline": ({}, "eb607bad56eb027631130e5fb95e37a01ce91cea093b7246b5831fb616bb7972"),
     "pwm": ({"controller_mode": "pwm"},
@@ -704,12 +693,37 @@ def test_run_artifacts_match_their_pinned_bytes(tmp_path, name):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, attacked, t_first, t_exact", [
+    (21, [6, 15], 5, 10),
+    (101, [30, 70], 12, 37),
+])
+def test_string_identifies_the_attacks_within_one_diameter(n, attacked, t_first, t_exact):
+    """Paper claim 1 on the string geometry: from the first step at which
+    some vehicle has confirmed b attacks, every vehicle's sets are exact
+    within one diameter and stay exact."""
+    diameter = Topology.build(n, 2).diameter()
+    cfg = load_scenario(baseline_doc(horizon=t_first + diameter,
+                                     **string_overrides(n, attacked)))
+    exact = DetectionSets(trusted=frozenset(range(1, n + 1)) - set(attacked),
+                          attacked=frozenset(attacked))
+    first = exact_from = None
+    for tr in run_simulation(cfg):
+        if first is None and any(len(s.attacked) == cfg.b for s in tr.sets):
+            first = tr.t
+        if any(s != exact for s in tr.sets):
+            exact_from = None
+        elif exact_from is None:
+            exact_from = tr.t
+    assert (first, exact_from) == (t_first, t_exact)
+    assert exact_from <= first + diameter
+
+
 def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
     """Interior vehicles that share their count terms and their previous
     bound share one bound step: in each step's interior pass ``_rho_next``
     runs exactly once per distinct (terms, previous bound) pair, far fewer
     times than there are interior vehicles."""
-    cfg = load_scenario(baseline_doc(horizon=40, **_string_overrides(21, [6, 15])))
+    cfg = load_scenario(baseline_doc(horizon=40, **string_overrides(21, [6, 15])))
     topo = cfg.topology()
     params = observer.ObserverParams.from_config(cfg)
     steps = []
