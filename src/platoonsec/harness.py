@@ -18,7 +18,6 @@ attack-free runs only.
 """
 
 import json
-import logging
 import math
 import operator
 import os
@@ -32,8 +31,6 @@ from .core import (ConfigError, DetectionSets, InconsistentSetsError,
 from .dynamics import (advance_deltas, desired_state_chain, reference_step, rows_array,
                        step_rows)
 from .rng import RunRandom
-
-LOG = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
@@ -228,8 +225,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     #   changed in the last step; without this memo the N=101, H=500 run took
     #   about 22% longer (best of 10 on a 2-core Xeon host: 0.93 s -> 1.13 s)
     # - count_memo: the detector's counting rules on a quiet step
-    # - class_memo: an interior window's gate classes and count terms, plus
-    #   its gain row and trusted sources once it holds no unknown source
+    # - class_memo: an interior window's count terms, non-attacked sources
+    #   and 0/1 gain row
     # - edge_memo: an edge vehicle's source, its distance, and whether its
     #   own sensor is trusted
     fused = [None] * n
@@ -499,7 +496,10 @@ def bound_envelopes(config: ScenarioConfig) -> list:
     """Offline worst-case bound trajectories with detection sets held empty.
 
     Returns one row per (t, vehicle): ``(t, i, rho, lam, tau, alpha)`` with
-    NaN where a bound does not apply to the vehicle's class.
+    NaN where a bound does not apply to the vehicle's class.  With empty
+    sets every interior window counts no trusted or attacked sensor, so all
+    interior vehicles share one ``rho``, and every edge vehicle leans on an
+    interior neighbour, whose bound is that ``rho``.
     """
     topo = config.topology()
     params = observer.ObserverParams.from_config(config)
@@ -507,10 +507,10 @@ def bound_envelopes(config: ScenarioConfig) -> list:
     empty = DetectionSets.empty()
     nan = float("nan")
 
-    rho = {i: params.q for i in topo.v1}
-    tau = {i: params.q for i in topo.v2}
-    alpha = {i: params.q for i in topo.vehicles()}
-    source = {i: observer.nearest_trusted(i, empty, topo) for i in topo.v2}
+    dist = {i: abs(observer.nearest_trusted(i, empty, topo) - i) for i in topo.v2}
+    interior = min(topo.v1)
+    rho = params.q
+    tau = dict.fromkeys(topo.v2, params.q)
 
     rows = []
     for i in topo.vehicles():
@@ -519,17 +519,11 @@ def bound_envelopes(config: ScenarioConfig) -> list:
         else:
             rows.append((0, i, nan, params.q, params.q, params.q))
     for t in range(1, config.horizon + 1):
-        new_rho = {i: observer.rho_update(rho[i], empty, i, topo,
-                                          thr.beta_at(rho[i], params), params)
-                   for i in topo.v1}
-        new_tau = {i: observer.tau_update(tau[i], abs(source[i] - i),
-                                          alpha[source[i]], params)
-                   for i in topo.v2}
-        rho, tau = new_rho, new_tau
-        alpha = {**rho, **tau}
+        tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
+        rho = observer.rho_update(rho, empty, interior, topo, thr.beta_at(rho, params), params)
         for i in topo.vehicles():
             if i in topo.v1:
-                rows.append((t, i, rho[i], nan, nan, rho[i]))
+                rows.append((t, i, rho, nan, nan, rho))
             else:
                 rows.append((t, i, nan, tau[i], tau[i], tau[i]))
     return rows

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
-from .sensing import chained_rows
 
 LOG = logging.getLogger(__name__)
 
@@ -97,33 +96,47 @@ def _gate_classes(sensors, sets: DetectionSets) -> tuple:
                  for s in sensors)
 
 
-def _saturated_update(xb0: float, xb1: float, rows, classes, beta: float,
-                      scale: float) -> tuple[float, float, list]:
-    """Estimate and gains of one window: the prediction plus the gain-weighted
-    innovations, summed in sensor order and divided by ``scale = 2L``.
+def _window(classes, first: int) -> tuple[tuple, tuple]:
+    """The non-attacked sources of a window, in sensor order, as ``(position,
+    reading index, gated)`` with reading index ``first + position``, and its
+    gain row before gating: 0 for a confirmed-attacked source, else 1."""
+    sources = tuple((m, first + m, c == _UNKNOWN)
+                    for m, c in enumerate(classes) if c != _ATTACKED)
+    return sources, tuple(0.0 if c == _ATTACKED else 1.0 for c in classes)
 
-    Confirmed-attacked sources are cut off entirely, proven attack-free
-    sources pass unsaturated, and unknown sources are clipped so their
-    weighted innovation never exceeds ``beta`` in norm.  A zero innovation
-    needs no clipping and keeps full weight.
+
+def _window_update(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
+                   sources: tuple, row: tuple, beta: float,
+                   scale: float) -> tuple[float, float, tuple | list]:
+    """Estimate and gains of one window: the prediction plus the gain-weighted
+    innovations ``e = (y_abs[j] + (pref_own - pref[j])) - x_bar`` of its
+    ``sources``, summed in sensor order and divided by ``scale = 2L``.
+
+    An unknown (gated) source whose ``‖e‖`` exceeds ``beta`` gets the gain
+    ``beta / ‖e‖``, and ``not <=`` keeps a NaN norm's gain NaN; every other
+    source adds ``e`` itself, which is exactly ``1.0 * e``.  The gain row is
+    ``row`` unless a source was clipped.
     """
-    gains = []
+    p0, p1 = pref_own
+    gains = row
     corr0 = 0.0
     corr1 = 0.0
-    for (r0, r1), cls in zip(rows, classes):
-        if cls == _ATTACKED:
-            gains.append(0.0)
-            continue
-        e0 = r0 - xb0
-        e1 = r1 - xb1
-        if cls == _TRUSTED:
-            k = 1.0
-        else:
-            nrm = math.hypot(e0, e1)
-            k = 1.0 if nrm <= beta else beta / nrm
-        gains.append(k)
-        corr0 += k * e0
-        corr1 += k * e1
+    for m, j, gated in sources:
+        a0, a1 = y_abs[j]
+        f0, f1 = pref[j]
+        e0 = (a0 + (p0 - f0)) - xb0
+        e1 = (a1 + (p1 - f1)) - xb1
+        if gated:
+            norm = math.hypot(e0, e1)
+            if not norm <= beta:
+                k = beta / norm
+                if gains is row:
+                    gains = list(row)
+                gains[m] = k
+                e0 = k * e0
+                e1 = k * e1
+        corr0 += e0
+        corr1 += e1
     return xb0 + corr0 / scale, xb1 + corr1 / scale, gains
 
 
@@ -132,11 +145,15 @@ def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
     """Interior-vehicle correction: saturated average of all local innovations.
 
     Returns the new estimate and the gain applied to each source, ordered as
-    ``stacked.labels``.
+    ``stacked.labels``.  The chained rows pass with zero prefix rows: ``r +
+    (0.0 - 0.0)`` may turn ``-0.0`` into ``+0.0``, which a sum started at
+    ``+0.0`` cannot tell.
     """
-    x0, x1, gains = _saturated_update(
-        float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(),
-        _gate_classes(stacked.labels, sets), beta, 2.0 * L)
+    sources, row = _window(_gate_classes(stacked.labels, sets), 0)
+    zero = (0.0, 0.0)
+    x0, x1, gains = _window_update(
+        float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(), [zero] * len(row),
+        zero, sources, row, beta, 2.0 * L)
     return np.array((x0, x1)), np.array(gains)
 
 
@@ -147,20 +164,15 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     ``xb`` and ``ya`` are the platoon's predictions and absolute readings,
     ``pf`` the gap-reading prefix sums (``sensing.prefix_rows``), all as
     float rows; ``sets`` and ``rho`` hold each vehicle's current sets and
-    previous bound.  Each vehicle's window is stacked as in
+    previous bound.  Each vehicle's window is rebuilt as in
     ``stack_measurements``, its threshold taken from ``thr.beta_at``, its
     estimate and gains computed as in ``measurement_update_v1`` and its
     bound advanced as in ``rho_update``, bit for bit.  ``memo`` has one slot
     per vehicle, kept by the caller across steps: it holds the window's
-    gate classes and count terms for the last sets object seen, which
-    fusion and detection return unchanged, by identity, whenever no set
-    grew.
-
-    A window with no unknown source has a fixed 0/1 gate, so its memo entry
-    also holds the gain row (a tuple) and the indices of its trusted
-    sources: the estimate then adds those sources' innovations straight
-    from the float rows, in sensor order.  That is the general path's sum exactly,
-    since ``1.0 * e == e`` and attacked sources add nothing.
+    count terms, its non-attacked sources and its 0/1 gain row (see
+    :func:`_window`) for the last sets object seen, which fusion and
+    detection return unchanged, by identity, whenever no set grew.  A gain
+    row with no clipped source is handed out as the memo's tuple.
 
     Vehicles that share the previous bound and the count terms share the
     bound step too: ``steps`` maps a previous bound to the ``(terms, beta,
@@ -188,13 +200,8 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
             classes = _gate_classes(range(k + 1 - L, k + L + 2), si)
             terms = _count_terms(classes.count(_TRUSTED), classes.count(_ATTACKED),
                                  len(si.attacked), p)
-            if _UNKNOWN in classes:
-                fixed, trusted = None, None
-            else:
-                fixed = tuple(1.0 if c == _TRUSTED else 0.0 for c in classes)
-                trusted = [k - L + m for m, c in enumerate(classes) if c == _TRUSTED]
-            entry = memo[k] = (si, classes, terms, fixed, trusted)
-        _, classes, terms, fixed, trusted = entry
+            entry = memo[k] = (si, terms, *_window(classes, k - L))
+        _, terms, sources, row = entry
         rho_prev = rho[k]
         key = rho_prev or (id(rho_prev),)  # a zero by its object: 0.0 == -0.0
         shared = steps.get(key)
@@ -209,19 +216,7 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
             shared.append(step)
         _, bt, rho_new = step
         xb0, xb1 = xb[k]
-        if fixed is None:
-            rows = chained_rows(ya[k - L:k + L + 1], pf[k - L:k + L + 1], pf[k])
-            x0, x1, g = _saturated_update(xb0, xb1, rows, classes, bt, scale)
-        else:
-            p0, p1 = pf[k]
-            corr0 = 0.0
-            corr1 = 0.0
-            for j in trusted:
-                a0, a1 = ya[j]
-                f0, f1 = pf[j]
-                corr0 += (a0 + (p0 - f0)) - xb0
-                corr1 += (a1 + (p1 - f1)) - xb1
-            x0, x1, g = xb0 + corr0 / scale, xb1 + corr1 / scale, fixed
+        x0, x1, g = _window_update(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
         estimates.append((x0, x1))
         gains.append(g)
         betas.append(bt)
@@ -453,23 +448,31 @@ def _edge_bound(a1: float, p: ObserverParams, sets: DetectionSets,
     return a2, worst
 
 
-def asymptotic_bounds_static(sets: DetectionSets, topo: Topology, beta: float,
-                             p: ObserverParams) -> tuple[float, float, float]:
-    """Steady-state error bounds under a static threshold, evaluated at the
-    given (frozen) detection sets; each entry is the worst case over its
-    vehicle class (interior, cleared edge, leaning edge)."""
-    kstar = min(1.0, beta / p.beta_max)
+def _asymptotic_bounds(sets: DetectionSets, topo: Topology, p: ObserverParams,
+                       step) -> tuple[float, float, float]:
+    """Worst steady-state error per vehicle class (interior, cleared edge,
+    leaning edge) at the given (frozen) detection sets.  ``step`` maps an
+    interior window's count terms to the ``(factor, offset)`` of its
+    recursion ``rho <- factor * norm_A * rho + offset``, whose limit is
+    ``offset / (1 - factor * norm_A)``."""
     a1 = 0.0
     for i in sorted(topo.v1):
-        terms = _count_terms(*_local_counts(sets, i, topo), p)
-        m, drive = _contraction_and_drive(terms, kstar, beta)
-        den = 1.0 - m * p.norm_A
+        factor, offset = step(_count_terms(*_local_counts(sets, i, topo), p))
+        den = 1.0 - factor * p.norm_A
         if den <= 0.0:
             raise InfeasibleBoundError(
-                f"interior bound diverges for vehicle {i}: contraction {m * p.norm_A:.6g} >= 1")
-        a1 = max(a1, drive / den)
+                f"interior bound diverges for vehicle {i}: contraction {factor * p.norm_A:.6g} >= 1")
+        a1 = max(a1, offset / den)
     a2, a3 = _edge_bound(a1, p, sets, topo)
     return a1, a2, a3
+
+
+def asymptotic_bounds_static(sets: DetectionSets, topo: Topology, beta: float,
+                             p: ObserverParams) -> tuple[float, float, float]:
+    """Steady-state error bounds under a static threshold."""
+    kstar = min(1.0, beta / p.beta_max)
+    return _asymptotic_bounds(sets, topo, p,
+                              lambda terms: _contraction_and_drive(terms, kstar, beta))
 
 
 def asymptotic_bounds_adaptive(sets: DetectionSets, topo: Topology, beta0: float,
@@ -479,26 +482,23 @@ def asymptotic_bounds_adaptive(sets: DetectionSets, topo: Topology, beta0: float
     Substituting ``beta(t) = k0 * (norm_A * rho(t-1) + eps + mu_bar)`` into
     the interior recursion makes it affine in ``rho``, so its limit no
     longer carries the large initial-uncertainty term — the reason the
-    adaptive bound is tighter than the static one.
+    adaptive bound is tighter than the static one.  An honest gain never
+    exceeds 1, so its floor is ``min(1, k0)``, while the sources that may
+    still be compromised push with the full ``k0``.
     """
     k0 = beta0 / p.beta_max
+    kfloor = min(1.0, k0)
     two_l = 2.0 * p.L
     lbar = 2 * p.L + 1 - p.b
-    a1 = 0.0
-    for i in sorted(topo.v1):
-        terms = _count_terms(*_local_counts(sets, i, topo), p)
-        m, _ = _contraction_and_drive(terms, k0, 0.0)
+
+    def step(terms):
+        m, _ = _contraction_and_drive(terms, kfloor, 0.0)
         bp = terms[-1]  # sources that may still be compromised
-        factor = m + bp * k0 / two_l
         if terms[0]:
             offset = (lbar + bp * k0) * (p.eps + p.mu_bar) / two_l
         else:
             # terms[3] is the overshoot branch's noise drive
             offset = terms[3] + (bp * k0 / two_l) * (p.eps + p.mu_bar)
-        den = 1.0 - factor * p.norm_A
-        if den <= 0.0:
-            raise InfeasibleBoundError(
-                f"interior bound diverges for vehicle {i}: contraction {factor * p.norm_A:.6g} >= 1")
-        a1 = max(a1, offset / den)
-    a2, a3 = _edge_bound(a1, p, sets, topo)
-    return a1, a2, a3
+        return m + bp * k0 / two_l, offset
+
+    return _asymptotic_bounds(sets, topo, p, step)

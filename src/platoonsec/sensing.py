@@ -9,15 +9,12 @@ through the chain unchanged, which is what the saturated observer and the
 detector exploit.
 """
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-LOG = logging.getLogger(__name__)
 
 ATTACK_KINDS = ("random", "dos", "bias", "replay")
 

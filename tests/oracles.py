@@ -2,18 +2,20 @@
 forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
 reconstruction), per-vehicle forms of batched code (the control law, the
-saturation gain), a fresh generator per draw site, the per-cell CSV format,
-the message and run-splitting helpers the reference step loop uses, and the
-stack of every array field of a trace list."""
+saturation gain, the bound envelopes), a fresh generator per draw site, the
+per-cell CSV format, the message and run-splitting helpers the reference
+step loop uses, and the stack of every array field of a trace list."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from platoonsec import observer
 from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError
 from platoonsec.dynamics import PlantMatrix, step_rows
-from platoonsec.observer import ObserverParams, _gate_classes, _saturated_update
+from platoonsec.harness import _designed_threshold
+from platoonsec.observer import ObserverParams
 from platoonsec.rng import _MASK
 from platoonsec.sensing import MeasurementFrame, _chain_to
 
@@ -125,10 +127,54 @@ def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray | None,
 
 def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
                     beta: float) -> float:
-    """Weight of one innovation block (see :func:`_saturated_update`)."""
-    row = (float(innovation[0]), float(innovation[1]))
-    return _saturated_update(0.0, 0.0, (row,), _gate_classes((sensor,), sets),
-                             beta, 1.0)[2][0]
+    """Weight of one innovation block: 0 for a confirmed-attacked sensor, 1
+    for a trusted one, and ``min(1, beta / ‖e‖)`` for an unknown one, with
+    the norm by ``math.hypot``; a zero innovation keeps weight 1 and a NaN
+    norm gives a NaN weight."""
+    if sensor in sets.attacked:
+        return 0.0
+    if sensor in sets.trusted:
+        return 1.0
+    norm = math.hypot(float(innovation[0]), float(innovation[1]))
+    return beta / norm if not norm <= beta else 1.0
+
+
+def bound_envelopes_per_vehicle(config) -> list:
+    """Per-vehicle form of ``harness.bound_envelopes``: every interior vehicle
+    advances its own ``rho`` and every edge vehicle reads its source's bound
+    from the previous step's ``alpha``."""
+    topo = config.topology()
+    params = observer.ObserverParams.from_config(config)
+    thr = _designed_threshold(config, params)
+    empty = DetectionSets.empty()
+    nan = float("nan")
+
+    rho = {i: params.q for i in topo.v1}
+    tau = {i: params.q for i in topo.v2}
+    alpha = {i: params.q for i in topo.vehicles()}
+    source = {i: observer.nearest_trusted(i, empty, topo) for i in topo.v2}
+
+    rows = []
+    for i in topo.vehicles():
+        if i in topo.v1:
+            rows.append((0, i, params.q, nan, nan, params.q))
+        else:
+            rows.append((0, i, nan, params.q, params.q, params.q))
+    for t in range(1, config.horizon + 1):
+        new_rho = {i: observer.rho_update(rho[i], empty, i, topo,
+                                          thr.beta_at(rho[i], params), params)
+                   for i in topo.v1}
+        new_tau = {i: observer.tau_update(tau[i], abs(source[i] - i),
+                                          alpha[source[i]], params)
+                   for i in topo.v2}
+        rho, tau = new_rho, new_tau
+        alpha = {**rho, **tau}
+        for i in topo.vehicles():
+            if i in topo.v1:
+                rows.append((t, i, rho[i], nan, nan, rho[i]))
+            else:
+                rows.append((t, i, nan, tau[i], tau[i], tau[i]))
+    return rows
 
 
 def feasibility_check(omega: float, p: ObserverParams) -> bool:

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc, string_overrides
-from oracles import (Message, _fmt, control_input, controller_neighbors,
-                     performance_phi, platoon_phi, stack_traces, step_vehicle)
+from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
+                     controller_neighbors, performance_phi, platoon_phi, stack_traces,
+                     step_vehicle)
 from platoonsec import detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError, Topology,
                             fuse_sets, load_scenario)
@@ -581,6 +582,40 @@ def test_bound_envelopes_static_mode_differs():
     by = {(t, i): vals for t, i, *vals in rows}
     assert by[(1, 3)][0] == 159.08912203164363   # same first step
     assert by[(2, 3)][0] == 48.089122031643605   # tighter than adaptive
+
+
+def _envelope_bits(rows) -> list:
+    return [struct.pack("<2q4d", *row) for row in rows]
+
+
+def _random_envelope_doc(rng, mode):
+    L = int(rng.integers(1, 5))
+    n = int(rng.integers(2 * L + 1, 41))
+    b = int(rng.integers(0, L + 1))
+    T = float(rng.uniform(0.005, 0.02))
+    attacked = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size=b, replace=False))
+    return baseline_doc(
+        horizon=int(rng.integers(1, 40)), N=n, L=L, b=b, T=T,
+        q=float(rng.uniform(100.0, 500.0)), epsilon=float(rng.uniform(0.01, 0.3)),
+        mu=float(rng.uniform(0.01, 0.3)), delta_x=[[20.0, 0.0]] * (n - 1),
+        x0=[0.0, 0.0], x_init=[[0.0, 0.0]] * n, threshold_mode={"mode": mode},
+        attack={"set": attacked, "kind": "random", "params": {"scale": 1.0}})
+
+
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+def test_bound_envelopes_match_the_per_vehicle_driver(mode):
+    """One shared interior ``rho`` per step gives the rows of the driver that
+    advances every interior and edge vehicle on its own, bit for bit: on the
+    N=21 string, whose edge vehicles lean on different interior ones, and on
+    random configs with N <= 40 and L <= 4."""
+    docs = [baseline_doc(horizon=60, threshold_mode={"mode": mode},
+                         **string_overrides(21, [6, 15]))]
+    rng = np.random.default_rng(5 if mode == "static" else 6)
+    docs += [_random_envelope_doc(rng, mode) for _ in range(60)]
+    for doc in docs:
+        cfg = load_scenario(doc)
+        assert _envelope_bits(bound_envelopes(cfg)) == _envelope_bits(
+            bound_envelopes_per_vehicle(cfg))
 
 
 # --------------------------------------------------------------------------

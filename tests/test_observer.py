@@ -262,7 +262,7 @@ def test_interior_rows_zero_innovation_zero_ceiling_and_negative_zero(mode):
         sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, [0.0] * n, thr, p, [None] * n)
     assert betas == [0.0] * (n - 2 * L) and bounds == [0.0] * (n - 2 * L)
-    assert gains[0] == [1.0] * 5 and gains[1] == [1.0, 1.0, 0.0, 1.0, 1.0]
+    assert list(gains[0]) == [1.0] * 5 and list(gains[1]) == [1.0, 1.0, 0.0, 1.0, 1.0]
 
 
 def _classified_sets(rng, n, trusted_share):
@@ -274,11 +274,11 @@ def _classified_sets(rng, n, trusted_share):
 
 
 @pytest.mark.parametrize("mode", ["static", "adaptive"])
-def test_interior_rows_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
+def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
     """The same sets objects over several steps, with fresh predictions,
-    readings and bounds: windows of trusted and attacked sources only skip
-    the general gate and still equal stack_measurements -> beta_at ->
-    measurement_update_v1 -> rho_update bit for bit, and a gain row handed
+    readings and bounds: windows of trusted and attacked sources only equal
+    stack_measurements -> beta_at -> measurement_update_v1 -> rho_update bit
+    for bit from a reused memo, and a gain row handed
     out at one step is unchanged by later steps."""
     L, n = 2, 23
     p = ObserverParams(L=L, b=2, q=300.0, eps=0.1, mu=0.1,
@@ -289,14 +289,6 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
     every = DetectionSets(frozenset(range(1, n + 1)), frozenset(), frozenset())
     sets = [every if k % 3 == 0 else _classified_sets(rng, n, 0.7) for k in range(n)]
     memo = [None] * n
-    general = []
-    gate = observer._saturated_update
-
-    def counted(*args):
-        general.append(args)
-        return gate(*args)
-
-    monkeypatch.setattr(observer, "_saturated_update", counted)
     handed_out = []
     for step in range(6):
         coord = rng.normal(0.0, 50.0, size=(3, n, 2))
@@ -308,11 +300,9 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode, monkeypatch):
             y_rel = np.zeros((n - 1, 2))
         rho = rng.uniform(0.0, 300.0, size=n).tolist()
         frame = sensing.MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
-        gated = len(general)
         got_x, got_g, got_b, got_r = observer.interior_rows(
             x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
             memo)
-        assert len(general) == gated  # no window went through the general gate
         for row, i in enumerate(sorted(topo.v1)):
             k = i - 1
             bt = thr.beta_at(rho[k], p)
@@ -629,6 +619,42 @@ def test_asymptotic_bounds_diverge_for_weak_gains_on_fast_sampling():
     topo = Topology.build(3, 1)
     with pytest.raises(InfeasibleBoundError):
         asymptotic_bounds_static(EMPTY, topo, 1.0, p)
+
+
+def test_adaptive_interior_bound_never_falls_as_k0_rises_past_one():
+    """An honest gain never exceeds 1, so a threshold above the honest
+    ceiling (k0 > 1) lets the unknown sources push harder and cannot shrink
+    the interior radius: from k0 = 1 up, a1 never decreases as k0 grows,
+    or the bound is refused, on the baseline with b = 2 and empty sets and
+    on random designs and sets."""
+    p = _params(b=2)
+    a1 = [asymptotic_bounds_adaptive(EMPTY, TOPO5, k0 * p.beta_max, p)[0]
+          for k0 in (1.0, 1.1, 1.2)]
+    assert a1 == sorted(a1) and a1[2] == pytest.approx(3.7052, abs=5e-5)
+    with pytest.raises(InfeasibleBoundError, match="contraction 1.25627"):
+        asymptotic_bounds_adaptive(EMPTY, TOPO5, 2.0 * p.beta_max, p)
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(60):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(2 * L + 1, 41))
+        p = ObserverParams(L=L, b=int(rng.integers(0, L + 1)),
+                           q=float(rng.uniform(100.0, 500.0)),
+                           eps=float(rng.uniform(0.01, 0.3)), mu=float(rng.uniform(0.01, 0.3)),
+                           norm_A=plant_norm(float(rng.uniform(0.005, 0.02))), varpi=2.0)
+        topo = Topology.build(n, L)
+        for sets in _grown_sets(rng, n, p.b)[::4]:
+            prev, refused = 0.0, False
+            for k0 in np.linspace(1.0, 2.0, 11).tolist():
+                try:
+                    a1 = asymptotic_bounds_adaptive(sets, topo, k0 * p.beta_max, p)[0]
+                except InfeasibleBoundError:
+                    refused = True
+                    continue
+                assert not refused and a1 >= prev
+                prev = a1
+                checked += 1
+    assert checked > 1000
 
 
 def _grown_sets(rng, n, b):

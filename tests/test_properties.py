@@ -3,12 +3,13 @@ acceptance gate's N <= 9: random platoons up to N=64 with windows up to
 L=4, every attack kind with a start time per attacked sensor, and both
 threshold modes.  Every step and vehicle of every run must keep the true
 state inside its real-time error bound, and every vehicle's detection sets
-must stay fault-free and never shrink."""
+must stay fault-free and never shrink.  Once some vehicle has confirmed
+all b attacks, every vehicle's sets must be exact one diameter later."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from platoonsec.core import DetectionSets, load_scenario
 from platoonsec.dynamics import plant_norm
@@ -19,10 +20,10 @@ SLACK = 1e-9
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_n=64, min_b=0, max_horizon=20):
     L = draw(st.integers(1, 4))
-    n = draw(st.integers(2 * L + 1, 64))
-    b = draw(st.integers(0, L))
+    n = draw(st.integers(2 * L + 1, max_n))
+    b = draw(st.integers(min_b, L))
     T = draw(st.floats(0.005, 0.02))
     q = draw(st.floats(100.0, 500.0))
     eps = draw(st.floats(0.01, 0.3))
@@ -54,7 +55,7 @@ def scenarios(draw):
         "g_s": g_s, "g_v": g_v,
         "threshold_mode": {"mode": draw(st.sampled_from(("static", "adaptive")))},
         "attack": {"set": attacked, "kind": kind, "params": params},
-        "horizon": draw(st.integers(1, 20)),
+        "horizon": draw(st.integers(1, max_horizon)),
         "seed": draw(st.integers(0, 2 ** 31 - 1)),
         "delta_x": [[20.0, 0.0]] * (n - 1),
         "x0": x_init[0],
@@ -77,3 +78,26 @@ def test_bounds_hold_and_sets_stay_fault_free_and_monotone(doc):
             assert now.attacked <= attacked and now.trusted <= clean, (tr.t, i, now)
             assert was.attacked <= now.attacked and was.trusted <= now.trusted, (tr.t, i)
         prev = tr.sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(max_n=40, min_b=1, max_horizon=60))
+def test_sets_are_exact_one_diameter_after_b_attacks_are_confirmed(doc):
+    """Paper claim 1, where the code claims it: if some vehicle has confirmed
+    all b attacks at step t1, every vehicle's sets are exact (all b attacked
+    sensors confirmed, every other sensor trusted, none suspected) at
+    t1 + ceil((N-1)/L), whenever that step lies within the horizon."""
+    cfg = load_scenario(doc)
+    exact = DetectionSets(trusted=frozenset(range(1, cfg.N + 1)) - set(cfg.attack.attacked),
+                          attacked=frozenset(cfg.attack.attacked))
+    diameter = cfg.topology().diameter()
+    first = None
+    for tr in run_simulation(cfg):
+        if first is None and any(len(s.attacked) == cfg.b for s in tr.sets):
+            first = tr.t
+        if first is not None and tr.t == first + diameter:
+            assert all(s == exact for s in tr.sets), (first, tr.t)
+            event("identified within one diameter")
+            return
+    event("no vehicle confirmed b attacks" if first is None
+          else "first confirmation plus one diameter beyond the horizon")
