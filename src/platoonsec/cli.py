@@ -23,8 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="platoonsec",
         description="Resilient estimation, attack detection, and formation "
                     "control for a vehicle string with compromised sensors.")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate one run and write its trace directory")
@@ -115,9 +113,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, InconsistentSetsError, harness.SimulationError,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import PlantMatrix, plant_norm
+from .dynamics import plant_norm
 
 
 def grounded_laplacian(n: int) -> np.ndarray:
@@ -54,11 +54,13 @@ def check_gains(g_s: float, g_v: float, T: float, n: int) -> GainReport:
 
 
 def closed_loop_matrix(n: int, T: float, g_s: float, g_v: float) -> np.ndarray:
-    """Error dynamics matrix ``kron(I, A) - kron(L_g, F)`` of the platoon."""
-    plant = PlantMatrix.build(T)
+    """Error dynamics matrix ``kron(I, A) - kron(L_g, F)`` of the platoon,
+    with ``A = [[1, T], [0, 1]]``."""
+    if T <= 0:
+        raise ValueError(f"sampling period must be positive, got {T}")
     feedback = np.array([[0.0, 0.0], [T * g_s, T * g_v]])
     lg = grounded_laplacian(n)
-    return np.kron(np.eye(n), plant.A) - np.kron(lg, feedback)
+    return np.kron(np.eye(n), np.array([[1.0, T], [0.0, 1.0]])) - np.kron(lg, feedback)
 
 
 def spectral_radius(mat: np.ndarray) -> float:

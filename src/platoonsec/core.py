@@ -199,9 +199,6 @@ class ScenarioConfig:
     def topology(self) -> Topology:
         return Topology.build(self.N, self.L)
 
-    def plant(self) -> dynamics.PlantMatrix:
-        return dynamics.PlantMatrix.build(self.T)
-
     def initial_error(self) -> tuple[float, int]:
         """Largest initial estimation error ``|x_hat_i(0) - x_i(0)|`` and the
         first vehicle with it."""
@@ -293,8 +290,6 @@ def load_scenario(source) -> ScenarioConfig:
     if N < 2:
         raise ConfigError(f"need at least two vehicles, got N={N}")
     partition_vehicles(N, L)  # validates N > 2L, L >= 1
-    LOG.info("topology: neighbour windows truncated at the string ends (1 and N), "
-             "keeping the communication graph symmetric")
     if b < 1:
         LOG.warning("b=%d leaves no attack budget; detection rules will be vacuous", b)
     elif b > L:

@@ -7,7 +7,6 @@ virtual leader follows the same recursion with zero input and zero noise.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -22,22 +21,6 @@ def plant_norm(T: float) -> float:
     if T < 0:
         raise ValueError("sampling period must be nonnegative")
     return math.sqrt((2.0 + T * T + T * math.sqrt(T * T + 4.0)) / 2.0)
-
-
-@dataclass(frozen=True)
-class PlantMatrix:
-    """Sampling period, system matrix, and its spectral norm."""
-
-    T: float
-    A: np.ndarray
-    norm_A: float
-
-    @classmethod
-    def build(cls, T: float) -> "PlantMatrix":
-        if T <= 0:
-            raise ValueError(f"sampling period must be positive, got {T}")
-        A = np.array([[1.0, T], [0.0, 1.0]])
-        return cls(T=float(T), A=A, norm_A=plant_norm(T))
 
 
 def rows_array(rows, width: int) -> np.ndarray:
@@ -60,10 +43,11 @@ def step_rows(x: list, u: list, T: float, d: list | None = None) -> list:
             for (s, v), uk, (d0, d1) in zip(x, u, d)]
 
 
-def reference_step(x0, plant: PlantMatrix) -> np.ndarray:
-    """Advance the virtual leader ``(s, v)``: constant velocity, no input, no
-    noise, which is the step :func:`advance_deltas` takes."""
-    return np.array(advance_deltas((x0,), plant)[0])
+def reference_step(x0, T: float) -> np.ndarray:
+    """Advance the virtual leader ``(s, v)`` by one period ``T``: constant
+    velocity, no input, no noise, which is the step :func:`advance_deltas`
+    takes."""
+    return np.array(advance_deltas((x0,), T)[0])
 
 
 def desired_state_chain(x0, deltas) -> np.ndarray:
@@ -82,12 +66,11 @@ def desired_state_chain(x0, deltas) -> np.ndarray:
     return rows_array(rows, 2)
 
 
-def advance_deltas(deltas, plant: PlantMatrix):
-    """Propagate the desired-gap vectors one step: each follows ``A``.
+def advance_deltas(deltas, T: float):
+    """Propagate the desired-gap vectors one period ``T``: each follows ``A``.
 
     Float rows give a list of rows and an ``(N-1, 2)`` array gives an array.
     """
-    T = plant.T
     if isinstance(deltas, np.ndarray):
-        return np.array(advance_deltas(deltas.tolist(), plant)).reshape(-1, 2)
+        return np.array(advance_deltas(deltas.tolist(), T)).reshape(-1, 2)
     return [(s + T * v, v) for s, v in deltas]

@@ -165,14 +165,13 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     """
     params, thr, _ = _validated_design(config)
     topo = config.topology()
-    plant = config.plant()
     if config.horizon == 0:
         return []
 
     n = config.N
     Lw = config.L
     width = 2 * Lw + 1
-    T = plant.T
+    T = config.T
     vehicles = range(1, n + 1)
     interior = [i in topo.v1 for i in vehicles]
     inner = slice(Lw, n - Lw)  # rows of the interior vehicles L+1 .. N-L
@@ -181,7 +180,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     pwm = config.controller_mode == "pwm"
     g_s, g_v = config.g_s, config.g_v
     mu, eps, b = config.mu, config.epsilon, config.b
-    norm_A = plant.norm_A
+    norm_A = params.norm_A
     varpi = config.varpi
     nan = math.nan
     has_attack = bool(config.attack.attacked)
@@ -241,9 +240,9 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     for t in range(1, config.horizon + 1):
         d = sensing.sample_noise(rnd.process(t), eps, n).tolist() if eps else zero_noise
         x = step_rows(x, u, T, d)
-        x_leader = reference_step(lead, plant)
+        x_leader = reference_step(lead, T)
         lead = x_leader.tolist()
-        deltas = advance_deltas(deltas, plant)
+        deltas = advance_deltas(deltas, T)
         x_star = desired_state_chain(lead, deltas)
         stars = x_star.tolist()
 
@@ -347,23 +346,21 @@ class MonteCarloSummary:
     final_phi: np.ndarray     # (runs,)
 
     def to_json(self) -> dict:
-        return {
-            "runs": self.runs, "base_seed": self.base_seed,
-            "horizon": self.horizon, "N": self.n,
-            "phi": list(self.phi), "phi_platoon": list(self.phi_platoon),
-            "final_phi": list(self.final_phi),
-            "eta_pos": [list(r) for r in self.eta_pos],
-            "eta_vel": [list(r) for r in self.eta_vel],
-            "zeta_pos": [list(r) for r in self.zeta_pos],
-            "zeta_vel": [list(r) for r in self.zeta_vel],
-        }
+        doc = {"runs": self.runs, "base_seed": self.base_seed,
+               "horizon": self.horizon, "N": self.n}
+        for key in ("phi", "phi_platoon", "final_phi", "eta_pos", "eta_vel",
+                    "zeta_pos", "zeta_vel"):
+            doc[key] = getattr(self, key).tolist()
+        return doc
 
 
-def _run_metrics(traces) -> dict:
-    """One run's per-step metrics, from the only trace fields they read."""
-    x = np.stack([tr.x for tr in traces])
-    err = np.stack([tr.x_hat for tr in traces]) - x
-    rel = x - np.stack([tr.x_leader for tr in traces])[:, None, :]
+def _run_metrics(traces, n: int) -> dict:
+    """One run's per-step metrics, keyed by their ``MonteCarloSummary`` field
+    names, from the only trace fields they read; a run of no steps gives
+    arrays with no rows."""
+    x = np.array([tr.x for tr in traces]).reshape(-1, n, 2)
+    err = np.array([tr.x_hat for tr in traces]).reshape(-1, n, 2) - x
+    rel = x - np.array([tr.x_leader for tr in traces]).reshape(-1, 1, 2)
     return {
         "eta_pos": np.abs(err[:, :, 0]), "eta_vel": np.abs(err[:, :, 1]),
         "zeta_pos": rel[:, :, 0], "zeta_vel": rel[:, :, 1],
@@ -379,26 +376,12 @@ def monte_carlo(config: ScenarioConfig, runs: int,
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
     base = config.seed if base_seed is None else base_seed
-    per_run = []
-    for k in range(runs):
-        traces = run_simulation(config, seed=base + k, run_index=k)
-        if traces:
-            per_run.append(_run_metrics(traces))
-    if config.horizon == 0:
-        shape = (0, config.N)
-        zero = np.zeros(shape)
-        return MonteCarloSummary(runs=runs, base_seed=base, horizon=0, n=config.N,
-                                 eta_pos=zero, eta_vel=zero.copy(),
-                                 zeta_pos=zero.copy(), zeta_vel=zero.copy(),
-                                 phi=np.zeros(0), phi_platoon=np.zeros(0),
-                                 final_phi=np.zeros(runs))
+    per_run = [_run_metrics(run_simulation(config, seed=base + k, run_index=k), config.N)
+               for k in range(runs)]
     agg = {key: sum(m[key] for m in per_run) / runs for key in per_run[0]}
-    return MonteCarloSummary(
-        runs=runs, base_seed=base, horizon=config.horizon, n=config.N,
-        eta_pos=agg["eta_pos"], eta_vel=agg["eta_vel"],
-        zeta_pos=agg["zeta_pos"], zeta_vel=agg["zeta_vel"],
-        phi=agg["phi"], phi_platoon=agg["phi_platoon"],
-        final_phi=np.array([m["phi"][-1] for m in per_run]))
+    final_phi = [m["phi"][-1] for m in per_run] if config.horizon else [0.0] * runs
+    return MonteCarloSummary(runs=runs, base_seed=base, horizon=config.horizon, n=config.N,
+                             final_phi=np.array(final_phi), **agg)
 
 
 # --------------------------------------------------------------------------
@@ -412,13 +395,12 @@ def feasibility_report(config: ScenarioConfig) -> dict:
     and the asymptotic estimation/tracking bounds evaluated with empty
     detection sets."""
     topo = config.topology()
-    plant = config.plant()
     params = observer.ObserverParams.from_config(config)
     empty = DetectionSets.empty()
     worst, vehicle = config.initial_error()
 
     report = {
-        "plant": {"T": config.T, "norm_A": plant.norm_A, "varpi": config.varpi,
+        "plant": {"T": config.T, "norm_A": params.norm_A, "varpi": config.varpi,
                   "edge_contraction": params.contraction, "mu_bar": params.mu_bar},
         "topology": {"N": config.N, "L": config.L,
                      "interior": sorted(topo.v1), "edge": sorted(topo.v2),

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConfigError, DetectionSets, Topology
+from .dynamics import plant_norm
 
 LOG = logging.getLogger(__name__)
 
@@ -75,9 +76,8 @@ class ObserverParams:
 
     @classmethod
     def from_config(cls, config) -> "ObserverParams":
-        from . import dynamics
         return cls(L=config.L, b=config.b, q=config.q, eps=config.epsilon,
-                   mu=config.mu, norm_A=dynamics.plant_norm(config.T),
+                   mu=config.mu, norm_A=plant_norm(config.T),
                    varpi=config.varpi)
 
 
@@ -175,12 +175,13 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     row with no clipped source is handed out as the memo's tuple.
 
     Vehicles that share the previous bound and the count terms share the
-    bound step too: ``steps`` maps a previous bound to the ``(terms, beta,
-    rho_next)`` computed from it in this call, so ``beta_at`` and
-    ``_rho_next`` run once per distinct pair, and the sharing vehicles get
-    the same float objects.  Only equal floats with equal bits may share a
-    key, so a nonzero bound is keyed by its value and a zero by its object,
-    since ``0.0 == -0.0``; a NaN matches only itself.  The object ids stay
+    bound step too: ``steps`` maps a ``(previous bound, count terms)`` key
+    to the ``(beta, rho_next)`` computed from it in this call, so
+    ``beta_at`` and ``_rho_next`` run once per distinct pair, and the
+    sharing vehicles get the same float objects.  Only equal floats with
+    equal bits may share a key, so a nonzero bound is keyed by its value and
+    a zero by its object, since ``0.0 == -0.0``; a NaN matches only itself,
+    as tuple equality tests identity first.  The object ids stay
     unique because ``rho`` holds every key's object for the whole call.
     Count terms come from the window's counts and ``p`` alone, and no float
     in them is a zero whose sign differs between windows, so equal terms
@@ -203,18 +204,12 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
             entry = memo[k] = (si, terms, *_window(classes, k - L))
         _, terms, sources, row = entry
         rho_prev = rho[k]
-        key = rho_prev or (id(rho_prev),)  # a zero by its object: 0.0 == -0.0
-        shared = steps.get(key)
-        if shared is None:
-            shared = steps[key] = []
-        for step in shared:
-            if step[0] == terms:
-                break
-        else:
+        key = (rho_prev or (id(rho_prev),), terms)  # a zero by its object: 0.0 == -0.0
+        step = steps.get(key)
+        if step is None:
             bt = thr.beta_at(rho_prev, p)
-            step = (terms, bt, _rho_next(rho_prev, terms, bt, p))
-            shared.append(step)
-        _, bt, rho_new = step
+            step = steps[key] = (bt, _rho_next(rho_prev, terms, bt, p))
+        bt, rho_new = step
         xb0, xb1 = xb[k]
         x0, x1, g = _window_update(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
         estimates.append((x0, x1))

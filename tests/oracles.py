@@ -2,9 +2,10 @@
 forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
 reconstruction), per-vehicle forms of batched code (the control law, the
-saturation gain, the bound envelopes), a fresh generator per draw site, the
-per-cell CSV format, the message and run-splitting helpers the reference
-step loop uses, and the stack of every array field of a trace list."""
+saturation gain, the saturated window update, the bound envelopes), a
+fresh generator per draw site, the per-cell CSV format, the message and
+run-splitting helpers the reference step loop uses, and the stack of every
+array field of a trace list."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from platoonsec import observer
 from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError
-from platoonsec.dynamics import PlantMatrix, step_rows
+from platoonsec.dynamics import step_rows
 from platoonsec.harness import _designed_threshold
 from platoonsec.observer import ObserverParams
 from platoonsec.rng import _MASK
@@ -116,11 +117,11 @@ def split_suspicious(indices) -> list:
 
 
 def step_vehicle(x: np.ndarray, u: float | np.ndarray, d: np.ndarray | None,
-                 plant: PlantMatrix) -> np.ndarray:
+                 T: float) -> np.ndarray:
     """Advance one vehicle ``(2,)`` or a platoon ``(N, 2)``: ``A x + (0, T u) + d``
     (array form of :func:`step_rows`; ``d=None`` adds no noise)."""
     rows = np.reshape(x, (-1, 2))
-    out = step_rows(rows.tolist(), np.broadcast_to(u, len(rows)).tolist(), plant.T,
+    out = step_rows(rows.tolist(), np.broadcast_to(u, len(rows)).tolist(), T,
                     None if d is None else np.broadcast_to(d, rows.shape).tolist())
     return np.array(out).reshape(np.shape(x))
 
@@ -220,6 +221,27 @@ def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.nd
     if i == j:
         return frame.y_abs[i - 1]
     return _chain_to(frame.y_abs[j - 1], frame, i, j)
+
+
+def saturated_window_update(x_bar: np.ndarray, frame: MeasurementFrame, i: int, topo,
+                            sets: DetectionSets, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window form of the interior correction: each sensor ``j`` of
+    ``i-L .. i+L`` reconstructs vehicle ``i``'s state, its innovation gets
+    :func:`saturation_gain`'s weight, and the prediction moves by the
+    weighted innovations, summed in sensor order, over ``2L``.  A
+    confirmed-attacked source is cut off, whatever its innovation.  Returns
+    the estimate and the gain of each sensor."""
+    c0 = c1 = 0.0
+    gains = []
+    for j in range(i - topo.L, i + topo.L + 1):
+        eta = reconstruct_absolute(frame, i, j, topo) - x_bar
+        k = saturation_gain(eta, j, sets, beta)
+        gains.append(k)
+        if j not in sets.attacked:
+            c0 += k * float(eta[0])
+            c1 += k * float(eta[1])
+    scale = 2.0 * topo.L
+    return np.array([float(x_bar[0]) + c0 / scale, float(x_bar[1]) + c1 / scale]), np.array(gains)
 
 
 def _fmt(value) -> str:

@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 import scipy.linalg
 
 from conftest import baseline_doc, string_overrides
 from oracles import _fmt
+import platoonsec
 from platoonsec import cli, controller, detector, harness, observer
 from platoonsec.core import DetectionSets, InconsistentSetsError, load_scenario
 
@@ -32,6 +36,17 @@ def test_run_writes_the_trace_directory_and_prints_the_digest(tmp_path, capsys):
         assert os.path.isfile(os.path.join(out, name))
     on_disk = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
     assert on_disk == digest
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "run"], ["monte-carlo", "--runs", "2", "--out", "mc"],
+    ["check-feasibility"], ["bounds", "--out", "bounds.csv"]])
+def test_every_command_is_quiet_on_stderr_when_it_succeeds(tmp_path, command):
+    cfg_path = _config_file(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(platoonsec.__file__)))
+    done = subprocess.run([sys.executable, "-m", "platoonsec.cli", *command, "--config", cfg_path],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_run_seed_override_lands_in_the_written_scenario(tmp_path, capsys):
@@ -355,3 +370,57 @@ def test_run_writes_every_artifact_on_the_101_vehicle_string(string101, tmp_path
         assert os.path.isfile(os.path.join(out, name))
     with open(os.path.join(out, "feasibility.json"), encoding="utf-8") as fh:
         assert json.load(fh)["closed_loop"]["schur"] is True
+
+
+def _cli_artifact_digests(tmp_path, capsys, cfg_path) -> dict:
+    """SHA-256 of every deterministic CLI artifact of one scenario: the run's
+    scenario and summary, a three-run ensemble's summary and metrics, the
+    bounds CSV and the feasibility report without its LAPACK-derived
+    ``closed_loop`` and ``tracking_bounds`` blocks."""
+    def path(name):
+        return os.path.join(tmp_path, name)
+
+    assert cli.main(["run", "--config", cfg_path, "--out", path("run")]) == 0
+    assert cli.main(["monte-carlo", "--config", cfg_path, "--runs", "3",
+                     "--out", path("mc")]) == 0
+    assert cli.main(["bounds", "--config", cfg_path, "--out", path("bounds.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["closed_loop"], report["tracking_bounds"]
+    digests = {"feasibility": hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()}
+    for name in ("run/scenario.json", "run/summary.json", "mc/summary.json",
+                 "mc/metrics.csv", "bounds.csv"):
+        with open(path(name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+#: digests of :func:`_cli_artifact_digests` on the 60-step baseline and N=21
+#: string, recorded before the plant wrapper and the field-by-field Monte
+#: Carlo summary were removed; the trace CSVs are pinned in test_harness.py
+PINNED_CLI_ARTIFACTS = {
+    "baseline": ({}, {
+        "feasibility": "2ff2edd318c625a53b31921d9a675d62708400518e7b8d7f2d6bdff79f2c9698",
+        "run/scenario.json": "13cbf29f0dee93c3d26f6f873d0c2eb3354c2ca8bf3811715ee945b4dad4509d",
+        "run/summary.json": "16eeefa1c1ea438a04bc4ccb9fba36a83566d6f9dad420ee7c59f68dbc1476b3",
+        "mc/summary.json": "9c9d8149ff4b1f260be9c43ec67c972f91067162cee6075f28a7b1536ab5bc1a",
+        "mc/metrics.csv": "e1f9fac8a87560e9f153205ee8894c87b575cbe1268e3d473e2e0c0e74699d56",
+        "bounds.csv": "c463e7d6e2727f618f23b3ea352003964af4a1e2d1a81d04b59a7c748cb84045",
+    }),
+    "string21": (string_overrides(21, [6, 15]), {
+        "feasibility": "4dc1dbd054706a839a5bfacad92a64a680e4037e16a0d763372630d6e8421735",
+        "run/scenario.json": "3b36d022d76c07731745b4a3e6cbc981f1109e67cc3b31351707502c16fefc35",
+        "run/summary.json": "26cc6da5811b8a80a1922cd9ca54f3327030c09dfa6d70a2e04c2ce20bbe16a9",
+        "mc/summary.json": "35b9faa56a438d1d7e6edc72b5aa627ebfe463353dcbda02f38bf80363fe70e7",
+        "mc/metrics.csv": "80e5ae4108d2bc67eb9ae6266ddf6f48fc10e4612c8970e0472075a244cacae6",
+        "bounds.csv": "d05ed4ab8fcb53201401928be40a8b249caa5f991064d76c2fd8075052ede5ca",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLI_ARTIFACTS))
+def test_cli_artifacts_match_their_pinned_bytes(tmp_path, capsys, name):
+    overrides, digests = PINNED_CLI_ARTIFACTS[name]
+    cfg_path = _config_file(tmp_path, horizon=60, **overrides)
+    assert _cli_artifact_digests(tmp_path, capsys, cfg_path) == digests

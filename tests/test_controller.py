@@ -132,6 +132,12 @@ def test_closed_loop_matrix_is_the_expected_kronecker_sum():
     assert LOOP.shape == (2 * N, 2 * N)
 
 
+@pytest.mark.parametrize("period", [0.0, -0.01])
+def test_closed_loop_matrix_refuses_a_nonpositive_period(period):
+    with pytest.raises(ValueError, match="sampling period must be positive"):
+        closed_loop_matrix(N, period, G_S, G_V)
+
+
 def test_baseline_loop_is_schur_with_pinned_radius():
     assert spectral_radius(LOOP) == pytest.approx(0.9899450911072051, rel=1e-12)
 

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import step_vehicle
 from platoonsec.dynamics import (
-    PlantMatrix,
     advance_deltas,
     desired_state_chain,
     plant_norm,
@@ -33,28 +32,20 @@ def test_plant_norm_exceeds_one():
         assert plant_norm(T) > 1.0
 
 
-def test_plant_matrix_build():
-    plant = PlantMatrix.build(0.01)
-    assert np.array_equal(plant.A, np.array([[1.0, 0.01], [0.0, 1.0]]))
-    assert plant.T == 0.01
-    assert plant.norm_A == plant_norm(0.01)
-
-
 def test_step_vehicle_matches_matrix_form():
-    plant = PlantMatrix.build(0.02)
+    T = 0.02
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = rng.normal(size=2) * 100
         u = float(rng.normal() * 50)
         d = rng.normal(size=2) * 0.1
-        got = step_vehicle(x, u, d, plant)
-        want = plant.A @ x + np.array([0.0, plant.T * u]) + d
+        got = step_vehicle(x, u, d, T)
+        want = np.array([[1.0, T], [0.0, 1.0]]) @ x + np.array([0.0, T * u]) + d
         assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_step_vehicle_hand_example():
-    plant = PlantMatrix.build(0.1)
-    out = step_vehicle(np.array([1.0, 2.0]), 10.0, np.array([0.5, -0.5]), plant)
+    out = step_vehicle(np.array([1.0, 2.0]), 10.0, np.array([0.5, -0.5]), 0.1)
     # position advances by T*v, velocity by T*u, then the disturbance lands
     assert np.array_equal(out, np.array([1.0 + 0.2 + 0.5, 2.0 + 1.0 - 0.5]))
 
@@ -70,8 +61,8 @@ def _plant_step(x, u, d, A, T):
 
 @pytest.mark.parametrize("n", [5, 21])
 def test_step_rows_equals_the_per_vehicle_plant_step_bit_for_bit(n):
-    plant = PlantMatrix.build(0.01)
-    A, T = plant.A.tolist(), plant.T
+    T = 0.01
+    A = [[1.0, T], [0.0, 1.0]]
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 2)) * 100
     u = rng.normal(size=n) * 50
@@ -88,12 +79,11 @@ def test_step_rows_equals_the_per_vehicle_plant_step_bit_for_bit(n):
 
 
 def test_reference_step_is_constant_velocity():
-    plant = PlantMatrix.build(0.01)
     x = np.array([200.0, 10.0])
-    x = reference_step(x, plant)
+    x = reference_step(x, 0.01)
     assert np.array_equal(x, np.array([200.1, 10.0]))
     for _ in range(99):
-        x = reference_step(x, plant)
+        x = reference_step(x, 0.01)
     assert x[1] == 10.0
     assert x[0] == pytest.approx(200.0 + 10.0 * 0.01 * 100, rel=1e-12)
 
@@ -122,20 +112,18 @@ def test_desired_state_chain_single_vehicle():
 
 
 def test_advance_deltas_moves_position_offset_by_velocity_offset():
-    plant = PlantMatrix.build(0.5)
     deltas = np.array([[10.0, 2.0], [20.0, 0.0]])
-    out = advance_deltas(deltas, plant)
+    out = advance_deltas(deltas, 0.5)
     assert np.array_equal(out, np.array([[11.0, 2.0], [20.0, 0.0]]))
     # constant-velocity gaps are fixed points
-    again = advance_deltas(out, plant)
+    again = advance_deltas(out, 0.5)
     assert np.array_equal(again[1], out[1])
 
 
 def test_advance_deltas_closes_a_velocity_gap_linearly():
     """A formation with velocity offsets drifts apart at exactly T*dv per step."""
-    plant = PlantMatrix.build(0.01)
     deltas = np.array([[0.0, 5.0]])
     for k in range(1, 11):
-        deltas = advance_deltas(deltas, plant)
+        deltas = advance_deltas(deltas, 0.01)
         assert deltas[0, 0] == pytest.approx(0.05 * k, rel=1e-12)
         assert deltas[0, 1] == 5.0

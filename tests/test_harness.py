@@ -175,7 +175,6 @@ def _replica(cfg, seed=None, run_index=0):
     thr = observer.design_threshold(params, cfg.threshold_mode,
                                     beta=cfg.beta, omega=cfg.omega)
     topo = cfg.topology()
-    plant = cfg.plant()
     n, Lw = cfg.N, cfg.L
     width = 2 * Lw + 1
     vehicles = list(range(1, n + 1))
@@ -219,17 +218,17 @@ def _replica(cfg, seed=None, run_index=0):
     for t in range(1, cfg.horizon + 1):
         d = (sensing.sample_noise(rnd.process(t), cfg.epsilon, n)
              if cfg.epsilon else np.zeros((n, 2)))
-        x = np.stack([step_vehicle(x[k], float(u[k]), d[k], plant)
+        x = np.stack([step_vehicle(x[k], float(u[k]), d[k], cfg.T)
                       for k in range(n)])
-        x_leader = reference_step(x_leader, plant)
-        deltas = advance_deltas(deltas, plant)
+        x_leader = reference_step(x_leader, cfg.T)
+        deltas = advance_deltas(deltas, cfg.T)
         x_star = desired_state_chain(x_leader, deltas)
 
         frame = sensing.measure(x, cfg.attack, cfg.mu, att_state, t,
                                 rnd.measurement(t) if cfg.mu else None,
                                 rnd.attack(t) if has_attack else None)
         y_abs, y_rel = frame.y_abs, frame.y_rel
-        x_bar = np.stack([step_vehicle(x_hat[k], float(u[k]), None, plant)
+        x_bar = np.stack([step_vehicle(x_hat[k], float(u[k]), None, cfg.T)
                           for k in range(n)])
         msgs = [Message(sender=i, t=t, y_abs=y_abs[i - 1],
                         y_rel=y_rel[i - 2] if i >= 2 else None,
@@ -245,7 +244,7 @@ def _replica(cfg, seed=None, run_index=0):
                 i, fused, y_rel[i - 2] if i >= 2 else None,
                 y_abs[i - 2] if i >= 2 else None, y_abs[k], x_bar[k],
                 rho[k] if i in topo.v1 else tau[k],
-                n, cfg.b, cfg.mu, cfg.epsilon, plant.norm_A)
+                n, cfg.b, cfg.mu, cfg.epsilon, params.norm_A)
             new_sets.append(res.sets)
             fired.append((res.pairwise, res.innovation, res.exhaustion,
                           res.completion))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc
-from oracles import feasibility_check, saturation_gain, stream_rng
+from oracles import feasibility_check, saturated_window_update, saturation_gain, stream_rng
 from platoonsec import core, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
@@ -174,9 +174,9 @@ def _bits(values) -> bytes:
 
 
 def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
-    """``interior_rows`` equals stack_measurements -> beta_at ->
-    measurement_update_v1 -> rho_update, bit for bit, for a fresh memo and
-    again for a reused memo whose sets objects changed."""
+    """``interior_rows`` equals beta_at -> the per-window reference
+    ``oracles.saturated_window_update`` -> rho_update, bit for bit, for a
+    fresh memo and again for a reused memo whose sets objects changed."""
     n = len(x_bar)
     topo = Topology.build(n, p.L)
     frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
@@ -189,8 +189,7 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
         for i in sorted(topo.v1):
             k = i - 1
             bt = thr.beta_at(rho[k], p)
-            stacked = sensing.stack_measurements(frame, i, topo)
-            xh, g = measurement_update_v1(x_bar[k], stacked, view[k], bt, p.L)
+            xh, g = saturated_window_update(x_bar[k], frame, i, topo, view[k], bt)
             want_x.append(xh)
             want_g.append(g)
             want_b.append(bt)
@@ -229,6 +228,11 @@ def _interior_cases(draw):
     else:
         y_abs = draw(arrays(float, (n, 2), elements=coord))
         y_rel = draw(arrays(float, (n - 1, 2), elements=coord))
+        # non-finite readings give NaN and infinite innovations, whose gate
+        # is the ``not ‖e‖ <= beta`` rule
+        for _ in range(draw(st.integers(0, 3))):
+            y_abs[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = draw(
+                st.sampled_from((math.nan, math.inf, -math.inf)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     every = DetectionSets(frozenset(range(1, n + 1)), frozenset(), frozenset())
     sets = [draw(st.sampled_from((EMPTY, every, _mixed_sets(rng, n))))
@@ -277,9 +281,9 @@ def _classified_sets(rng, n, trusted_share):
 def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
     """The same sets objects over several steps, with fresh predictions,
     readings and bounds: windows of trusted and attacked sources only equal
-    stack_measurements -> beta_at -> measurement_update_v1 -> rho_update bit
-    for bit from a reused memo, and a gain row handed
-    out at one step is unchanged by later steps."""
+    beta_at -> oracles.saturated_window_update -> rho_update bit for bit
+    from a reused memo, and a gain row handed out at one step is unchanged
+    by later steps."""
     L, n = 2, 23
     p = ObserverParams(L=L, b=2, q=300.0, eps=0.1, mu=0.1,
                        norm_A=plant_norm(0.01), varpi=2.0)
@@ -306,8 +310,7 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
         for row, i in enumerate(sorted(topo.v1)):
             k = i - 1
             bt = thr.beta_at(rho[k], p)
-            stacked = sensing.stack_measurements(frame, i, topo)
-            xh, g = measurement_update_v1(x_bar[k], stacked, sets[k], bt, L)
+            xh, g = saturated_window_update(x_bar[k], frame, i, topo, sets[k], bt)
             assert _bits(got_x[row]) == _bits(xh)
             assert _bits(got_g[row]) == _bits(g)
             assert _bits(got_b[row]) == _bits(bt)

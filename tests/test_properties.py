@@ -20,7 +20,12 @@ SLACK = 1e-9
 
 
 @st.composite
-def scenarios(draw, max_n=64, min_b=0, max_horizon=20):
+def scenarios(draw, max_n=64, min_b=0, max_horizon=20, min_scale=1e-3, min_offset=0.3,
+              settle=None):
+    """A scenario document.  ``min_scale`` and ``min_offset`` (in units of
+    ``mu``) are the smallest ``random`` scale and ``bias`` offset drawn;
+    with ``settle`` the horizon leaves at least that many steps beyond one
+    diameter, as far as ``max_horizon`` allows."""
     L = draw(st.integers(1, 4))
     n = draw(st.integers(2 * L + 1, max_n))
     b = draw(st.integers(min_b, L))
@@ -37,10 +42,10 @@ def scenarios(draw, max_n=64, min_b=0, max_horizon=20):
     params = {"start": draw(st.integers(0, 7)),
               "per_sensor": {str(i): {"start": draw(st.integers(0, 7))} for i in attacked}}
     if kind == "random":
-        params["scale"] = math.exp(draw(st.floats(math.log(1e-3), math.log(10.0))))
+        params["scale"] = math.exp(draw(st.floats(math.log(min_scale), math.log(10.0))))
     elif kind == "bias":
         beta_max = plant_norm(T) * q + eps + (L + 1) * mu
-        mag = math.exp(draw(st.floats(math.log(0.3 * mu), math.log(10.0 * beta_max))))
+        mag = math.exp(draw(st.floats(math.log(min_offset * mu), math.log(10.0 * beta_max))))
         ang = draw(st.floats(0.0, 2.0 * math.pi))
         params["offset"] = [mag * math.cos(ang), mag * math.sin(ang)]
     elif kind == "replay":
@@ -50,12 +55,13 @@ def scenarios(draw, max_n=64, min_b=0, max_horizon=20):
     pos = draw(st.lists(st.floats(0.0, 0.6 * q / math.sqrt(2.0)), min_size=n, max_size=n))
     vel = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     x_init = [[p, v] for p, v in zip(pos, vel)]
+    min_horizon = 1 if settle is None else min(max_horizon, settle + math.ceil((n - 1) / L))
     return {
         "N": n, "L": L, "b": b, "T": T, "q": q, "epsilon": eps, "mu": mu,
         "g_s": g_s, "g_v": g_v,
         "threshold_mode": {"mode": draw(st.sampled_from(("static", "adaptive")))},
         "attack": {"set": attacked, "kind": kind, "params": params},
-        "horizon": draw(st.integers(1, max_horizon)),
+        "horizon": draw(st.integers(min_horizon, max_horizon)),
         "seed": draw(st.integers(0, 2 ** 31 - 1)),
         "delta_x": [[20.0, 0.0]] * (n - 1),
         "x0": x_init[0],
@@ -81,7 +87,7 @@ def test_bounds_hold_and_sets_stay_fault_free_and_monotone(doc):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenarios(max_n=40, min_b=1, max_horizon=60))
+@given(scenarios(max_n=40, min_b=1, max_horizon=60, min_scale=0.1, min_offset=10.0, settle=8))
 def test_sets_are_exact_one_diameter_after_b_attacks_are_confirmed(doc):
     """Paper claim 1, where the code claims it: if some vehicle has confirmed
     all b attacks at step t1, every vehicle's sets are exact (all b attacked
