@@ -13,15 +13,11 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dynamics, sensing
+from .sensing import (COUNT, FINITE, INTEGER, NONNEGATIVE, OBJECT, PAIR, POSITIVE,
+                      ConfigError, checked, one_of)
 
 LOG = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """A scenario document is malformed or violates a structural assumption."""
 
 
 class InconsistentSetsError(RuntimeError):
@@ -166,8 +162,8 @@ _REQUIRED_KEYS = {"N", "L", "b", "T", "q", "epsilon", "mu", "g_s", "g_v",
                   "threshold_mode", "attack", "horizon", "seed", "delta_x", "x0"}
 _OPTIONAL_KEYS = {"varpi", "v0", "x_init", "x_hat_init", "controller_mode"}
 
-_THRESHOLD_MODES = ("static", "adaptive")
-_CONTROLLER_MODES = ("observer", "pwm")
+_THRESHOLD_MODE = one_of(("static", "adaptive"))
+_CONTROLLER_MODE = one_of(("observer", "pwm"))
 
 
 @dataclass(frozen=True)
@@ -224,41 +220,6 @@ class ScenarioConfig:
         }
 
 
-def _number(value, name: str, rule: str = "a finite number", ok=math.isfinite) -> float:
-    """``value`` as a float if it is a finite number that ``ok`` accepts; JSON
-    also admits ``NaN``, ``Infinity`` and integers too large for a float."""
-    if not (sensing._finite(value) and ok(value)):
-        raise ConfigError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
-
-
-def _vec2(value, name: str) -> tuple:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not (sensing._finite(value[0]) and sensing._finite(value[1]))):
-        raise ConfigError(f"{name} must be a pair of finite numbers, got {value!r}")
-    return (float(value[0]), float(value[1]))
-
-
-def _vec2_list(value, name: str, expected_len: int) -> tuple:
-    if not isinstance(value, list) or len(value) != expected_len:
-        raise ConfigError(f"{name} must be a list of {expected_len} pairs")
-    return tuple(_vec2(v, f"{name}[{k}]") for k, v in enumerate(value))
-
-
-def _positive(value, name: str) -> float:
-    return _number(value, name, "a positive finite number", lambda v: v > 0)
-
-
-def _nonnegative(value, name: str) -> float:
-    return _number(value, name, "a nonnegative finite number", lambda v: v >= 0)
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def load_scenario(source) -> ScenarioConfig:
     """Build a :class:`ScenarioConfig` from a JSON document.
 
@@ -274,8 +235,7 @@ def load_scenario(source) -> ScenarioConfig:
                 doc = json.load(fh)
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ConfigError(f"scenario file {source} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("scenario document must be a JSON object")
+        checked(doc, "scenario document", OBJECT)
 
     unknown = set(doc) - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if unknown:
@@ -284,9 +244,7 @@ def load_scenario(source) -> ScenarioConfig:
     if missing:
         raise ConfigError(f"missing scenario fields: {sorted(missing)}")
 
-    N = _integer(doc["N"], "N")
-    L = _integer(doc["L"], "L")
-    b = _integer(doc["b"], "b")
+    N, L, b = (checked(doc[key], key, INTEGER) for key in ("N", "L", "b"))
     if N < 2:
         raise ConfigError(f"need at least two vehicles, got N={N}")
     partition_vehicles(N, L)  # validates N > 2L, L >= 1
@@ -295,42 +253,32 @@ def load_scenario(source) -> ScenarioConfig:
     elif b > L:
         LOG.warning("b=%d exceeds L=%d: no static saturation threshold can be feasible", b, L)
 
-    T = _positive(doc["T"], "T")
-    q = _positive(doc["q"], "q")
-    epsilon = _nonnegative(doc["epsilon"], "epsilon")
-    mu = _nonnegative(doc["mu"], "mu")
-    g_s = _positive(doc["g_s"], "g_s")
-    g_v = _positive(doc["g_v"], "g_v")
+    T, q, epsilon, mu, g_s, g_v = (float(checked(doc[key], key, rule)) for key, rule in (
+        ("T", POSITIVE), ("q", POSITIVE), ("epsilon", NONNEGATIVE), ("mu", NONNEGATIVE),
+        ("g_s", POSITIVE), ("g_v", POSITIVE)))
 
     norm_A = dynamics.plant_norm(T)
     if not 1.0 < norm_A < math.inf:
         raise ConfigError(f"T={T!r} gives the plant norm {norm_A!r}; it must lie in (1, inf)")
     varpi_hi = norm_A / (norm_A - 1.0)
-    if "varpi" in doc and doc["varpi"] is not None:
-        varpi = _positive(doc["varpi"], "varpi")
+    if doc.get("varpi") is not None:
+        varpi = float(checked(doc["varpi"], "varpi", POSITIVE))
         if not 1.0 < varpi < varpi_hi:
             raise ConfigError(
                 f"varpi must lie in (1, {varpi_hi:.6g}) for this sampling period, got {varpi}")
     else:
         varpi = (1.0 + varpi_hi) / 2.0
 
-    tm = doc["threshold_mode"]
-    if not isinstance(tm, dict):
-        raise ConfigError("threshold_mode must be an object")
+    tm = checked(doc["threshold_mode"], "threshold_mode", OBJECT)
     unknown = set(tm) - {"mode", "beta", "omega"}
     if unknown:
         raise ConfigError(f"unknown threshold_mode keys: {sorted(unknown)}")
-    mode = tm.get("mode")
-    if mode not in _THRESHOLD_MODES:
-        raise ConfigError(f"threshold mode must be one of {_THRESHOLD_MODES}, got {mode!r}")
-    beta = tm.get("beta")
-    if beta is not None:
-        beta = _positive(beta, "threshold_mode.beta")
-    omega = tm.get("omega")
-    if omega is not None:
-        omega = _positive(omega, "threshold_mode.omega")
-        if not omega < 1:
-            raise ConfigError(f"threshold_mode.omega must lie in (0, 1), got {omega}")
+    mode = checked(tm.get("mode"), "threshold_mode.mode", _THRESHOLD_MODE)
+    beta, omega = (None if tm.get(key) is None
+                   else float(checked(tm[key], f"threshold_mode.{key}", POSITIVE))
+                   for key in ("beta", "omega"))
+    if omega is not None and not omega < 1:
+        raise ConfigError(f"threshold_mode.omega must lie in (0, 1), got {omega}")
 
     try:
         attack = sensing.attack_spec_from_json(doc["attack"])
@@ -342,32 +290,28 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigError(
             f"attack set of size {len(attack.attacked)} exceeds the budget b={b}")
 
-    horizon = _integer(doc["horizon"], "horizon")
-    if horizon < 0:
-        raise ConfigError(f"horizon must be nonnegative, got {horizon}")
-    seed = _integer(doc["seed"], "seed")
+    horizon = checked(doc["horizon"], "horizon", COUNT)
+    seed = checked(doc["seed"], "seed", INTEGER)
 
-    delta_x = _vec2_list(doc["delta_x"], "delta_x", N - 1)
-    x0 = _vec2(doc["x0"], "x0")
-    if "v0" in doc and doc["v0"] is not None:
-        v0 = _number(doc["v0"], "v0")
-        if v0 != x0[1]:
-            raise ConfigError(f"v0={v0} contradicts x0 velocity {x0[1]}")
+    x0 = tuple(map(float, checked(doc["x0"], "x0", PAIR)))
+    v0 = doc.get("v0")
+    if v0 is not None and float(checked(v0, "v0", FINITE)) != x0[1]:
+        raise ConfigError(f"v0={v0} contradicts x0 velocity {x0[1]}")
+    rows = {}  # delta_x is required, the initial states are optional
+    for key, n in (("delta_x", N - 1), ("x_init", N), ("x_hat_init", N)):
+        if key == "delta_x" or doc.get(key) is not None:
+            checked(doc[key], key, (lambda v: isinstance(v, list) and len(v) == n,
+                                    f"be a list of {n} pairs"))
+            pairs = [checked(v, f"{key}[{k}]", PAIR) for k, v in enumerate(doc[key])]
+            rows[key] = tuple((float(s), float(v)) for s, v in pairs)
+    delta_x = rows["delta_x"]
+    x_init = rows.get("x_init") or tuple(
+        map(tuple, dynamics.desired_state_chain(x0, delta_x).tolist()))
+    x_hat_init = rows.get("x_hat_init") or ((0.0, 0.0),) * N
 
-    chain = dynamics.desired_state_chain(np.array(x0), np.array(delta_x))
-    if "x_init" in doc and doc["x_init"] is not None:
-        x_init = _vec2_list(doc["x_init"], "x_init", N)
-    else:
-        x_init = tuple((float(r[0]), float(r[1])) for r in chain)
-    if "x_hat_init" in doc and doc["x_hat_init"] is not None:
-        x_hat_init = _vec2_list(doc["x_hat_init"], "x_hat_init", N)
-    else:
-        x_hat_init = tuple((0.0, 0.0) for _ in range(N))
-
-    controller_mode = doc.get("controller_mode", "observer")
-    if controller_mode not in _CONTROLLER_MODES:
-        raise ConfigError(
-            f"controller_mode must be one of {_CONTROLLER_MODES}, got {controller_mode!r}")
+    controller_mode = "observer"
+    if doc.get("controller_mode") is not None:
+        controller_mode = checked(doc["controller_mode"], "controller_mode", _CONTROLLER_MODE)
 
     config = ScenarioConfig(
         N=N, L=L, b=b, T=T, q=q, epsilon=epsilon, mu=mu, g_s=g_s, g_v=g_v,

@@ -376,12 +376,14 @@ def monte_carlo(config: ScenarioConfig, runs: int,
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
     base = config.seed if base_seed is None else base_seed
-    per_run = [_run_metrics(run_simulation(config, seed=base + k, run_index=k), config.N)
-               for k in range(runs)]
-    agg = {key: sum(m[key] for m in per_run) / runs for key in per_run[0]}
-    final_phi = [m["phi"][-1] for m in per_run] if config.horizon else [0.0] * runs
+    total, final_phi = {}, []
+    for k in range(runs):  # summed as each run ends, in the order of ``sum`` from 0
+        m = _run_metrics(run_simulation(config, seed=base + k, run_index=k), config.N)
+        total = {key: total.get(key, 0) + value for key, value in m.items()}
+        final_phi.append(m["phi"][-1] if config.horizon else 0.0)
     return MonteCarloSummary(runs=runs, base_seed=base, horizon=config.horizon, n=config.N,
-                             final_phi=np.array(final_phi), **agg)
+                             final_phi=np.array(final_phi),
+                             **{key: value / runs for key, value in total.items()})
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ vehicle ahead.  Because relative sensors cannot be compromised, a vehicle
 can rebuild its own absolute state from any neighbour's absolute sensor by
 chaining the gap readings in between; an attack on that neighbour passes
 through the chain unchanged, which is what the saturated observer and the
-detector exploit.
+detector exploit.  The ``(check, description)`` field rules that every
+scenario document is read through live here too, next to the attack knobs.
 """
 
 import math
@@ -16,12 +17,16 @@ from functools import cached_property
 
 import numpy as np
 
-ATTACK_KINDS = ("random", "dos", "bias", "replay")
-
 _SQRT2 = np.sqrt(2.0)
 
 
+class ConfigError(ValueError):
+    """A scenario document is malformed or violates a structural assumption."""
+
+
 def _finite(value) -> bool:
+    """A real number that is finite; JSON also admits ``NaN``, ``Infinity``
+    and integers too large for a float."""
     try:
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))
@@ -29,25 +34,48 @@ def _finite(value) -> bool:
         return False
 
 
-def _count_at_least(low: int):
-    return lambda v: (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                      and v >= low)
+def _integral(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-#: every attack knob, at the top level and per sensor: (check, what it must be)
-_KNOB_RULES = {
-    "start": (_count_at_least(0), "an integer >= 0"),
-    "record_len": (_count_at_least(1), "an integer >= 1"),
-    "scale": (_finite, "a finite number"),
-    "offset": (lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                          and all(map(_finite, v))), "a pair of finite numbers"),
-}
+def integer_at_least(low: int) -> tuple:
+    return (lambda v: _integral(v) and v >= low, f"be an integer >= {low}")
 
 
-def _check_knob(name: str, value, where: str) -> None:
-    check, rule = _KNOB_RULES[name]
+def one_of(options: tuple) -> tuple:
+    return (lambda v: v in options, f"be one of {options}")
+
+
+#: ``(check, description)`` rules for the fields of a scenario document
+FINITE = (_finite, "be a finite number")
+POSITIVE = (lambda v: _finite(v) and v > 0, "be a positive finite number")
+NONNEGATIVE = (lambda v: _finite(v) and v >= 0, "be a nonnegative finite number")
+INTEGER = (_integral, "be an integer")
+PAIR = (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and _finite(v[0])
+        and _finite(v[1]), "be a pair of finite numbers")
+OBJECT = (lambda v: isinstance(v, dict), "be an object")
+COUNT = integer_at_least(0)
+
+
+def checked(value, name: str, rule: tuple):
+    """``value`` if it passes ``rule``, else a :class:`ConfigError` naming ``name``."""
+    check, description = rule
     if not check(value):
-        raise ValueError(f"attack {where}{name} must be {rule}, got {value!r}")
+        raise ConfigError(f"{name} must {description}, got {value!r}")
+    return value
+
+
+#: the knobs each attack kind takes, ``start`` first, and their rules
+KNOBS = {
+    "random": {"start": COUNT, "scale": FINITE},
+    "dos": {"start": COUNT},
+    "bias": {"start": COUNT, "offset": PAIR},
+    "replay": {"start": COUNT, "record_len": integer_at_least(1)},
+}
+ATTACK_KINDS = tuple(KNOBS)
+_KIND = one_of(ATTACK_KINDS)
+#: every knob's rule, whichever kind takes it
+_KNOB_RULES = {name: rule for knobs in KNOBS.values() for name, rule in knobs.items()}
 
 
 @dataclass(frozen=True)
@@ -63,9 +91,9 @@ class AttackSpec:
         (measurement frozen at the attack-start reading), ``bias``
         (constant additive offset), ``replay`` (old readings re-emitted).
     scale, offset, record_len, start
-        Kind-specific knobs; ``start`` delays the attack onset.
+        Kind-specific knobs (see :data:`KNOBS`); ``start`` delays the attack onset.
     per_sensor : dict, optional
-        Per-sensor overrides of the knobs above, keyed by sensor index.
+        Per-sensor overrides of the kind's knobs, keyed by sensor index.
     """
 
     attacked: frozenset
@@ -77,20 +105,20 @@ class AttackSpec:
     per_sensor: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
+        knobs = KNOBS[checked(self.kind, "attack kind", _KIND)]
         if any(i < 1 for i in self.attacked):
-            raise ValueError("attacked sensor indices are 1-based and positive")
-        for name in _KNOB_RULES:
-            _check_knob(name, getattr(self, name), "")
+            raise ConfigError("attacked sensor indices are 1-based and positive")
+        for name, rule in _KNOB_RULES.items():
+            checked(getattr(self, name), f"attack {name}", rule)
         for i, over in (self.per_sensor or {}).items():
             if i not in self.attacked:
-                raise ValueError(f"per-sensor override for sensor {i}, which is not in "
-                                 f"the attack set {sorted(self.attacked)}")
+                raise ConfigError(f"per-sensor override for sensor {i}, which is not in "
+                                  f"the attack set {sorted(self.attacked)}")
             for name, value in over.items():
-                if name not in _KNOB_RULES:
-                    raise ValueError(f"unknown per-sensor attack param {name!r}")
-                _check_knob(name, value, f"sensor {i} ")
+                if name not in knobs:
+                    raise ConfigError(
+                        f"unknown per-sensor attack param {name!r} for kind {self.kind!r}")
+                checked(value, f"attack sensor {i} {name}", knobs[name])
 
     def knob(self, i: int, name: str):
         if self.per_sensor and i in self.per_sensor and name in self.per_sensor[i]:
@@ -98,68 +126,42 @@ class AttackSpec:
         return getattr(self, name)
 
     def to_json(self) -> dict:
-        params = {"start": self.start}
-        if self.kind == "random":
-            params["scale"] = self.scale
-        elif self.kind == "bias":
-            params["offset"] = list(self.offset)
-        elif self.kind == "replay":
-            params["record_len"] = self.record_len
+        params = _knobs_to_json({name: getattr(self, name) for name in KNOBS[self.kind]})
         if self.per_sensor:
-            params["per_sensor"] = {
-                str(i): {k: (list(v) if isinstance(v, tuple) else v) for k, v in over.items()}
-                for i, over in sorted(self.per_sensor.items())
-            }
+            params["per_sensor"] = {str(i): _knobs_to_json(over)
+                                    for i, over in sorted(self.per_sensor.items())}
         return {"set": sorted(self.attacked), "kind": self.kind, "params": params}
 
 
-_PARAM_KEYS = {
-    "random": {"scale", "start"},
-    "bias": {"offset", "start"},
-    "dos": {"start"},
-    "replay": {"record_len", "start"},
-}
+def _knobs_to_json(knobs: dict) -> dict:
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in knobs.items()}
+
+
+def _knobs_from_json(knobs: dict) -> dict:
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in knobs.items()}
+
+
+_SET = (lambda v: isinstance(v, list) and all(map(_integral, v)), "be a list of integers")
+#: keys are decimal sensor ids, as :meth:`AttackSpec.to_json` writes them
+_PER_SENSOR = (lambda v: v is None or isinstance(v, dict) and all(
+    isinstance(k, str) and k.isdecimal() and str(int(k)) == k and isinstance(p, dict)
+    for k, p in v.items()), "map sensor ids to objects")
 
 
 def attack_spec_from_json(doc: dict) -> AttackSpec:
     """Parse the attack block of a scenario document (strict keys)."""
-    if not isinstance(doc, dict):
-        raise ValueError("attack must be an object")
-    unknown = set(doc) - {"set", "kind", "params"}
+    unknown = set(checked(doc, "attack", OBJECT)) - {"set", "kind", "params"}
     if unknown:
-        raise ValueError(f"unknown attack keys: {sorted(unknown)}")
-    kind = doc.get("kind")
-    if kind not in ATTACK_KINDS:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    raw = doc.get("set", [])
-    if not isinstance(raw, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in raw):
-        raise ValueError("attack set must be a list of integers")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"attack params must be an object, got {params!r}")
-    params = dict(params)
-    per_raw = params.pop("per_sensor", None)
-    if not (per_raw is None or isinstance(per_raw, dict)
-            and all(isinstance(p, dict) for p in per_raw.values())):
-        raise ValueError(f"attack per_sensor must map sensor ids to objects, got {per_raw!r}")
-    allowed = _PARAM_KEYS[kind]
-    unknown = set(params) - allowed
+        raise ConfigError(f"unknown attack keys: {sorted(unknown)}")
+    kind = checked(doc.get("kind"), "attack kind", _KIND)
+    attacked = frozenset(checked(doc.get("set", []), "attack set", _SET))
+    params = dict(checked(doc.get("params", {}), "attack params", OBJECT))
+    per_sensor = checked(params.pop("per_sensor", None), "attack per_sensor", _PER_SENSOR)
+    unknown = set(params) - set(KNOBS[kind])
     if unknown:
-        raise ValueError(f"unknown attack params for kind {kind!r}: {sorted(unknown)}")
-
-    def _clean(p: dict) -> dict:
-        out = {}
-        for k, v in p.items():
-            if k not in allowed:
-                raise ValueError(f"unknown per-sensor attack param {k!r} for kind {kind!r}")
-            out[k] = tuple(v) if k == "offset" else v
-        return out
-
-    per_sensor = None
-    if per_raw is not None:
-        per_sensor = {int(i): _clean(p) for i, p in per_raw.items()}
-    kwargs = _clean(params)
-    return AttackSpec(attacked=frozenset(raw), kind=kind, per_sensor=per_sensor, **kwargs)
+        raise ConfigError(f"unknown attack params for kind {kind!r}: {sorted(unknown)}")
+    return AttackSpec(attacked=attacked, kind=kind, **_knobs_from_json(params), per_sensor={
+        int(i): _knobs_from_json(p) for i, p in (per_sensor or {}).items()} or None)
 
 
 class AttackState:

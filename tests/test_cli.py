@@ -161,6 +161,16 @@ def test_bad_attack_block_exits_with_error_code(tmp_path, caplog, attack):
     ({"set": [3], "kind": "bias",
       "params": {"offset": [1.0, 0.0], "per_sensor": {"4": {"start": 2}}}},
      "per-sensor override for sensor 4, which is not in the attack set [3]"),
+    ({"set": [3], "kind": "bias", "params": {"offset": 5}},
+     "attack offset must be a pair of finite numbers, got 5"),
+    ({"set": [3], "kind": "bias", "params": {"per_sensor": {"3": {"offset": 5}}}},
+     "attack sensor 3 offset must be a pair of finite numbers, got 5"),
+    ({"set": [3], "kind": "dos", "params": {"per_sensor": {"x": {"start": 2}}}},
+     "attack per_sensor must map sensor ids to objects, got {'x': {'start': 2}}"),
+    ({"set": [3], "kind": "dos", "params": {"per_sensor": {"3": {"start": 2},
+                                                          "03": {"start": 5}}}},
+     "attack per_sensor must map sensor ids to objects, "
+     "got {'3': {'start': 2}, '03': {'start': 5}}"),
 ])
 def test_bad_attack_knob_exits_with_one_line(tmp_path, caplog, attack, reason):
     """Every knob is checked at load time, at the top level and per sensor,

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import baseline_doc
 from oracles import Message
-from platoonsec import core
+from platoonsec import core, sensing
 from platoonsec.core import (
     ConfigError,
     DetectionSets,
@@ -355,6 +356,44 @@ def test_load_scenario_validates_attack_block():
         load_scenario(baseline_doc(attack={"set": [6], "kind": "dos", "params": {}}))
     with pytest.raises(ConfigError, match="exceeds the budget"):
         load_scenario(baseline_doc(attack={"set": [2, 3], "kind": "dos", "params": {}}))
+
+
+#: what a JSON reader can hand over: integers (one beyond any float), floats
+#: with NaN and infinities, strings, booleans, null, and shallow arrays and objects
+_JSON_SCALARS = st.one_of(st.integers(-3, 12), st.integers(), st.just(10 ** 310),
+                          st.floats(), st.text(max_size=3), st.booleans(), st.none())
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+_KNOB_NAMES = ("start", "scale", "offset", "record_len")
+_SENSOR_KEYS = st.one_of(st.sampled_from(["3", "03", "+3", " 3", "3.0", "4", "x", "", "\u0663"]),
+                         st.text(max_size=3))
+
+
+@st.composite
+def _attack_blocks(draw):
+    """An attack block on sensor 3 of any kind whose knobs, at the top level
+    and under any ``per_sensor`` keys, hold any JSON value."""
+    knobs = st.dictionaries(st.sampled_from(_KNOB_NAMES), _JSON_VALUES, max_size=3)
+    params = draw(knobs)
+    keys = draw(st.lists(_SENSOR_KEYS, max_size=3, unique=True))
+    if keys:
+        params["per_sensor"] = {key: draw(knobs) for key in keys}
+    return {"set": [3], "kind": draw(st.sampled_from(sensing.ATTACK_KINDS)), "params": params}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_attack_blocks())
+def test_attack_block_loads_or_names_the_field_it_refuses(attack):
+    """Whatever JSON value a knob or a ``per_sensor`` entry holds, the block
+    loads or is refused with one line that names the knob or ``per_sensor``."""
+    try:
+        load_scenario(baseline_doc(attack=attack))
+    except ConfigError as exc:
+        message = str(exc)
+        assert message.startswith("invalid attack block: ") and "\n" not in message
+        overrides = attack["params"].get("per_sensor", {}).values()
+        names = set(attack["params"]).union(*overrides) | {"per-sensor"}
+        assert any(name in message for name in names), message
 
 
 def test_load_scenario_warns_on_over_budget_window(caplog):

@@ -89,14 +89,23 @@ def test_attack_spec_per_sensor_knob_override():
     assert spec.knob(4, "offset") == (0.0, 2.0)
 
 
-def test_attack_spec_json_round_trip():
-    doc = {"set": [2, 4], "kind": "bias",
-           "params": {"offset": [5.0, -1.0], "start": 2,
-                      "per_sensor": {"4": {"offset": [0.0, 9.0]}}}}
+@pytest.mark.parametrize("kind, knob, value, override, parsed", [
+    ("random", "scale", 2.5, 0.5, 0.5),
+    ("dos", "start", 2, 6, 6),
+    ("bias", "offset", [5.0, -1.0], [0.0, 9.0], (0.0, 9.0)),
+    ("replay", "record_len", 4, 8, 8),
+], ids=["random", "dos", "bias", "replay"])
+def test_attack_spec_json_round_trip(kind, knob, value, override, parsed):
+    """The knob table writes ``to_json`` for every kind, ``start`` first,
+    and reading it back gives the same spec."""
+    doc = {"set": [2, 4], "kind": kind,
+           "params": {"start": 2, knob: value, "per_sensor": {"4": {knob: override}}}}
     spec = attack_spec_from_json(doc)
     assert spec.attacked == frozenset({2, 4})
-    assert spec.offset == (5.0, -1.0)
-    assert spec.per_sensor == {4: {"offset": (0.0, 9.0)}}
+    assert getattr(spec, knob) == (tuple(value) if isinstance(value, list) else value)
+    assert spec.per_sensor == {4: {knob: parsed}}
+    assert spec.to_json() == {"set": [2, 4], "kind": kind, "params": doc["params"]}
+    assert list(spec.to_json()["params"]) == list(dict.fromkeys(["start", knob, "per_sensor"]))
     assert attack_spec_from_json(spec.to_json()) == spec
 
 
