@@ -66,11 +66,7 @@ def desired_state_chain(x0, deltas) -> np.ndarray:
     return rows_array(rows, 2)
 
 
-def advance_deltas(deltas, T: float):
-    """Propagate the desired-gap vectors one period ``T``: each follows ``A``.
-
-    Float rows give a list of rows and an ``(N-1, 2)`` array gives an array.
-    """
-    if isinstance(deltas, np.ndarray):
-        return np.array(advance_deltas(deltas.tolist(), T)).reshape(-1, 2)
+def advance_deltas(deltas, T: float) -> list:
+    """Propagate the desired-gap vectors, float rows ``(s, v)``, one period
+    ``T``: each follows ``A``."""
     return [(s + T * v, v) for s, v in deltas]

@@ -437,15 +437,20 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                        "velocity_margin": g.velocity_margin,
                        "rate_margin": g.rate_margin}
 
-    P = controller.closed_loop_matrix(config.N, config.T, config.g_s, config.g_v)
-    block = controller.block_spectrum(config.N, config.T, config.g_s, config.g_v)
-    full = np.array(sorted(np.linalg.eigvals(P), key=lambda z: (abs(z), z.real, z.imag)))
-    radius = float(np.max(np.abs(full)))
-    report["closed_loop"] = {"spectral_radius": radius, "schur": radius < 1.0,
-                             "spectrum_gap": float(np.max(np.abs(block - full)))}
-
     cert = None
-    if radius < 1.0:
+    try:  # admitted gains can still overflow T * g times a Laplacian entry or eigenvalue
+        with np.errstate(over="raise", invalid="raise"):
+            P = controller.closed_loop_matrix(config.N, config.T, config.g_s, config.g_v)
+            block = controller.block_spectrum(config.N, config.T, config.g_s, config.g_v)
+    except FloatingPointError:
+        report["closed_loop"] = {"error": f"closed-loop matrices overflow at T={config.T!r}, "
+                                          f"g_s={config.g_s!r}, g_v={config.g_v!r}"}
+    else:
+        full = np.array(sorted(np.linalg.eigvals(P), key=lambda z: (abs(z), z.real, z.imag)))
+        radius = float(np.max(np.abs(full)))
+        report["closed_loop"] = {"spectral_radius": radius, "schur": radius < 1.0,
+                                 "spectrum_gap": float(np.max(np.abs(block - full)))}
+    if report["closed_loop"].get("schur"):
         cert = controller.iss_certificate(P)
         report["closed_loop"]["lyapunov_residual"] = cert.residual
         report["closed_loop"]["kappa"] = cert.kappa
@@ -504,7 +509,7 @@ def bound_envelopes(config: ScenarioConfig) -> list:
             rows.append((0, i, nan, params.q, params.q, params.q))
     for t in range(1, config.horizon + 1):
         tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
-        rho = observer.rho_update(rho, empty, interior, topo, thr.beta_at(rho, params), params)
+        rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
         for i in topo.vehicles():
             if i in topo.v1:
                 rows.append((t, i, rho, nan, nan, rho))

@@ -96,6 +96,13 @@ def _gate_classes(sensors, sets: DetectionSets) -> tuple:
                  for s in sensors)
 
 
+def _window_terms(sets: DetectionSets, i: int, p: ObserverParams) -> tuple[tuple, tuple]:
+    """Gate classes of the window ``i-L .. i+L`` and its :func:`_count_terms`."""
+    classes = _gate_classes(range(i - p.L, i + p.L + 1), sets)
+    return classes, _count_terms(classes.count(_TRUSTED), classes.count(_ATTACKED),
+                                 len(sets.attacked), p)
+
+
 def _window(classes, first: int) -> tuple[tuple, tuple]:
     """The non-attacked sources of a window, in sensor order, as ``(position,
     reading index, gated)`` with reading index ``first + position``, and its
@@ -198,9 +205,7 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
         si = sets[k]
         entry = memo[k]
         if entry is None or entry[0] is not si:
-            classes = _gate_classes(range(k + 1 - L, k + L + 2), si)
-            terms = _count_terms(classes.count(_TRUSTED), classes.count(_ATTACKED),
-                                 len(si.attacked), p)
+            classes, terms = _window_terms(si, k + 1, p)
             entry = memo[k] = (si, terms, *_window(classes, k - L))
         _, terms, sources, row = entry
         rho_prev = rho[k]
@@ -287,11 +292,6 @@ def _contraction_and_drive(terms: tuple, kfloor: float,
     return m, base + unknown * beta_t / two_l
 
 
-def _local_counts(sets: DetectionSets, i: int, topo: Topology) -> tuple[int, int, int]:
-    local = topo.local_group(i)
-    return len(sets.trusted & local), len(sets.attacked & local), len(sets.attacked)
-
-
 def _rho_next(rho_prev: float, terms: tuple, beta_t: float,
               p: ObserverParams) -> float:
     ceiling = p.norm_A * rho_prev + p.eps + p.mu_bar
@@ -302,10 +302,10 @@ def _rho_next(rho_prev: float, terms: tuple, beta_t: float,
     return m * p.norm_A * rho_prev + drive
 
 
-def rho_update(rho_prev: float, sets: DetectionSets, i: int, topo: Topology,
-               beta_t: float, p: ObserverParams) -> float:
+def rho_update(rho_prev: float, sets: DetectionSets, i: int, beta_t: float,
+               p: ObserverParams) -> float:
     """Advance the interior-vehicle error bound one step."""
-    terms = _count_terms(*_local_counts(sets, i, topo), p)
+    _, terms = _window_terms(sets, i, p)
     return _rho_next(rho_prev, terms, beta_t, p)
 
 
@@ -452,7 +452,7 @@ def _asymptotic_bounds(sets: DetectionSets, topo: Topology, p: ObserverParams,
     ``offset / (1 - factor * norm_A)``."""
     a1 = 0.0
     for i in sorted(topo.v1):
-        factor, offset = step(_count_terms(*_local_counts(sets, i, topo), p))
+        factor, offset = step(_window_terms(sets, i, p)[1])
         den = 1.0 - factor * p.norm_A
         if den <= 0.0:
             raise InfeasibleBoundError(

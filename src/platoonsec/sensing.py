@@ -12,6 +12,7 @@ scenario document is read through live here too, next to the attack knobs.
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -142,9 +143,10 @@ def _knobs_from_json(knobs: dict) -> dict:
 
 
 _SET = (lambda v: isinstance(v, list) and all(map(_integral, v)), "be a list of integers")
-#: keys are decimal sensor ids, as :meth:`AttackSpec.to_json` writes them
+#: keys are decimal sensor ids as :meth:`AttackSpec.to_json` writes them, of 64 bits at most
+_SENSOR_ID = re.compile(r"0|[1-9][0-9]{0,18}")
 _PER_SENSOR = (lambda v: v is None or isinstance(v, dict) and all(
-    isinstance(k, str) and k.isdecimal() and str(int(k)) == k and isinstance(p, dict)
+    isinstance(k, str) and _SENSOR_ID.fullmatch(k) and isinstance(p, dict)
     for k, p in v.items()), "map sensor ids to objects")
 
 
@@ -165,21 +167,16 @@ def attack_spec_from_json(doc: dict) -> AttackSpec:
 
 
 class AttackState:
-    """Per-run mutable attack bookkeeping: emitted readings and DoS holds.
-
-    Also resolves the per-sensor knobs once so the hot loop never walks the
-    override dictionary.
-    """
+    """Per-run attack bookkeeping: each attacked sensor's knobs, resolved once
+    so the hot loop never walks the override dictionary, and its emitted
+    readings, which the DoS hold and the replay read back."""
 
     def __init__(self, spec: AttackSpec):
         self.spec = spec
         self.order = sorted(spec.attacked)
-        self.start = {i: spec.knob(i, "start") for i in self.order}
-        self.scale = {i: spec.knob(i, "scale") for i in self.order}
-        self.offset = {i: tuple(map(float, spec.knob(i, "offset"))) for i in self.order}
-        self.lag = {i: spec.knob(i, "record_len") for i in self.order}
+        self.knobs = {i: {name: spec.knob(i, name) for name in KNOBS[spec.kind]}
+                      for i in self.order}
         self.emitted: dict[int, list] = {i: [] for i in spec.attacked}
-        self.frozen: dict[int, tuple] = {}
 
 
 def sample_noise(rng: np.random.Generator, bound: float, n: int) -> np.ndarray:
@@ -206,21 +203,22 @@ def attack_signal(spec: AttackSpec, i: int, t: int, x_i, noise_i,
     emitted measurement is exactly the held (resp. recorded) reading:
     ``held - x - n``.
     """
-    if i not in spec.attacked or t < state.start[i]:
+    knobs = state.knobs.get(i)
+    if knobs is None or t < knobs["start"]:
         return _ZERO
     kind = spec.kind
     if kind == "random":
-        w = rng.standard_normal() * state.scale[i]
+        w = rng.standard_normal() * knobs["scale"]
         return (w * x_i[0], w * x_i[1])
     if kind == "bias":
-        return state.offset[i]
+        return knobs["offset"]
     if kind == "dos":
-        held = state.frozen.get(i)
-        if held is None:
+        if t == knobs["start"]:
             return _ZERO  # the attack-start emission becomes the held value
+        held = state.emitted[i][knobs["start"]]
     else:  # replay
-        lag = state.lag[i]
-        if t - state.start[i] < lag:
+        lag = knobs["record_len"]
+        if t - knobs["start"] < lag:
             return _ZERO  # warm-up: nothing recorded far enough back
         held = state.emitted[i][t - lag]
     return (held[0] - x_i[0] - noise_i[0], held[1] - x_i[1] - noise_i[1])
@@ -274,14 +272,9 @@ def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: i
     lines up with the emitted readings.
     """
     n = len(xs)
-    if mu == 0.0:
-        noise_abs = [_ZERO] * n
-        noise_rel = noise_abs[1:]
-    else:
-        # one draw covers both sensor families, absolute sensors first
-        buf = rng_measure.uniform(0.0, mu / _SQRT2, size=(2 * n - 1, 2)).tolist()
-        noise_abs = buf[:n]
-        noise_rel = buf[n:]
+    # one draw covers both sensor families, absolute sensors first
+    buf = sample_noise(rng_measure, mu, 2 * n - 1).tolist()
+    noise_abs, noise_rel = buf[:n], buf[n:]
     y_abs = [(s + n0, v + n1) for (s, v), (n0, n1) in zip(xs, noise_abs)]
     attack_norms = [0.0] * n
     for i in state.order:
@@ -296,8 +289,6 @@ def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: i
         if len(log) != t:
             raise RuntimeError("measurement frames must be produced step by step")
         log.append(row)
-        if spec.kind == "dos" and t == state.start[i] and i not in state.frozen:
-            state.frozen[i] = row
     y_rel = [(s1 - s0 + n0, v1 - v0 + n1)
              for (s0, v0), (s1, v1), (n0, n1) in zip(xs, xs[1:], noise_rel)]
     return y_abs, y_rel, attack_norms

@@ -2,10 +2,10 @@
 forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
 reconstruction), per-vehicle forms of batched code (the control law, the
-saturation gain, the saturated window update, the bound envelopes), a
-fresh generator per draw site, the per-cell CSV format, the message and
-run-splitting helpers the reference step loop uses, and the stack of every
-array field of a trace list."""
+saturation gain, the saturated window update, the bound envelopes), the
+window counts by set intersection, a fresh generator per draw site, the
+per-cell CSV format, the message and run-splitting helpers the reference
+step loop uses, and the stack of every array field of a trace list."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from platoonsec import observer
-from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError
+from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError, Topology
 from platoonsec.dynamics import step_rows
 from platoonsec.harness import _designed_threshold
 from platoonsec.observer import ObserverParams
@@ -140,6 +140,13 @@ def saturation_gain(innovation: np.ndarray, sensor: int, sets: DetectionSets,
     return beta / norm if not norm <= beta else 1.0
 
 
+def local_counts(sets: DetectionSets, i: int, topo: Topology) -> tuple[int, int, int]:
+    """Trusted and confirmed-attacked sensors in vehicle ``i``'s local group,
+    and all confirmed-attacked sensors, by set intersection."""
+    local = topo.local_group(i)
+    return len(sets.trusted & local), len(sets.attacked & local), len(sets.attacked)
+
+
 def bound_envelopes_per_vehicle(config) -> list:
     """Per-vehicle form of ``harness.bound_envelopes``: every interior vehicle
     advances its own ``rho`` and every edge vehicle reads its source's bound
@@ -162,7 +169,7 @@ def bound_envelopes_per_vehicle(config) -> list:
         else:
             rows.append((0, i, nan, params.q, params.q, params.q))
     for t in range(1, config.horizon + 1):
-        new_rho = {i: observer.rho_update(rho[i], empty, i, topo,
+        new_rho = {i: observer.rho_update(rho[i], empty, i,
                                           thr.beta_at(rho[i], params), params)
                    for i in topo.v1}
         new_tau = {i: observer.tau_update(tau[i], abs(source[i] - i),

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -199,6 +200,8 @@ _BIAS = {"set": [3], "kind": "bias"}
     ({"attack": {**_BIAS, "params": {"per_sensor": {"3": []}}}},
      "invalid attack block: attack per_sensor must map sensor ids to objects, "
      "got {'3': []}"),
+    ({"attack": {**_BIAS, "params": {"per_sensor": {"1" * 5000: {}}}}},
+     "invalid attack block: attack per_sensor must map sensor ids to objects, got {'111"),
     ({"attack": {"set": [3], "kind": "random", "params": {"scale": 10 ** 310}}},
      "invalid attack block: attack scale must be a finite number, got 1000"),
     ({"T": 1e-300}, "T=1e-300 gives the plant norm 1.0; it must lie in (1, inf)"),
@@ -214,7 +217,8 @@ _BIAS = {"set": [3], "kind": "bias"}
     ({"threshold_mode": {"mode": "adaptive", "beta": _INF}},
      "threshold_mode.beta must be a positive finite number, got inf"),
 ], ids=["not-json", "not-utf8", "v0-string", "v0-bool", "params-list", "per-sensor-list",
-        "per-sensor-entry-list", "scale-beyond-float", "T-tiny", "x0-nan", "x-init-nan",
+        "per-sensor-entry-list", "per-sensor-key-5000-digits",
+        "scale-beyond-float", "T-tiny", "x0-nan", "x-init-nan",
         "x-hat-init-inf", "delta-x-minus-inf", "epsilon-nan", "mu-nan", "beta-inf"])
 def test_malformed_scenario_exits_with_one_line(tmp_path, caplog, capsys, doc, reason):
     """A scenario file that is not JSON, or a field that is not a finite
@@ -354,6 +358,51 @@ def test_zero_attack_budget_runs_every_command(tmp_path, capsys):
     params = observer.ObserverParams.from_config(load_scenario(cfg_path))
     assert report["threshold"]["interval"][1] == params.beta_max
     assert cli.main(["bounds", "--config", cfg_path]) == 0
+
+
+@pytest.mark.parametrize("gain", ["g_v", "g_s"])
+def test_check_feasibility_reports_gains_that_overflow_the_closed_loop(tmp_path, capsys, gain):
+    """At T = 1 a gain of 1e308 loads, but twice its product with T
+    overflows the closed-loop matrix: the report names the overflow in place
+    of the spectrum, carries no certificate and no tracking bounds, and the
+    command still exits 0."""
+    cfg_path = _config_file(tmp_path, T=1.0, **{gain: 1e308})
+    assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    g_s, g_v = (50.0, 1e308) if gain == "g_v" else (1e308, 50.0)
+    assert report["closed_loop"] == {
+        "error": f"closed-loop matrices overflow at T=1.0, g_s={g_s!r}, g_v={g_v!r}"}
+    assert "tracking_bounds" not in report and "Traceback" not in err
+
+
+_EXTREMES = (5e-324, 1e-300, 0.999999, 1.000001, 1e300, 1e308)
+
+
+def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys):
+    """Baseline documents whose real fields are drawn from finite extremes,
+    each field with probability 1/2, over horizons up to 8: every command
+    either succeeds or refuses the document, and none raises."""
+    rng = random.Random(15)
+    path = os.path.join(tmp_path, "scenario.json")
+    for k in range(200):
+        doc = baseline_doc(horizon=rng.randint(0, 8))
+        threshold = doc["threshold_mode"] = {"mode": rng.choice(("static", "adaptive"))}
+        for field in ("T", "q", "epsilon", "mu", "g_s", "g_v", "beta", "omega"):
+            if rng.random() < 0.5:
+                (threshold if field in ("beta", "omega") else doc)[field] = rng.choice(_EXTREMES)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in (["run", "--out", os.path.join(tmp_path, f"run{k}")],
+                        ["monte-carlo", "--runs", "2", "--out", os.path.join(tmp_path, f"mc{k}")],
+                        ["check-feasibility"],
+                        ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")]):
+            try:
+                code = cli.main([command[0], "--config", path, *command[1:]])
+            except Exception as exc:  # name the document that broke
+                pytest.fail(f"{command[0]} raised {exc!r} on {doc}")
+            assert code in (0, 2), (command[0], doc)
+        capsys.readouterr()
 
 
 @pytest.fixture(scope="module")

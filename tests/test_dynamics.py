@@ -125,5 +125,5 @@ def test_advance_deltas_closes_a_velocity_gap_linearly():
     deltas = np.array([[0.0, 5.0]])
     for k in range(1, 11):
         deltas = advance_deltas(deltas, 0.01)
-        assert deltas[0, 0] == pytest.approx(0.05 * k, rel=1e-12)
-        assert deltas[0, 1] == 5.0
+        assert deltas[0][0] == pytest.approx(0.05 * k, rel=1e-12)
+        assert deltas[0][1] == 5.0

@@ -20,8 +20,8 @@ import pytest
 
 from conftest import baseline_doc, string_overrides
 from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
-                     controller_neighbors, performance_phi, platoon_phi, stack_traces,
-                     step_vehicle)
+                     controller_neighbors, local_counts, performance_phi, platoon_phi,
+                     stack_traces, step_vehicle)
 from platoonsec import detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError, Topology,
                             fuse_sets, load_scenario)
@@ -262,7 +262,7 @@ def _replica(cfg, seed=None, run_index=0):
                 stacked = sensing.stack_measurements(frame, i, topo)
                 x_hat_new[k], gains[k] = observer.measurement_update_v1(
                     x_bar[k], stacked, si, bt, Lw)
-                rho[k] = observer.rho_update(rho[k], si, i, topo, bt, params)
+                rho[k] = observer.rho_update(rho[k], si, i, bt, params)
                 alpha[k] = rho[k]
             else:
                 j = observer.nearest_trusted(i, si, topo)
@@ -764,7 +764,7 @@ def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
     rows, advance = observer.interior_rows, observer._rho_next
 
     def counted_rows(xb, ya, pf, sets, rho, *rest):
-        pairs = {(observer._count_terms(*observer._local_counts(sets[i - 1], i, topo), params),
+        pairs = {(observer._count_terms(*local_counts(sets[i - 1], i, topo), params),
                   struct.pack("<d", rho[i - 1])) for i in topo.v1}
         steps.append([0, len(pairs)])
         return rows(xb, ya, pf, sets, rho, *rest)

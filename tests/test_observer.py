@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc
-from oracles import feasibility_check, saturated_window_update, saturation_gain, stream_rng
+from oracles import (feasibility_check, local_counts, saturated_window_update, saturation_gain,
+                     stream_rng)
 from platoonsec import core, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
@@ -193,7 +194,7 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
             want_x.append(xh)
             want_g.append(g)
             want_b.append(bt)
-            want_r.append(rho_update(rho[k], view[k], i, topo, bt, p))
+            want_r.append(rho_update(rho[k], view[k], i, bt, p))
         assert _bits(got_x) == _bits(want_x)
         assert _bits(got_g) == _bits(want_g)
         assert _bits(got_b) == _bits(want_b)
@@ -205,6 +206,30 @@ def _mixed_sets(rng, n):
     return DetectionSets(frozenset(int(j) + 1 for j in np.flatnonzero(cls == 1)),
                          frozenset(int(j) + 1 for j in np.flatnonzero(cls == 0)),
                          frozenset())
+
+
+def test_window_terms_count_as_the_set_intersection_oracle():
+    """The one window count: on random sets the gate classes behind
+    ``_window_terms`` count each interior window's trusted and confirmed-
+    attacked sensors as ``oracles.local_counts`` does by intersecting sets,
+    and the count terms follow from those counts."""
+    rng = np.random.default_rng(15)
+    windows = 0
+    for _ in range(200):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(2 * L + 1, 41))
+        p = ObserverParams(L=L, b=int(rng.integers(0, L + 1)), q=300.0, eps=0.1, mu=0.1,
+                           norm_A=plant_norm(0.01), varpi=2.0)
+        topo = Topology.build(n, L)
+        sets = _mixed_sets(rng, n)
+        for i in sorted(topo.v1):
+            classes, terms = observer._window_terms(sets, i, p)
+            counts = local_counts(sets, i, topo)
+            assert (classes.count(observer._TRUSTED), classes.count(observer._ATTACKED),
+                    len(sets.attacked)) == counts
+            assert terms == observer._count_terms(*counts, p)
+            windows += 1
+    assert windows > 2000
 
 
 @st.composite
@@ -314,7 +339,7 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
             assert _bits(got_x[row]) == _bits(xh)
             assert _bits(got_g[row]) == _bits(g)
             assert _bits(got_b[row]) == _bits(bt)
-            assert _bits(got_r[row]) == _bits(rho_update(rho[k], sets[k], i, topo, bt, p))
+            assert _bits(got_r[row]) == _bits(rho_update(rho[k], sets[k], i, bt, p))
         handed_out.append((got_g, [list(g) for g in got_g]))
     for rows, copies in handed_out:
         assert [list(g) for g in rows] == copies
@@ -375,8 +400,8 @@ def test_derived_params_are_computed_once_per_instance():
 def test_interior_bound_sequence_static_threshold():
     p = _params()
     thr = design_threshold(p, "static")
-    r1 = rho_update(300.0, EMPTY, 3, TOPO5, thr.beta0, p)
-    r2 = rho_update(r1, EMPTY, 3, TOPO5, thr.beta0, p)
+    r1 = rho_update(300.0, EMPTY, 3, thr.beta0, p)
+    r2 = rho_update(r1, EMPTY, 3, thr.beta0, p)
     assert r1 == 159.08912203164363
     assert r2 == 48.089122031643605
     # once the gain floor saturates at one, the bound equals the pure drive
@@ -399,7 +424,7 @@ def test_interior_bound_sequence_adaptive_threshold():
             assert bt == 101.27631924170201
         if k == 10:
             assert bt == 1.49030215194354
-        rho = rho_update(rho, EMPTY, 3, TOPO5, bt, p)
+        rho = rho_update(rho, EMPTY, 3, bt, p)
         assert rho == w
 
 
@@ -412,7 +437,7 @@ def test_interior_bound_first_step_formula():
     k = min(1.0, beta / p.beta_max)
     m = 1.0 - (lbar * k) / (2.0 * p.L)
     drive = ((p.eps + p.mu_bar) * lbar + p.b * beta) / (2.0 * p.L)
-    assert rho_update(300.0, EMPTY, 3, TOPO5, beta, p) == pytest.approx(
+    assert rho_update(300.0, EMPTY, 3, beta, p) == pytest.approx(
         m * p.norm_A * 300.0 + drive, rel=1e-14)
 
 
@@ -420,8 +445,8 @@ def test_interior_bound_survives_a_zero_ceiling():
     """Noise-free runs drive the bound to exact zero; the gain floor must not
     divide by the vanished honest-innovation ceiling."""
     p = _params(eps=0.0, mu=0.0)
-    assert rho_update(0.0, EMPTY, 3, TOPO5, 0.0, p) == 0.0
-    out = rho_update(0.0, EMPTY, 3, TOPO5, 10.0, p)
+    assert rho_update(0.0, EMPTY, 3, 0.0, p) == 0.0
+    out = rho_update(0.0, EMPTY, 3, 10.0, p)
     assert math.isfinite(out) and out >= 0.0
 
 
@@ -432,7 +457,7 @@ def test_interior_bound_contracts_in_the_overshoot_regime():
     all_trusted = DetectionSets(frozenset({1, 2, 3, 4, 5}), frozenset(), frozenset())
     rho = 300.0
     for _ in range(60):
-        rho = rho_update(rho, all_trusted, 3, TOPO5, 50.0, p)
+        rho = rho_update(rho, all_trusted, 3, 50.0, p)
     # factor |1 - 5/4| * norm_A per step, so the floor is the drive-limit
     assert rho < 3.0
 
@@ -696,7 +721,7 @@ def test_interior_asymptotic_bound_never_rises_while_windows_hold_at_most_lbar_t
         for sets in _grown_sets(rng, n, p.b):
             a1 = (asymptotic_bounds_static(sets, topo, beta0, p)[0],
                   asymptotic_bounds_adaptive(sets, topo, beta0, p)[0])
-            if all(observer._local_counts(sets, i, topo)[0] <= lbar for i in topo.v1):
+            if all(local_counts(sets, i, topo)[0] <= lbar for i in topo.v1):
                 if prev is not None:
                     assert a1[0] <= prev[0] and a1[1] <= prev[1]
                     checked += 1
@@ -716,6 +741,6 @@ def test_interior_asymptotic_bound_rises_past_lbar_trusted_a_known_departure(mod
     bounds = asymptotic_bounds_static if mode == "static" else asymptotic_bounds_adaptive
     before = DetectionSets(frozenset({1, 2, 4, 5}), frozenset({3}))
     after = DetectionSets(frozenset({1, 2, 4, 5, 6}), frozenset({3}))
-    assert observer._local_counts(after, 5, topo)[0] == 3
+    assert local_counts(after, 5, topo)[0] == 3
     assert bounds(before, topo, beta0, p)[0] == pytest.approx(0.3000, abs=5e-5)
     assert bounds(after, topo, beta0, p)[0] == pytest.approx(0.7035, abs=5e-5)

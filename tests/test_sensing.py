@@ -199,20 +199,27 @@ def _dyadic_states(n=5, seed=0):
     return rng.integers(-2**18, 2**18, size=(n, 2)).astype(float) / 64.0
 
 
-def test_dos_attack_freezes_the_start_reading():
-    spec = AttackSpec(attacked=frozenset({4}), kind="dos", start=1)
+@pytest.mark.parametrize("start, per_sensor", [
+    (0, None), (1, None), (3, None), (0, {4: {"start": 2}}),
+], ids=["start0", "start1", "start3", "per-sensor-start2"])
+def test_dos_attack_freezes_the_start_reading(start, per_sensor):
+    """A DoS sensor reads honestly up to its own start step and from the
+    next step on re-emits the reading it logged at the start step."""
+    spec = AttackSpec(attacked=frozenset({4}), kind="dos", start=start, per_sensor=per_sensor)
+    onset = spec.knob(4, "start")
     state = AttackState(spec)
     held = None
-    for t in range(5):
+    for t in range(onset + 4):
         xs = _dyadic_states(seed=t) + t * 16.0  # platoon keeps moving
         frame = _clean_frame(xs, spec=spec, state=state, t=t)
-        if t == 0:
+        if t < onset:
             assert np.array_equal(frame.y_abs[3], xs[3])
-        elif t == 1:
+        elif t == onset:
             held = frame.y_abs[3].copy()
             assert np.array_equal(held, xs[3])  # hold begins with the honest reading
         else:
             assert np.array_equal(frame.y_abs[3], held)
+            assert state.emitted[4][t] == state.emitted[4][onset]
 
 
 def test_replay_attack_reemits_lagged_recordings():
