@@ -261,13 +261,15 @@ def load_scenario(source) -> ScenarioConfig:
     if not 1.0 < norm_A < math.inf:
         raise ConfigError(f"T={T!r} gives the plant norm {norm_A!r}; it must lie in (1, inf)")
     varpi_hi = norm_A / (norm_A - 1.0)
+    varpi = (1.0 + varpi_hi) / 2.0  # the default, unless the document sets it
+    if not 1.0 < varpi < varpi_hi:  # a huge T rounds the interval shut
+        raise ConfigError(f"T={T!r} gives the plant norm {norm_A!r}, which leaves "
+                          f"the interval (1, {varpi_hi!r}) for varpi no room")
     if doc.get("varpi") is not None:
         varpi = float(checked(doc["varpi"], "varpi", POSITIVE))
         if not 1.0 < varpi < varpi_hi:
             raise ConfigError(
                 f"varpi must lie in (1, {varpi_hi:.6g}) for this sampling period, got {varpi}")
-    else:
-        varpi = (1.0 + varpi_hi) / 2.0
 
     tm = checked(doc["threshold_mode"], "threshold_mode", OBJECT)
     unknown = set(tm) - {"mode", "beta", "omega"}

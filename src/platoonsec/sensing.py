@@ -28,6 +28,8 @@ class ConfigError(ValueError):
 def _finite(value) -> bool:
     """A real number that is finite; JSON also admits ``NaN``, ``Infinity``
     and integers too large for a float."""
+    if type(value) is float:  # the common case, without the ABC check
+        return math.isfinite(value)
     try:
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))

@@ -376,6 +376,21 @@ def test_check_feasibility_reports_gains_that_overflow_the_closed_loop(tmp_path,
     assert "tracking_bounds" not in report and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["run", "--out", "run"], ["check-feasibility"]])
+def test_huge_sampling_period_exits_with_one_line_naming_T(tmp_path, command):
+    """At T=1e100 the plant norm rounds the interval (1, norm/(norm-1)) for
+    the default varpi shut; the document never set varpi, so the one error
+    line names T."""
+    cfg_path = _config_file(tmp_path, T=1e100)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(platoonsec.__file__)))
+    done = subprocess.run([sys.executable, "-m", "platoonsec.cli", *command, "--config", cfg_path],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2 and len(lines) == 1, done.stderr
+    assert "T=1e+100" in lines[0] and "got" not in lines[0]
+    assert not os.path.exists(os.path.join(tmp_path, "run"))
+
+
 _EXTREMES = (5e-324, 1e-300, 0.999999, 1.000001, 1e300, 1e308)
 
 

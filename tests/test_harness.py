@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from platoonsec.dynamics import (advance_deltas, desired_state_chain,
                                  reference_step)
 from platoonsec.harness import (
     MonteCarloSummary,
+    RunTrace,
     SimulationError,
     StepTrace,
     _phi_pair,
@@ -439,6 +441,78 @@ def test_stack_traces_layout():
     assert data["u"].shape == (8, 5)
     assert data["alpha"].shape == (8, 5)
     assert data["phi"].shape == (8,)
+
+
+_ROW_ARRAYS = ("x", "x_star", "x_leader", "x_hat", "x_bar", "u", "gains", "attack_norms")
+_ROW_TUPLES = ("rho", "lam", "tau", "alpha", "beta")
+
+
+def _assert_row_is_step(run, row, k):
+    """Row ``k`` of ``run`` carries its column slices bit for bit, with the
+    field types of a ``StepTrace``: arrays, float tuples, the step's own set
+    and flag tuples, and Python scalars."""
+    assert type(row) is StepTrace and type(row.t) is int and row.t == k
+    for name in _ROW_ARRAYS:
+        got = getattr(row, name)
+        assert isinstance(got, np.ndarray), (name, k)
+        assert got.tobytes() == getattr(run, name)[k].tobytes(), (name, k)
+    for name in _ROW_TUPLES:
+        got = getattr(row, name)
+        assert type(got) is tuple and all(type(v) is float for v in got), (name, k)
+        assert np.array(got).tobytes() == getattr(run, name)[k].tobytes(), (name, k)
+    for name in ("phi", "phi_platoon"):
+        got = getattr(row, name)
+        assert type(got) is float, (name, k)
+        assert np.float64(got).tobytes() == getattr(run, name)[k].tobytes(), (name, k)
+    assert row.sets is run.sets[k] and type(row.sets) is tuple
+    assert row.fired is run.fired[k] and type(row.fired) is tuple
+
+
+def test_run_trace_rows_are_its_column_slices():
+    run = run_simulation(load_scenario(baseline_doc(horizon=40)))
+    assert type(run) is RunTrace and len(run) == 41
+    for k, row in enumerate(run):
+        _assert_row_is_step(run, row, k)
+    _assert_row_is_step(run, run[-1], 40)
+    _assert_row_is_step(run, run[-41], 0)
+    for sliced, steps in ((run[-6:], range(35, 41)), (run[::10], range(0, 41, 10)),
+                          (run[5:2], range(0))):
+        assert type(sliced) is list and len(sliced) == len(steps)
+        for row, k in zip(sliced, steps):
+            _assert_row_is_step(run, row, k)
+    for k in (41, -42):
+        with pytest.raises(IndexError):
+            run[k]
+    empty = run_simulation(load_scenario(baseline_doc(horizon=0)))
+    assert len(empty) == 0 and not empty and list(empty) == [] and empty[:] == []
+
+
+def _deep_size(obj, seen: set) -> int:
+    """Bytes held by ``obj``, counting each shared object once, as the
+    benchmark's ``deep_size`` counts a run's trace."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list, frozenset)):
+        size += sum(_deep_size(x, seen) for x in obj)
+    elif hasattr(type(obj), "__slots__"):
+        size += sum(_deep_size(getattr(obj, s), seen) for s in type(obj).__slots__)
+    return size
+
+
+def test_run_trace_keeps_no_container_per_vehicle_step():
+    """The trace is its owning float columns and the per-step set tuples,
+    plus per-step flag tuples over at most 16 shared flag rows."""
+    run = run_simulation(load_scenario(baseline_doc(
+        horizon=60, **string_overrides(21, [6, 15]))))
+    assert any(any(f) for fired in run.fired for f in fired)
+    assert len({id(f) for fired in run.fired for f in fired}) <= 16
+    columns = [getattr(run, name) for name in RunTrace.__slots__
+               if name not in ("sets", "fired")]
+    assert all(col.base is None and col.flags.owndata for col in columns)
+    held = sum(col.nbytes for col in columns) + _deep_size(run.sets, set())
+    assert _deep_size(run, set()) <= 1.2 * held
 
 
 def test_baseline_run_digest(baseline_cfg, traces500):
