@@ -8,10 +8,7 @@ the offline worst-case error-bound envelopes.
 
 import argparse
 import dataclasses
-import itertools
-import json
 import logging
-import operator
 import sys
 
 from . import controller, harness
@@ -61,10 +58,10 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    traces = harness.run_simulation(config)
-    summary = harness.summarize_run(config, traces)
-    harness.write_run_dir(args.out, config, traces, summary)
-    print(json.dumps(summary, indent=2))
+    run = harness.run_simulation(config)
+    summary = harness.summarize_run(config, run)
+    harness.write_run_dir(args.out, config, run, summary)
+    print(harness.json_text(summary))
     return 0
 
 
@@ -75,30 +72,25 @@ def _cmd_monte_carlo(args) -> int:
     digest = {"runs": summary.runs, "horizon": summary.horizon,
               "phi_start": float(summary.phi[0]) if len(summary.phi) else None,
               "phi_final": float(summary.phi[-1]) if len(summary.phi) else None}
-    print(json.dumps(digest, indent=2))
+    print(harness.json_text(digest))
     return 0
 
 
 def _cmd_check_feasibility(args) -> int:
     config = load_scenario(args.config)
     report = harness.feasibility_report(config)
-    print(json.dumps(report, indent=2, default=harness._json_default))
+    print(harness.json_text(report))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     config = load_scenario(args.config)
     rows = harness.bound_envelopes(config)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        out.write("t,i,rho,lambda,tau,alpha\n")
-        for t, step in itertools.groupby(rows, operator.itemgetter(0)):
-            step = list(step)
-            harness._write_step(out, harness._row_format([row[1] for row in step], 4), t,
-                                itertools.chain.from_iterable(row[2:] for row in step))
-    finally:
-        if args.out:
-            out.close()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            harness.write_bounds_csv(fh, rows)
+    else:
+        harness.write_bounds_csv(sys.stdout, rows)
     return 0
 
 

@@ -256,6 +256,8 @@ def load_scenario(source) -> ScenarioConfig:
     T, q, epsilon, mu, g_s, g_v = (float(checked(doc[key], key, rule)) for key, rule in (
         ("T", POSITIVE), ("q", POSITIVE), ("epsilon", NONNEGATIVE), ("mu", NONNEGATIVE),
         ("g_s", POSITIVE), ("g_v", POSITIVE)))
+    if (L + 1) * mu == math.inf:  # ObserverParams.mu_bar
+        raise ConfigError(f"mu={mu!r} overflows the chained noise bound (L+1)*mu")
 
     norm_A = dynamics.plant_norm(T)
     if not 1.0 < norm_A < math.inf:

@@ -170,19 +170,6 @@ class RunTrace:
             phi=float(self.phi[k]), phi_platoon=float(self.phi_platoon[k]))
 
 
-def _columns(traces) -> RunTrace:
-    """``traces`` as columns: a :class:`RunTrace` as it is, or a sequence
-    of :class:`StepTrace` rows, such as hand-built ones, stacked into one."""
-    if isinstance(traces, RunTrace):
-        return traces
-    n, width = np.shape(traces[0].gains) if traces else (0, 0)
-    run = RunTrace(len(traces), n, width)
-    for k, row in enumerate(traces):
-        for name in RunTrace.__slots__:
-            getattr(run, name)[k] = getattr(row, name)
-    return run
-
-
 # --------------------------------------------------------------------------
 # single deterministic run
 # --------------------------------------------------------------------------
@@ -254,9 +241,9 @@ def _sensing_streams(rnd: RunRandom, t: int, mu: float, has_attack: bool) -> tup
 
 
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
-                   run_index: int = 0) -> RunTrace | list:
+                   run_index: int = 0) -> RunTrace:
     """Simulate one closed-loop run and return its trace, a row per step; a
-    horizon of 0 has no steps and gives an empty list.
+    horizon of 0 has no steps and gives a trace of no rows.
 
     ``seed`` overrides ``config.seed``; ``run_index`` separates Monte Carlo
     runs in the random stream.  Identical arguments give identical traces.
@@ -267,7 +254,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     params, thr, _ = _validated_design(config)
     topo = config.topology()
     if config.horizon == 0:
-        return []
+        return RunTrace(0, config.N, 2 * config.L + 1)
 
     n = config.N
     Lw = config.L
@@ -458,14 +445,12 @@ class MonteCarloSummary:
         return doc
 
 
-def _run_metrics(traces, n: int) -> dict:
+def _run_metrics(run: RunTrace) -> dict:
     """One run's per-step metrics, keyed by their ``MonteCarloSummary`` field
     names, from the only columns they read; a run of no steps gives arrays
     with no rows."""
-    run = _columns(traces)
-    x = run.x.reshape(-1, n, 2)
-    err = run.x_hat.reshape(-1, n, 2) - x
-    rel = x - run.x_leader.reshape(-1, 1, 2)
+    err = run.x_hat - run.x
+    rel = run.x - run.x_leader.reshape(-1, 1, 2)
     return {
         "eta_pos": np.abs(err[:, :, 0]), "eta_vel": np.abs(err[:, :, 1]),
         "zeta_pos": rel[:, :, 0], "zeta_vel": rel[:, :, 1],
@@ -482,7 +467,7 @@ def monte_carlo(config: ScenarioConfig, runs: int,
     base = config.seed if base_seed is None else base_seed
     total, final_phi = {}, []
     for k in range(runs):  # summed as each run ends, in the order of ``sum`` from 0
-        m = _run_metrics(run_simulation(config, seed=base + k, run_index=k), config.N)
+        m = _run_metrics(run_simulation(config, seed=base + k, run_index=k))
         total = {key: total.get(key, 0) + value for key, value in m.items()}
         final_phi.append(m["phi"][-1] if config.horizon else 0.0)
     return MonteCarloSummary(runs=runs, base_seed=base, horizon=config.horizon, n=config.N,
@@ -537,9 +522,13 @@ def feasibility_report(config: ScenarioConfig) -> dict:
         }
 
     g = controller.check_gains(config.g_s, config.g_v, config.T, config.N)
-    report["gains"] = {"ok": g.ok, "lambda_max": g.lambda_max,
-                       "velocity_margin": g.velocity_margin,
-                       "rate_margin": g.rate_margin}
+    if math.isfinite(g.velocity_margin) and math.isfinite(g.rate_margin):
+        report["gains"] = {"ok": g.ok, "lambda_max": g.lambda_max,
+                           "velocity_margin": g.velocity_margin,
+                           "rate_margin": g.rate_margin}
+    else:
+        report["gains"] = {"error": f"gain margins overflow at T={config.T!r}, "
+                                    f"g_s={config.g_s!r}, g_v={config.g_v!r}"}
 
     cert = None
     try:  # admitted gains can still overflow T * g times a Laplacian entry or eigenvalue
@@ -576,11 +565,16 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                 if "error" in entry:
                     tracking[mode] = {"error": entry["error"]}
                     continue
-                tb = controller.tracking_bound(
-                    max(entry.values()), config.N, config.T,
-                    config.g_s, config.g_v, config.epsilon, cert)
-                tracking[mode] = {"alpha_hat": tb.alpha_hat, "sigma": tb.sigma,
-                                  "xi": tb.xi, "total": tb.total}
+                alpha_hat = max(entry.values())
+                try:  # a huge estimation radius can overflow the disturbance's square
+                    with np.errstate(over="raise", invalid="raise"):
+                        tb = controller.tracking_bound(alpha_hat, config.N, config.T, config.g_s,
+                                                       config.g_v, config.epsilon, cert)
+                    tracking[mode] = {"alpha_hat": tb.alpha_hat, "sigma": tb.sigma,
+                                      "xi": tb.xi, "total": tb.total}
+                except FloatingPointError:
+                    tracking[mode] = {"error": f"tracking bound overflows at "
+                                               f"alpha_hat={alpha_hat!r}"}
             report["tracking_bounds"] = tracking
     return report
 
@@ -637,10 +631,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def json_text(doc: dict) -> str:
+    """The text of every JSON artifact and of the commands' JSON output."""
+    return json.dumps(doc, indent=2, default=_json_default)
+
+
 def write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
 
 
 def trace_columns(L: int) -> list:
@@ -666,7 +664,16 @@ def _write_step(fh, lines, t: int, cells) -> None:
     fh.write(("%d," % t).join(lines) % tuple(cells))
 
 
-def write_trace_csv(path: str, traces, L: int) -> None:
+def write_bounds_csv(fh, rows) -> None:
+    """The ``bounds`` CSV of :func:`bound_envelopes` rows, one step at a time."""
+    fh.write("t,i,rho,lambda,tau,alpha\n")
+    for t, step in itertools.groupby(rows, operator.itemgetter(0)):
+        step = list(step)
+        _write_step(fh, _row_format([row[1] for row in step], 4), t,
+                    itertools.chain.from_iterable(row[2:] for row in step))
+
+
+def write_trace_csv(path: str, run: RunTrace, L: int) -> None:
     """``trace.csv``: per row the head ``x, x_star, x_hat, x_bar, u``, distinct
     on nearly every row, then the tail ``rho`` .. ``phi_platoon`` and the
     gains, which few vehicles of a step differ in.  Each distinct tail is
@@ -677,7 +684,6 @@ def write_trace_csv(path: str, traces, L: int) -> None:
     n_tail = len(cols) - 11
     tail_fmt = ",".join(["%.17g"] * n_tail)
     tail_bytes = np.dtype((np.void, 8 * n_tail))
-    run = _columns(traces)
     n = run.x.shape[1]
     lines = _row_format(range(1, n + 1), 9, ",%s\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -699,23 +705,22 @@ def write_trace_csv(path: str, traces, L: int) -> None:
             _write_step(fh, lines, t, cells)
 
 
-def write_detection_csv(path: str, traces) -> None:
+def write_detection_csv(path: str, run: RunTrace) -> None:
+    """``detection.csv``.  A step holding the last built step's set and flag
+    tuples reprints its rows under its own ``t``: :class:`RunTrace` shares a
+    step's tuples exactly when every set object and flag row repeats."""
     cols = ["t", "i", "trusted", "attacked", "suspected",
             "pairwise", "innovation", "exhaustion", "completion"]
     # set objects recur across vehicles and steps, so each one's cells are
     # joined once; the memo holds the object itself, so its id stays unique
     set_cells = {}
     flag_cells = {}
-    run = _columns(traces)
-    last = None  # the sets and flags of the last step whose rows were built
+    last_sets = last_fired = None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for t, sets, fired in zip(run.t.tolist(), run.sets, run.fired):
-            # a quiet step hands back the very same set objects and flags,
-            # so its rows differ from the last built step's only in ``t``
-            if (last is None or fired != last[1]
-                    or not all(map(operator.is_, sets, last[0]))):
-                last = sets, fired
+            if not (sets is last_sets and fired is last_fired):
+                last_sets, last_fired = sets, fired
                 rows = [""]
                 for i, (s, flags) in enumerate(zip(sets, fired), 1):
                     entry = set_cells.get(id(s))
@@ -731,11 +736,10 @@ def write_detection_csv(path: str, traces) -> None:
             fh.write(f"{t},".join(rows))
 
 
-def summarize_run(config: ScenarioConfig, traces) -> dict:
+def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     """Scalar digest of one run for summary.json."""
-    if not traces:
+    if not run:
         return {"horizon": 0, "steps": 0}
-    run = _columns(traces)
     final = run[-1]
     err = np.linalg.norm(run.x_hat - run.x, axis=2)
     violations = int(np.sum(err > run.alpha + 1e-9))
@@ -760,7 +764,7 @@ def summarize_run(config: ScenarioConfig, traces) -> dict:
     }
 
 
-def write_run_dir(outdir: str, config: ScenarioConfig, traces, summary: dict) -> dict:
+def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: dict) -> dict:
     """Persist one run: resolved scenario, both trace CSVs, its
     ``summarize_run`` digest ``summary`` and, last, the feasibility report,
     whose certificate can fail after the run succeeded.  Returns the path of
@@ -774,8 +778,8 @@ def write_run_dir(outdir: str, config: ScenarioConfig, traces, summary: dict) ->
         "summary": os.path.join(outdir, "summary.json"),
     }
     write_json(paths["scenario"], config.to_json())
-    write_trace_csv(paths["trace"], traces, config.L)
-    write_detection_csv(paths["detection"], traces)
+    write_trace_csv(paths["trace"], run, config.L)
+    write_detection_csv(paths["detection"], run)
     write_json(paths["summary"], summary)
     write_json(paths["feasibility"], feasibility_report(config))
     return paths

@@ -355,7 +355,8 @@ def _feasible_intervals(p: ObserverParams) -> list:
     positive threshold interval."""
     if p.b >= 2 * p.L + 1:
         return []
-    lower, upper = static_threshold_interval(_OMEGA_GRID, p)
+    with np.errstate(over="ignore"):  # an end past the float range is an infinity of its sign
+        lower, upper = static_threshold_interval(_OMEGA_GRID, p)
     return [(w, lo, hi) for w, lo, hi in zip(DEFAULT_OMEGA_GRID, lower.tolist(), upper.tolist())
             if 0.0 < lo < hi]
 

@@ -5,7 +5,8 @@ reconstruction), per-vehicle forms of batched code (the control law, the
 saturation gain, the saturated window update, the bound envelopes), the
 window counts by set intersection, a fresh generator per draw site, the
 per-cell CSV format, the message and run-splitting helpers the reference
-step loop uses, and the stack of every array field of a trace list."""
+step loop uses, the stack of every array field of a trace list, and the
+stack of hand-built trace rows into the columns the writers read."""
 
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from platoonsec import observer
 from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError, Topology
 from platoonsec.dynamics import step_rows
-from platoonsec.harness import _designed_threshold
+from platoonsec.harness import RunTrace, _designed_threshold
 from platoonsec.observer import ObserverParams
 from platoonsec.rng import _MASK
 from platoonsec.sensing import MeasurementFrame, _chain_to
@@ -287,3 +288,16 @@ def stack_traces(traces) -> dict:
         "phi": np.array([tr.phi for tr in traces]),
         "phi_platoon": np.array([tr.phi_platoon for tr in traces]),
     }
+
+
+def stack_rows(traces) -> RunTrace:
+    """``traces`` as columns: a :class:`RunTrace` as it is, or a sequence
+    of :class:`StepTrace` rows, such as hand-built ones, stacked into one."""
+    if isinstance(traces, RunTrace):
+        return traces
+    n, width = np.shape(traces[0].gains) if traces else (0, 0)
+    run = RunTrace(len(traces), n, width)
+    for k, row in enumerate(traces):
+        for name in RunTrace.__slots__:
+            getattr(run, name)[k] = getattr(row, name)
+    return run

@@ -214,12 +214,14 @@ _BIAS = {"set": [3], "kind": "bias"}
      "delta_x[3] must be a pair of finite numbers, got [-inf, 0.0]"),
     ({"epsilon": _NAN}, "epsilon must be a nonnegative finite number, got nan"),
     ({"mu": _NAN}, "mu must be a nonnegative finite number, got nan"),
+    ({"mu": 1e308}, "mu=1e+308 overflows the chained noise bound (L+1)*mu"),
     ({"threshold_mode": {"mode": "adaptive", "beta": _INF}},
      "threshold_mode.beta must be a positive finite number, got inf"),
 ], ids=["not-json", "not-utf8", "v0-string", "v0-bool", "params-list", "per-sensor-list",
         "per-sensor-entry-list", "per-sensor-key-5000-digits",
         "scale-beyond-float", "T-tiny", "x0-nan", "x-init-nan",
-        "x-hat-init-inf", "delta-x-minus-inf", "epsilon-nan", "mu-nan", "beta-inf"])
+        "x-hat-init-inf", "delta-x-minus-inf", "epsilon-nan", "mu-nan", "mu-overflow",
+        "beta-inf"])
 def test_malformed_scenario_exits_with_one_line(tmp_path, caplog, capsys, doc, reason):
     """A scenario file that is not JSON, or a field that is not a finite
     number of the right kind, is refused at load time with one line naming
@@ -394,10 +396,23 @@ def test_huge_sampling_period_exits_with_one_line_naming_T(tmp_path, command):
 _EXTREMES = (5e-324, 1e-300, 0.999999, 1.000001, 1e300, 1e308)
 
 
-def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys):
+def _is_strict_json(text: str) -> bool:
+    """``text`` parses as JSON that holds no ``NaN`` and no infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON value {constant}")
+    try:
+        json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn):
     """Baseline documents whose real fields are drawn from finite extremes,
     each field with probability 1/2, over horizons up to 8: every command
-    either succeeds or refuses the document, and none raises."""
+    either succeeds or refuses the document, and none raises.  A design
+    report that a command prints or writes as ``feasibility.json`` is
+    strict JSON, and no observer or controller formula warns of overflow."""
     rng = random.Random(15)
     path = os.path.join(tmp_path, "scenario.json")
     for k in range(200):
@@ -417,7 +432,16 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys):
             except Exception as exc:  # name the document that broke
                 pytest.fail(f"{command[0]} raised {exc!r} on {doc}")
             assert code in (0, 2), (command[0], doc)
-        capsys.readouterr()
+            out = capsys.readouterr().out
+            if code == 0 and command[0] == "check-feasibility":
+                assert _is_strict_json(out), (command[0], doc)
+            elif code == 0 and command[0] != "bounds":
+                with open(os.path.join(command[-1], "feasibility.json"), encoding="utf-8") as fh:
+                    assert _is_strict_json(fh.read()), (command[0], doc)
+    overflows = [f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in recwarn
+                 if issubclass(w.category, RuntimeWarning)
+                 and os.path.basename(w.filename) in ("observer.py", "controller.py")]
+    assert not overflows
 
 
 @pytest.fixture(scope="module")

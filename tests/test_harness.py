@@ -22,7 +22,7 @@ import pytest
 from conftest import baseline_doc, string_overrides
 from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
                      controller_neighbors, local_counts, performance_phi, platoon_phi,
-                     stack_traces, step_vehicle)
+                     stack_rows, stack_traces, step_vehicle)
 from platoonsec import detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError, Topology,
                             fuse_sets, load_scenario)
@@ -90,9 +90,23 @@ def test_phi_zero_when_estimates_and_formation_are_exact():
 def test_zero_horizon_returns_no_traces(baseline_cfg):
     import dataclasses
     cfg = dataclasses.replace(baseline_cfg, horizon=0)
-    assert run_simulation(cfg) == []
+    assert list(run_simulation(cfg)) == []
     assert summarize_run(cfg, []) == {"horizon": 0, "steps": 0}
     assert stack_traces([]) == {}
+
+
+def test_every_horizon_gives_a_run_trace(baseline_cfg, tmp_path):
+    """At horizon 0 the trace is a ``RunTrace`` of no rows with the run's
+    column shapes, and the run writers and ``monte_carlo`` take it."""
+    cfg = dataclasses.replace(baseline_cfg, horizon=0)
+    run = run_simulation(cfg)
+    assert type(run) is RunTrace and len(run) == 0
+    assert run.x.shape == (0, 5, 2) and run.gains.shape == (0, 5, 5)
+    paths = write_run_dir(str(tmp_path), cfg, run, summarize_run(cfg, run))
+    with open(paths["trace"], encoding="utf-8") as fh:
+        assert fh.read() == ",".join(trace_columns(cfg.L)) + "\n"
+    mc = monte_carlo(cfg, runs=2)
+    assert mc.eta_pos.shape == (0, 5) and mc.final_phi.tolist() == [0.0, 0.0]
 
 
 def test_initial_trace_row(baseline_cfg):
@@ -924,7 +938,7 @@ def _assert_run_csvs_match_oracle(tmp_path, traces, L):
     for writer, oracle, extra in pairs:
         got = os.path.join(tmp_path, "got.csv")
         want = os.path.join(tmp_path, "want.csv")
-        writer(got, traces, *extra)
+        writer(got, stack_rows(traces), *extra)
         oracle(want, traces, *extra)
         assert open(got, "rb").read() == open(want, "rb").read(), writer.__name__
 
@@ -1025,7 +1039,7 @@ def test_trace_tails_are_told_apart_by_their_bytes(tmp_path):
     ]
     _assert_run_csvs_match_oracle(tmp_path, traces, L)
     path = os.path.join(tmp_path, "trace.csv")
-    write_trace_csv(path, traces, L)
+    write_trace_csv(path, stack_rows(traces), L)
     rows = open(path, encoding="utf-8").read().splitlines()
     assert rows[1].endswith(",1,0,1") and rows[2].endswith(",1,-0,1")
     assert [row.split(",")[11] for row in rows[5:9]] == ["0", "-0", "0", "-0"]
@@ -1052,7 +1066,7 @@ def test_detection_rows_are_reused_only_for_the_same_sets_and_flags(tmp_path):
         (4, sets, quiet), (5, equal, quiet), (6, grown, quiet), (7, grown, quiet)]]
     _assert_run_csvs_match_oracle(tmp_path, traces, 1)
     path = os.path.join(tmp_path, "detection.csv")
-    write_detection_csv(path, traces)
+    write_detection_csv(path, stack_rows(traces))
     rows = open(path, encoding="utf-8").read().splitlines()
     assert [row.split(",", 1)[1] for row in rows[4:7]] == [
         row.split(",", 1)[1] for row in rows[1:4]]
