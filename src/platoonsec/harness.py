@@ -123,31 +123,6 @@ class RunTrace:
         self.sets = [None] * steps
         self.fired = [None] * steps
 
-    def record(self, t: int, *, x, x_star, x_leader, x_hat, x_bar, u, rho, lam, tau,
-               alpha, beta, gains, sets, fired, attack_norms, phi, phi_platoon) -> None:
-        """Store step ``t``: ``x``, ``x_hat``, ``x_bar`` and ``gains`` as
-        float rows, ``x_star`` and ``x_leader`` as arrays, the per-vehicle
-        values as float sequences.  Float rows go through ``rows_array``
-        (``np.fromiter``): at N=101 that fills a row in 16 µs, where numpy's
-        conversion of the list of pairs takes 33 µs."""
-        self.x[t] = rows_array(x, 2)
-        self.x_star[t] = x_star
-        self.x_leader[t] = x_leader
-        self.x_hat[t] = rows_array(x_hat, 2)
-        self.x_bar[t] = rows_array(x_bar, 2)
-        self.u[t] = u
-        self.rho[t] = rho
-        self.lam[t] = lam
-        self.tau[t] = tau
-        self.alpha[t] = alpha
-        self.beta[t] = beta
-        self.gains[t] = rows_array(gains, self.gains.shape[2])
-        self.sets[t] = sets
-        self.fired[t] = fired
-        self.attack_norms[t] = attack_norms
-        self.phi[t] = phi
-        self.phi_platoon[t] = phi_platoon
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -200,7 +175,7 @@ def _validated_design(config: ScenarioConfig):
             "controller gains violate the stability condition: "
             f"velocity margin {gains.velocity_margin:.6g}, "
             f"rate margin {gains.rate_margin:.6g}")
-    return params, thr, gains
+    return params, thr
 
 
 def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
@@ -229,17 +204,6 @@ def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
     return u
 
 
-def _sensing_streams(rnd: RunRandom, t: int, mu: float, has_attack: bool) -> tuple:
-    """The measurement and attack generators of step ``t``'s sensing.  With an
-    attack set, one generator positioned once at the attack site serves
-    both, the noise drawn first; otherwise the noise, if any, is drawn at
-    the measurement site and there is no attack generator."""
-    if has_attack:
-        gen = rnd.attack(t)
-        return (gen if mu else None), gen
-    return (rnd.measurement(t) if mu else None), None
-
-
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                    run_index: int = 0) -> RunTrace:
     """Simulate one closed-loop run and return its trace, a row per step; a
@@ -251,7 +215,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     Every per-vehicle quantity is carried as Python float rows ``(s, v)``;
     each step's values are stored into the trace's preallocated columns.
     """
-    params, thr, _ = _validated_design(config)
+    params, thr = _validated_design(config)
     topo = config.topology()
     if config.horizon == 0:
         return RunTrace(0, config.N, 2 * config.L + 1)
@@ -283,29 +247,22 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     x_star = desired_state_chain(lead, deltas)
     stars = x_star.tolist()
 
+    # step 0 predicts nothing, so it controls on x_hat itself; bounds that
+    # never apply to a vehicle's class stay NaN in the trace
+    x_bar = x_hat
     sets = [DetectionSets.empty()] * n
-    # bounds that never apply to a vehicle's class stay NaN in the trace
     rho = [params.q if flag else nan for flag in interior]
     lam = [nan if flag else params.q for flag in interior]
     tau = [nan if flag else params.q for flag in interior]
     alpha = [params.q] * n
-
-    att_state = sensing.AttackState(config.attack)
-    y_abs, _, norms = sensing.measure_rows(x, config.attack, mu, att_state, 0,
-                                           *_sensing_streams(rnd, 0, mu, has_attack))
-    ctrl_src = y_abs if pwm else x_hat
-    u = _control_all(n, stars, lead, ctrl_src, ctrl_src, g_s, g_v)
-
-    phi0, phi0_platoon = _phi_pair(x, x_hat, stars)
     nan_gains = [nan] * width
+    gains = [nan_gains] * n
+    beta_row = [nan] * n
     # a step that keeps the last step's set objects, or repeats its flag
     # rows, shares that step's tuple, so quiet steps keep no container
     step_sets = tuple(sets)
     step_fired = (_FLAG_ROWS[0],) * n
-    run.record(0, x=x, x_star=x_star, x_leader=x_leader, x_hat=x_hat, x_bar=x_hat, u=u,
-               rho=rho, lam=lam, tau=tau, alpha=alpha, beta=[nan] * n,
-               gains=[nan_gains] * n, sets=step_sets, fired=step_fired,
-               attack_norms=norms, phi=phi0, phi_platoon=phi0_platoon)
+    att_state = sensing.AttackState(config.attack)
 
     # identity memos, one slot per vehicle; each is sound because fusion and
     # detection hand back the very same sets object whenever no set grew:
@@ -326,91 +283,113 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     edge_memo = [None] * n
     zero_noise = [(0.0, 0.0)] * n
 
-    for t in range(1, config.horizon + 1):
-        d = sensing.sample_noise(rnd.process(t), eps, n).tolist() if eps else zero_noise
-        x = step_rows(x, u, T, d)
-        x_leader = reference_step(lead, T)
-        lead = x_leader.tolist()
-        deltas = advance_deltas(deltas, T)
-        x_star = desired_state_chain(lead, deltas)
-        stars = x_star.tolist()
+    for t in range(config.horizon + 1):
+        if t:
+            d = sensing.sample_noise(rnd.process(t), eps, n).tolist() if eps else zero_noise
+            x = step_rows(x, u, T, d)
+            x_leader = reference_step(lead, T)
+            lead = x_leader.tolist()
+            deltas = advance_deltas(deltas, T)
+            x_star = desired_state_chain(lead, deltas)
+            stars = x_star.tolist()
 
-        y_abs, y_rel, norms = sensing.measure_rows(
-            x, config.attack, mu, att_state, t, *_sensing_streams(rnd, t, mu, has_attack))
-        pref = sensing.prefix_rows(y_rel)
-        x_bar = step_rows(x_hat, u, T)
+        # with an attack set, one generator positioned once at the attack
+        # site serves both streams, the noise drawn first
+        rng_attack = rnd.attack(t) if has_attack else None
+        rng_measure = (rng_attack if has_attack else rnd.measurement(t)) if mu else None
+        y_abs, y_rel, norms = sensing.measure_rows(x, config.attack, mu, att_state, t,
+                                                   rng_measure, rng_attack)
 
-        new_sets = []
-        flags = []
-        try:
-            for i in vehicles:
+        if t:
+            pref = sensing.prefix_rows(y_rel)
+            x_bar = step_rows(x_hat, u, T)
+
+            new_sets = []
+            flags = []
+            try:
+                for i in vehicles:
+                    k = i - 1
+                    if k in refuse:
+                        fused[k] = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
+                    bound_prev = rho[k] if interior[k] else tau[k]
+                    res = detector.detector_step(
+                        i, fused[k], y_rel[i - 2] if i >= 2 else None,
+                        y_abs[i - 2] if i >= 2 else None, y_abs[k],
+                        x_bar[k], bound_prev, n, b, mu, eps, norm_A, count_memo)
+                    new_sets.append(res.sets)
+                    flags.append(_FLAG_ROWS[8 * res.pairwise + 4 * res.innovation
+                                            + 2 * res.exhaustion + res.completion])
+            except InconsistentSetsError as exc:
+                parties = [(j, sets[j - 1]) for j in sorted([i, *nbr_lists[i - 1]])]
+                clash = describe_clash(parties)
+                raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
+                                            + (f"; {clash}" if clash else "")) from exc
+
+            x_hat = [None] * n
+            gains = [nan_gains] * n
+            beta_row = [nan] * n
+            alpha_new = [0.0] * n
+            estimates, gain_rows, betas, bounds = observer.interior_rows(
+                x_bar, y_abs, pref, new_sets, rho, thr, params, class_memo)
+            x_hat[inner] = estimates
+            gains[inner] = gain_rows
+            beta_row[inner] = betas
+            rho[inner] = bounds
+            alpha_new[inner] = bounds
+            for i in edge_vehicles:
                 k = i - 1
-                if k in refuse:
-                    fused[k] = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
-                bound_prev = rho[k] if interior[k] else tau[k]
-                res = detector.detector_step(
-                    i, fused[k], y_rel[i - 2] if i >= 2 else None,
-                    y_abs[i - 2] if i >= 2 else None, y_abs[k],
-                    x_bar[k], bound_prev, n, b, mu, eps, norm_A, count_memo)
-                new_sets.append(res.sets)
-                flags.append(_FLAG_ROWS[8 * res.pairwise + 4 * res.innovation
-                                        + 2 * res.exhaustion + res.completion])
-        except InconsistentSetsError as exc:
-            parties = [(j, sets[j - 1]) for j in sorted([i, *nbr_lists[i - 1]])]
-            clash = describe_clash(parties)
-            raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
-                                        + (f"; {clash}" if clash else "")) from exc
+                si = new_sets[k]
+                entry = edge_memo[k]
+                if entry is None or entry[0] is not si:
+                    j = observer.nearest_trusted(i, si, topo)
+                    entry = edge_memo[k] = (si, j, abs(j - i), i in si.trusted)
+                _, j, dist, own_trusted = entry
+                if own_trusted:
+                    src = y_abs[k]
+                else:
+                    src = sensing.chained_rows((x_bar[j - 1],), (pref[j - 1],), pref[k])[0]
+                x_hat[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
+                tau[k] = observer.tau_update(tau[k], dist, alpha[j - 1], params)
+                if own_trusted:
+                    lam[k] = observer.lambda_update(lam[k], params)
+                    alpha_new[k] = lam[k]
+                else:
+                    lam[k] = tau[k]
+                    alpha_new[k] = tau[k]
 
-        x_hat = [None] * n
-        gains = [nan_gains] * n
-        beta_row = [nan] * n
-        alpha_new = [0.0] * n
-        estimates, gain_rows, betas, bounds = observer.interior_rows(
-            x_bar, y_abs, pref, new_sets, rho, thr, params, class_memo)
-        x_hat[inner] = estimates
-        gains[inner] = gain_rows
-        beta_row[inner] = betas
-        rho[inner] = bounds
-        alpha_new[inner] = bounds
-        for i in edge_vehicles:
-            k = i - 1
-            si = new_sets[k]
-            entry = edge_memo[k]
-            if entry is None or entry[0] is not si:
-                j = observer.nearest_trusted(i, si, topo)
-                entry = edge_memo[k] = (si, j, abs(j - i), i in si.trusted)
-            _, j, dist, own_trusted = entry
-            if own_trusted:
-                src = y_abs[k]
-            else:
-                src = sensing.chained_rows((x_bar[j - 1],), (pref[j - 1],), pref[k])[0]
-            x_hat[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
-            tau[k] = observer.tau_update(tau[k], dist, alpha[j - 1], params)
-            if own_trusted:
-                lam[k] = observer.lambda_update(lam[k], params)
-                alpha_new[k] = lam[k]
-            else:
-                lam[k] = tau[k]
-                alpha_new[k] = tau[k]
+            refuse = {j for k in range(n) if new_sets[k] is not sets[k] for j in local[k]}
+            if refuse:
+                step_sets = tuple(new_sets)
+            sets = new_sets
+            fired = tuple(flags)
+            if fired != step_fired:
+                step_fired = fired
+            alpha = alpha_new
 
-        refuse = {j for k in range(n) if new_sets[k] is not sets[k] for j in local[k]}
-        if refuse:
-            step_sets = tuple(new_sets)
-        sets = new_sets
-        fired = tuple(flags)
-        if fired != step_fired:
-            step_fired = fired
-        alpha = alpha_new
         if pwm:
             u = _control_all(n, stars, lead, y_abs, y_abs, g_s, g_v)
         else:
             u = _control_all(n, stars, lead, x_hat, x_bar, g_s, g_v)
 
-        phi_t, phi_t_platoon = _phi_pair(x, x_hat, stars)
-        run.record(t, x=x, x_star=x_star, x_leader=x_leader, x_hat=x_hat, x_bar=x_bar,
-                   u=u, rho=rho, lam=lam, tau=tau, alpha=alpha, beta=beta_row,
-                   gains=gains, sets=step_sets, fired=step_fired,
-                   attack_norms=norms, phi=phi_t, phi_platoon=phi_t_platoon)
+        # float rows go through ``rows_array`` (``np.fromiter``): at N=101
+        # that fills a row in 16 µs, where numpy's conversion of the list of
+        # pairs takes 33 µs
+        run.x[t] = rows_array(x, 2)
+        run.x_star[t] = x_star
+        run.x_leader[t] = x_leader
+        run.x_hat[t] = rows_array(x_hat, 2)
+        run.x_bar[t] = rows_array(x_bar, 2)
+        run.u[t] = u
+        run.rho[t] = rho
+        run.lam[t] = lam
+        run.tau[t] = tau
+        run.alpha[t] = alpha
+        run.beta[t] = beta_row
+        run.gains[t] = rows_array(gains, width)
+        run.sets[t] = step_sets
+        run.fired[t] = step_fired
+        run.attack_norms[t] = norms
+        run.phi[t], run.phi_platoon[t] = _phi_pair(x, x_hat, stars)
     return run
 
 
@@ -600,14 +579,10 @@ def bound_envelopes(config: ScenarioConfig) -> list:
     tau = dict.fromkeys(topo.v2, params.q)
 
     rows = []
-    for i in topo.vehicles():
-        if i in topo.v1:
-            rows.append((0, i, params.q, nan, nan, params.q))
-        else:
-            rows.append((0, i, nan, params.q, params.q, params.q))
-    for t in range(1, config.horizon + 1):
-        tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
-        rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
+    for t in range(config.horizon + 1):
+        if t:
+            tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
+            rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
         for i in topo.vehicles():
             if i in topo.v1:
                 rows.append((t, i, rho, nan, nan, rho))
@@ -741,7 +716,13 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     if not run:
         return {"horizon": 0, "steps": 0}
     final = run[-1]
-    err = np.linalg.norm(run.x_hat - run.x, axis=2)
+    gap = run.x_hat - run.x
+    with np.errstate(over="ignore"):
+        err = np.linalg.norm(gap, axis=2)
+        # norm squares its entries, which overflows beyond about 1.3e154;
+        # hypot scales instead, so only those entries are taken from it
+        wide = np.isinf(err)
+        err[wide] = np.hypot(gap[wide, 0], gap[wide, 1])
     violations = int(np.sum(err > run.alpha + 1e-9))
     true_attacked = frozenset(config.attack.attacked)
     trusted_goal = frozenset(range(1, config.N + 1)) - true_attacked

@@ -412,7 +412,9 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn
     each field with probability 1/2, over horizons up to 8: every command
     either succeeds or refuses the document, and none raises.  A design
     report that a command prints or writes as ``feasibility.json`` is
-    strict JSON, and no observer or controller formula warns of overflow."""
+    strict JSON, as are the digest that ``run`` prints and writes as
+    ``summary.json`` and the ensemble summary of ``monte-carlo``, and no
+    formula warns of overflow."""
     rng = random.Random(15)
     path = os.path.join(tmp_path, "scenario.json")
     for k in range(200):
@@ -436,12 +438,32 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn
             if code == 0 and command[0] == "check-feasibility":
                 assert _is_strict_json(out), (command[0], doc)
             elif code == 0 and command[0] != "bounds":
-                with open(os.path.join(command[-1], "feasibility.json"), encoding="utf-8") as fh:
-                    assert _is_strict_json(fh.read()), (command[0], doc)
+                assert _is_strict_json(out), (command[0], doc)
+                for name in ("feasibility.json", "summary.json"):
+                    with open(os.path.join(command[-1], name), encoding="utf-8") as fh:
+                        assert _is_strict_json(fh.read()), (command[0], name, doc)
     overflows = [f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in recwarn
-                 if issubclass(w.category, RuntimeWarning)
-                 and os.path.basename(w.filename) in ("observer.py", "controller.py")]
+                 if issubclass(w.category, RuntimeWarning)]
     assert not overflows
+
+
+def test_run_digest_stays_finite_where_the_error_norm_overflows(tmp_path, capsys, recwarn):
+    """With mu=1e300 an estimate strays from its state by more than the
+    square root of the float range, so squaring the gap overflows; the
+    digest takes those norms by scaling instead, stays strict JSON and
+    finds every error within its bound, without a warning."""
+    cfg_path = _config_file(tmp_path, horizon=5, mu=1e300, epsilon=5e-324, g_s=1e-300,
+                            threshold_mode={"mode": "adaptive", "beta": 1e-300})
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
+    printed = capsys.readouterr().out
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        written = fh.read()
+    assert _is_strict_json(printed) and _is_strict_json(written)
+    digest = json.loads(printed)
+    assert digest == json.loads(written)
+    assert digest["bound_violations"] == 0 and 1e154 < digest["max_estimation_error"] < 1e300
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture(scope="module")
