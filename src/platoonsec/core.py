@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from . import dynamics, sensing
+from . import dynamics, observer, sensing
 from .sensing import (COUNT, FINITE, INTEGER, NONNEGATIVE, OBJECT, PAIR, POSITIVE,
                       ConfigError, checked, one_of)
 
@@ -326,4 +326,14 @@ def load_scenario(source) -> ScenarioConfig:
     if worst > q:
         LOG.warning("initial estimation error %.6g exceeds q=%.6g; "
                     "the reported error bounds are not guaranteed to hold", worst, q)
+    if beta is not None:
+        p = observer.ObserverParams.from_config(config)
+        if beta >= p.beta_max:
+            LOG.warning("threshold beta=%.6g is at or above the honest innovation "
+                        "ceiling %.6g; saturation will never engage", beta, p.beta_max)
+        if omega is not None and b < 2 * L + 1:  # a larger b fails the design
+            lo, hi = map(float, observer.static_threshold_interval(omega, p))
+            if not lo < beta < hi:
+                LOG.warning("explicit beta=%.6g lies outside the designed interval "
+                            "(%.6g, %.6g) at omega=%.3g", beta, lo, hi, omega)
     return config

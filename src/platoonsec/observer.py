@@ -14,17 +14,20 @@ for the rest.  All three are sound envelopes of the true estimation error
 and are what the detector consumes as decision thresholds.
 """
 
-import logging
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ConfigError, DetectionSets, Topology
 from .dynamics import plant_norm
+from .sensing import ConfigError
 
-LOG = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .core import DetectionSets, Topology
 
 DEFAULT_OMEGA_GRID = tuple(round(0.01 * k, 2) for k in range(1, 100))
 _OMEGA_GRID = np.array(DEFAULT_OMEGA_GRID)
@@ -395,38 +398,29 @@ def design_threshold(p: ObserverParams, mode: str, beta: float | None = None,
     With no explicit ``beta`` the widest admissible interval on the grid is
     located and its midpoint chosen; if the grid holds no feasible point the
     design fails loudly rather than running an observer with no guarantees.
+    An explicit ``beta`` is used as given; ``core.load_scenario`` warns of it.
     """
     if mode not in ("static", "adaptive"):
         raise ConfigError(f"unknown threshold mode {mode!r}")
-    interval = None
+    lo = hi = None
+    if omega is not None:
+        lo, hi = map(float, static_threshold_interval(omega, p))
+        if beta is None and not 0.0 < lo < hi:
+            raise InfeasibleThresholdError(
+                f"threshold interval empty at omega={omega}: ({lo:.6g}, {hi:.6g})")
+    elif beta is None:
+        candidates = _feasible_intervals(p)
+        if not candidates:
+            raise InfeasibleThresholdError(
+                "no omega in (0,1) admits a saturation threshold for these parameters")
+        # the first widest interval wins ties, as ``max`` keeps the first
+        omega, lo, hi = max(candidates, key=lambda c: c[2] - c[1])
     if beta is None:
-        if omega is not None:
-            lo, hi = map(float, static_threshold_interval(omega, p))
-            if not 0.0 < lo < hi:
-                raise InfeasibleThresholdError(
-                    f"threshold interval empty at omega={omega}: ({lo:.6g}, {hi:.6g})")
-            interval = (lo, hi)
-        else:
-            candidates = _feasible_intervals(p)
-            if not candidates:
-                raise InfeasibleThresholdError(
-                    "no omega in (0,1) admits a saturation threshold for these parameters")
-            # the first widest interval wins ties, as ``max`` keeps the first
-            omega, lo, hi = max(candidates, key=lambda c: c[2] - c[1])
-            interval = (lo, hi)
-        beta = 0.5 * (interval[0] + interval[1])
-    else:
-        if beta >= p.beta_max:
-            LOG.warning("threshold beta=%.6g is at or above the honest innovation "
-                        "ceiling %.6g; saturation will never engage", beta, p.beta_max)
-        if omega is not None:
-            lo, hi = map(float, static_threshold_interval(omega, p))
-            interval = (lo, hi)
-            if not lo < beta < hi:
-                LOG.warning("explicit beta=%.6g lies outside the designed interval "
-                            "(%.6g, %.6g) at omega=%.3g", beta, lo, hi, omega)
+        beta = 0.5 * (lo + hi)
+        if beta == math.inf:  # two finite ends can overflow their sum
+            beta = 0.5 * lo + 0.5 * hi
     return ThresholdConfig(mode=mode, beta0=float(beta), k0=float(beta) / p.beta_max,
-                           omega=omega, interval=interval)
+                           omega=omega, interval=None if lo is None else (lo, hi))
 
 
 # --------------------------------------------------------------------------

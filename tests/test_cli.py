@@ -407,14 +407,14 @@ def _is_strict_json(text: str) -> bool:
     return True
 
 
-def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn):
+def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, caplog, recwarn):
     """Baseline documents whose real fields are drawn from finite extremes,
     each field with probability 1/2, over horizons up to 8: every command
     either succeeds or refuses the document, and none raises.  A design
     report that a command prints or writes as ``feasibility.json`` is
     strict JSON, as are the digest that ``run`` prints and writes as
-    ``summary.json`` and the ensemble summary of ``monte-carlo``, and no
-    formula warns of overflow."""
+    ``summary.json`` and the ensemble summary of ``monte-carlo``, no
+    command logs the same record twice, and no formula warns of overflow."""
     rng = random.Random(15)
     path = os.path.join(tmp_path, "scenario.json")
     for k in range(200):
@@ -429,11 +429,14 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn
                         ["monte-carlo", "--runs", "2", "--out", os.path.join(tmp_path, f"mc{k}")],
                         ["check-feasibility"],
                         ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")]):
+            caplog.clear()
             try:
                 code = cli.main([command[0], "--config", path, *command[1:]])
             except Exception as exc:  # name the document that broke
                 pytest.fail(f"{command[0]} raised {exc!r} on {doc}")
             assert code in (0, 2), (command[0], doc)
+            records = [(r.levelno, r.getMessage()) for r in caplog.records]
+            assert len(set(records)) == len(records), (command[0], records, doc)
             out = capsys.readouterr().out
             if code == 0 and command[0] == "check-feasibility":
                 assert _is_strict_json(out), (command[0], doc)
@@ -445,6 +448,46 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, recwarn
     overflows = [f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in recwarn
                  if issubclass(w.category, RuntimeWarning)]
     assert not overflows
+
+
+@pytest.mark.parametrize("threshold, fragment", [
+    ({"mode": "static", "beta": 1e6}, "saturation will never engage"),
+    ({"mode": "static", "beta": 1, "omega": 0.26}, "lies outside the designed interval")])
+def test_every_command_states_an_explicit_beta_warning_once(tmp_path, caplog, threshold,
+                                                            fragment):
+    """A scenario warning belongs to the document, so each command, which
+    loads its scenario once, logs it once, however often it designs."""
+    cfg_path = _config_file(tmp_path, horizon=5, threshold_mode=threshold)
+    for command in (["run", "--out", os.path.join(tmp_path, "run")],
+                    ["monte-carlo", "--runs", "3", "--out", os.path.join(tmp_path, "mc")],
+                    ["check-feasibility"],
+                    ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")]):
+        caplog.clear()
+        assert cli.main([command[0], "--config", cfg_path, *command[1:]]) == 0
+        hits = [r for r in caplog.records if fragment in r.getMessage()]
+        assert [(r.name, r.levelname) for r in hits] == [("platoonsec.core", "WARNING")], command
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "static"])
+def test_threshold_midpoint_stays_finite_where_the_interval_ends_overflow_their_sum(
+        tmp_path, capsys, mode):
+    """With q=1e308 both ends of the omega=0.9 interval are finite but their
+    sum is not; the designed threshold is still their midpoint, so the
+    design report is strict JSON both as printed and as a run writes it."""
+    cfg_path = _config_file(tmp_path, horizon=3, q=1e308,
+                            threshold_mode={"mode": mode, "omega": 0.9})
+    assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "feasibility.json"), encoding="utf-8") as fh:
+        written = fh.read()
+    assert _is_strict_json(printed) and _is_strict_json(written)
+    threshold = json.loads(printed)["threshold"]
+    lo, hi = threshold["interval"]
+    assert lo + hi == math.inf and lo < threshold["beta0"] < hi
+    assert 0.0 < threshold["k0"] < 1.0
 
 
 def test_run_digest_stays_finite_where_the_error_norm_overflows(tmp_path, capsys, recwarn):

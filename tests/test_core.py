@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import baseline_doc
 from oracles import Message
-from platoonsec import core, sensing
+from platoonsec import core, observer, sensing
 from platoonsec.core import (
     ConfigError,
     DetectionSets,
@@ -408,6 +408,25 @@ def test_load_scenario_warns_when_initial_error_exceeds_q(caplog):
     with caplog.at_level(logging.WARNING, logger="platoonsec.core"):
         load_scenario(baseline_doc(q=50.0))
     assert any("exceeds q" in r.message for r in caplog.records)
+
+
+def test_load_scenario_warns_on_suspicious_explicit_beta(caplog):
+    """An explicit beta at or above the honest innovation ceiling, or outside
+    the interval of an explicit omega, draws one warning when the scenario
+    loads; designing the threshold afterwards logs nothing."""
+    import logging
+    for threshold, fragment in (
+            ({"mode": "static", "beta": 1e6}, "never engage"),
+            ({"mode": "static", "beta": 1.0, "omega": 0.26}, "outside the designed interval")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="platoonsec.core"):
+            cfg = load_scenario(baseline_doc(threshold_mode=threshold))
+        assert [fragment in r.message for r in caplog.records] == [True], threshold
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            thr = observer.design_threshold(observer.ObserverParams.from_config(cfg),
+                                            cfg.threshold_mode, beta=cfg.beta, omega=cfg.omega)
+        assert thr.beta0 == threshold["beta"] and not caplog.records, threshold
 
 
 def test_load_scenario_rejects_contradictory_v0():

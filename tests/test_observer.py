@@ -1,7 +1,6 @@
 """Tests for the resilient observers, their error-bound recursions, and the
 saturation-threshold design."""
 
-import logging
 import math
 
 import numpy as np
@@ -588,18 +587,6 @@ def test_design_threshold_explicit_omega_must_be_feasible():
     infeasible = [w for w in DEFAULT_OMEGA_GRID if not feasibility_check(w, bad)]
     with pytest.raises(InfeasibleThresholdError):
         design_threshold(bad, "static", omega=infeasible[0])
-
-
-def test_design_threshold_warns_on_suspicious_explicit_beta(caplog):
-    p = _params()
-    with caplog.at_level(logging.WARNING, logger="platoonsec.observer"):
-        thr = design_threshold(p, "static", beta=10 * p.beta_max)
-    assert thr.beta0 == 10 * p.beta_max
-    assert any("never engage" in r.message for r in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="platoonsec.observer"):
-        design_threshold(p, "static", beta=1.0, omega=0.26)
-    assert any("outside the designed interval" in r.message for r in caplog.records)
 
 
 def test_design_threshold_rejects_unknown_mode():
