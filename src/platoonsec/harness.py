@@ -22,7 +22,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -390,6 +390,9 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         run.fired[t] = step_fired
         run.attack_norms[t] = norms
         run.phi[t], run.phi_platoon[t] = _phi_pair(x, x_hat, stars)
+    if not np.isfinite(run.phi).all():  # φ is finite iff every error of its step is
+        t = int(np.argmin(np.isfinite(run.phi)))
+        raise SimulationError(f"step {t} leaves the float range: phi={float(run.phi[t])!r}")
     return run
 
 
@@ -458,6 +461,16 @@ def monte_carlo(config: ScenarioConfig, runs: int,
 # feasibility report and offline bound envelopes
 # --------------------------------------------------------------------------
 
+def _strict(block: dict, error: dict) -> dict:
+    """The report's one overflow rule: ``block`` if its numbers are strict
+    JSON, else ``error``, which names the block and the inputs it came from."""
+    try:
+        json.dumps(block, allow_nan=False)
+    except ValueError:
+        return error
+    return block
+
+
 def feasibility_report(config: ScenarioConfig) -> dict:
     """Every design check in one JSON-ready document: initial error against
     ``q``, the interior vehicles whose window can reach the overshoot regime,
@@ -475,8 +488,9 @@ def feasibility_report(config: ScenarioConfig) -> dict:
         "topology": {"N": config.N, "L": config.L,
                      "interior": sorted(topo.v1), "edge": sorted(topo.v2),
                      "diameter": topo.diameter()},
-        "initial_error": {"max": worst, "vehicle": vehicle, "q": config.q,
-                          "within_q": worst <= config.q},
+        "initial_error": _strict(
+            {"max": worst, "vehicle": vehicle, "q": config.q, "within_q": worst <= config.q},
+            {"error": f"initial error overflows at vehicle {vehicle}'s x_init and x_hat_init"}),
         # windows with fewer than b configured attacks can come to trust more
         # than 2L+1-b sources, where the interior bound may rise as sets grow
         "interior_overshoot": [i for i in sorted(topo.v1)
@@ -484,30 +498,27 @@ def feasibility_report(config: ScenarioConfig) -> dict:
     }
 
     feasible_omegas = observer.feasible_omegas(params)
+
+    def infeasible(error: str) -> dict:
+        return {"mode": config.threshold_mode, "feasible": False, "error": error,
+                "feasible_omega_count": len(feasible_omegas)}
     try:
         thr = observer.design_threshold(params, config.threshold_mode,
                                         beta=config.beta, omega=config.omega)
-        report["threshold"] = {
+        report["threshold"] = _strict({
             "mode": thr.mode, "feasible": True, "beta0": thr.beta0, "k0": thr.k0,
             "omega": thr.omega,
             "interval": list(thr.interval) if thr.interval else None,
             "feasible_omega_count": len(feasible_omegas),
-        }
+        }, infeasible(f"threshold design overflows at T={config.T!r}, q={config.q!r}, "
+                      f"epsilon={config.epsilon!r}, mu={config.mu!r}, omega={thr.omega!r}"))
     except (observer.InfeasibleThresholdError, ConfigError) as exc:
-        thr = None
-        report["threshold"] = {
-            "mode": config.threshold_mode, "feasible": False, "error": str(exc),
-            "feasible_omega_count": len(feasible_omegas),
-        }
+        report["threshold"] = infeasible(str(exc))
 
-    g = controller.check_gains(config.g_s, config.g_v, config.T, config.N)
-    if math.isfinite(g.velocity_margin) and math.isfinite(g.rate_margin):
-        report["gains"] = {"ok": g.ok, "lambda_max": g.lambda_max,
-                           "velocity_margin": g.velocity_margin,
-                           "rate_margin": g.rate_margin}
-    else:
-        report["gains"] = {"error": f"gain margins overflow at T={config.T!r}, "
-                                    f"g_s={config.g_s!r}, g_v={config.g_v!r}"}
+    report["gains"] = _strict(
+        asdict(controller.check_gains(config.g_s, config.g_v, config.T, config.N)),
+        {"error": f"gain margins overflow at T={config.T!r}, "
+                  f"g_s={config.g_s!r}, g_v={config.g_v!r}"})
 
     cert = None
     try:  # admitted gains can still overflow T * g times a Laplacian entry or eigenvalue
@@ -530,11 +541,13 @@ def feasibility_report(config: ScenarioConfig) -> dict:
     def _triple(fn, level):
         try:
             a1, a2, a3 = fn(empty, topo, level, params)
-            return {"interior": a1, "edge_cleared": a2, "edge_leaning": a3}
         except observer.InfeasibleBoundError as exc:
             return {"error": str(exc)}
+        return _strict({"interior": a1, "edge_cleared": a2, "edge_leaning": a3},
+                       {"error": f"estimation bounds overflow at beta0={level!r}, "
+                                 f"T={config.T!r}, epsilon={config.epsilon!r}"})
 
-    if thr is not None:
+    if report["threshold"]["feasible"]:
         bounds = {"static": _triple(observer.asymptotic_bounds_static, thr.beta0),
                   "adaptive": _triple(observer.asymptotic_bounds_adaptive, thr.beta0)}
         report["estimation_bounds"] = bounds
@@ -545,15 +558,11 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                     tracking[mode] = {"error": entry["error"]}
                     continue
                 alpha_hat = max(entry.values())
-                try:  # a huge estimation radius can overflow the disturbance's square
-                    with np.errstate(over="raise", invalid="raise"):
-                        tb = controller.tracking_bound(alpha_hat, config.N, config.T, config.g_s,
-                                                       config.g_v, config.epsilon, cert)
-                    tracking[mode] = {"alpha_hat": tb.alpha_hat, "sigma": tb.sigma,
-                                      "xi": tb.xi, "total": tb.total}
-                except FloatingPointError:
-                    tracking[mode] = {"error": f"tracking bound overflows at "
-                                               f"alpha_hat={alpha_hat!r}"}
+                with np.errstate(over="ignore", invalid="ignore"):  # judged by ``_strict``
+                    tb = controller.tracking_bound(alpha_hat, config.N, config.T, config.g_s,
+                                                   config.g_v, config.epsilon, cert)
+                tracking[mode] = _strict({**asdict(tb), "total": tb.total}, {
+                    "error": f"tracking bound overflows at alpha_hat={alpha_hat!r}"})
             report["tracking_bounds"] = tracking
     return report
 

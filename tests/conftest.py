@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the platoonsec test suite."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def baseline_doc(**overrides):
     doc = copy.deepcopy(BASELINE)
     doc.update(overrides)
     return doc
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses ``NaN`` and ``±Infinity``: every JSON
+    artifact and every command's JSON output must be strict JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON value {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def string_overrides(n, attacked):

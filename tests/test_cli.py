@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import random
@@ -12,7 +13,7 @@ import sys
 import pytest
 import scipy.linalg
 
-from conftest import baseline_doc, string_overrides
+from conftest import baseline_doc, strict_json, string_overrides
 from oracles import _fmt
 import platoonsec
 from platoonsec import cli, controller, detector, harness, observer
@@ -30,12 +31,12 @@ def test_run_writes_the_trace_directory_and_prints_the_digest(tmp_path, capsys):
     cfg_path = _config_file(tmp_path, horizon=5)
     out = os.path.join(tmp_path, "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
-    digest = json.loads(capsys.readouterr().out)
+    digest = strict_json(capsys.readouterr().out)
     assert digest["steps"] == 6 and digest["horizon"] == 5
     for name in ("scenario.json", "feasibility.json", "trace.csv",
                  "detection.csv", "summary.json"):
         assert os.path.isfile(os.path.join(out, name))
-    on_disk = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
+    on_disk = strict_json(open(os.path.join(out, "summary.json"), encoding="utf-8").read())
     assert on_disk == digest
 
 
@@ -56,7 +57,7 @@ def test_run_seed_override_lands_in_the_written_scenario(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg_path, "--seed", "999",
                      "--out", out]) == 0
     capsys.readouterr()
-    doc = json.load(open(os.path.join(out, "scenario.json"), encoding="utf-8"))
+    doc = strict_json(open(os.path.join(out, "scenario.json"), encoding="utf-8").read())
     assert doc["seed"] == 999
     want = harness.run_simulation(load_scenario(baseline_doc(horizon=5)), seed=999)
     got = [line for line in open(os.path.join(out, "trace.csv"), encoding="utf-8")]
@@ -69,10 +70,10 @@ def test_monte_carlo_command(tmp_path, capsys):
     out = os.path.join(tmp_path, "mc")
     assert cli.main(["monte-carlo", "--config", cfg_path, "--runs", "2",
                      "--seed", "50", "--out", out]) == 0
-    digest = json.loads(capsys.readouterr().out)
+    digest = strict_json(capsys.readouterr().out)
     assert digest["runs"] == 2 and digest["horizon"] == 4
     assert digest["phi_final"] is not None
-    summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
+    summary = strict_json(open(os.path.join(out, "summary.json"), encoding="utf-8").read())
     assert summary["base_seed"] == 50 and len(summary["phi"]) == 5
     metrics = open(os.path.join(out, "metrics.csv"), encoding="utf-8").read().splitlines()
     assert metrics[0] == "t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon"
@@ -93,7 +94,7 @@ def test_monte_carlo_without_runs_exits_with_one_line(tmp_path, caplog, runs):
 def test_check_feasibility_prints_the_report(tmp_path, capsys):
     cfg_path = _config_file(tmp_path)
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["threshold"]["feasible"] is True
     assert report["closed_loop"]["schur"] is True
     assert report["topology"]["N"] == 5
@@ -352,11 +353,11 @@ def test_zero_attack_budget_runs_every_command(tmp_path, capsys):
                             attack={"set": [], "kind": "random", "params": {}})
     out = os.path.join(tmp_path, "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
-    digest = json.loads(capsys.readouterr().out)
+    digest = strict_json(capsys.readouterr().out)
     assert digest["bound_violations"] == 0
     assert all(s["trusted"] == [1, 2, 3, 4, 5] for s in digest["final_sets"])
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     params = observer.ObserverParams.from_config(load_scenario(cfg_path))
     assert report["threshold"]["interval"][1] == params.beta_max
     assert cli.main(["bounds", "--config", cfg_path]) == 0
@@ -371,7 +372,7 @@ def test_check_feasibility_reports_gains_that_overflow_the_closed_loop(tmp_path,
     cfg_path = _config_file(tmp_path, T=1.0, **{gain: 1e308})
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
     out, err = capsys.readouterr()
-    report = json.loads(out)
+    report = strict_json(out)
     g_s, g_v = (50.0, 1e308) if gain == "g_v" else (1e308, 50.0)
     assert report["closed_loop"] == {
         "error": f"closed-loop matrices overflow at T=1.0, g_s={g_s!r}, g_v={g_v!r}"}
@@ -393,61 +394,133 @@ def test_huge_sampling_period_exits_with_one_line_naming_T(tmp_path, command):
     assert not os.path.exists(os.path.join(tmp_path, "run"))
 
 
-_EXTREMES = (5e-324, 1e-300, 0.999999, 1.000001, 1e300, 1e308)
+#: each draw's seed, the finite extremes its real fields take, the largest
+#: omega it keeps (a larger one is replaced by it), and the positions it may
+#: give vehicle 1's estimate
+_EXTREME_DRAWS = {
+    "seed15": (15, (5e-324, 1e-300, 0.999999, 1.000001, 1e300, 1e308), math.inf, ()),
+    "seed20": (20, (5e-324, 1e-300, 0.5, 0.9, 0.999999, 1.000001, 1e10, 1e300, 1e308),
+               0.999999, (1e300, 1e308, -1e308)),
+}
 
 
-def _is_strict_json(text: str) -> bool:
-    """``text`` parses as JSON that holds no ``NaN`` and no infinity."""
-    def refuse(constant):
-        raise ValueError(f"non-finite JSON value {constant}")
-    try:
-        json.loads(text, parse_constant=refuse)
-    except ValueError:
-        return False
-    return True
-
-
-def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, caplog, recwarn):
-    """Baseline documents whose real fields are drawn from finite extremes,
-    each field with probability 1/2, over horizons up to 8: every command
-    either succeeds or refuses the document, and none raises.  A design
-    report that a command prints or writes as ``feasibility.json`` is
-    strict JSON, as are the digest that ``run`` prints and writes as
-    ``summary.json`` and the ensemble summary of ``monte-carlo``, no
-    command logs the same record twice, and no formula warns of overflow."""
-    rng = random.Random(15)
-    path = os.path.join(tmp_path, "scenario.json")
-    for k in range(200):
+def _extreme_documents(seed, extremes, omega_max, positions):
+    """200 baseline documents over horizons up to 8, each real field drawn
+    from ``extremes`` with probability 1/2; with probability 0.3, when
+    ``positions`` is not empty, vehicle 1's estimate starts at one of them."""
+    rng = random.Random(seed)
+    for _ in range(200):
         doc = baseline_doc(horizon=rng.randint(0, 8))
         threshold = doc["threshold_mode"] = {"mode": rng.choice(("static", "adaptive"))}
         for field in ("T", "q", "epsilon", "mu", "g_s", "g_v", "beta", "omega"):
             if rng.random() < 0.5:
-                (threshold if field in ("beta", "omega") else doc)[field] = rng.choice(_EXTREMES)
+                value = rng.choice(extremes)
+                if field == "omega":
+                    value = min(value, omega_max)
+                (threshold if field in ("beta", "omega") else doc)[field] = value
+        if positions and rng.random() < 0.3:
+            doc["x_hat_init"] = [[rng.choice(positions), 0.0]] + [[0.0, 0.0]] * 4
+        yield doc
+
+
+def _commands(tmp_path, k):
+    """The four commands, each with its own output paths for document ``k``."""
+    return (["run", "--out", os.path.join(tmp_path, f"run{k}")],
+            ["monte-carlo", "--runs", "2", "--out", os.path.join(tmp_path, f"mc{k}")],
+            ["check-feasibility"],
+            ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")])
+
+
+def _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys, caplog) -> tuple:
+    """Run one command on the scenario at ``path``; it must not raise, must
+    exit 0 or 2 and must log no record twice.  On exit 0 the JSON it prints
+    and the JSON artifacts it writes are strict; on exit 2 it logs exactly
+    one ERROR line.  Returns the exit code and the printed output, or the
+    ERROR line."""
+    caplog.clear()
+    try:
+        code = cli.main([command[0], "--config", path, *command[1:]])
+    except Exception as exc:  # name the document that broke
+        pytest.fail(f"{command[0]} raised {exc!r} on {doc}")
+    records = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert len(set(records)) == len(records), (command[0], records, doc)
+    out = capsys.readouterr().out
+    if code == 2:
+        errors = [message for level, message in records if level == logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0], (command[0], errors, doc)
+        return code, errors[0]
+    assert code == 0, (command[0], code, doc)
+    texts = [] if command[0] == "bounds" else [out]
+    if command[0] in ("run", "monte-carlo"):
+        for name in ("feasibility.json", "summary.json"):
+            with open(os.path.join(command[-1], name), encoding="utf-8") as fh:
+                texts.append(fh.read())
+    for text in texts:
+        try:
+            strict_json(text)
+        except ValueError as exc:
+            pytest.fail(f"{command[0]} gave {exc} on {doc}")
+    return code, out
+
+
+@pytest.mark.parametrize("draw", sorted(_EXTREME_DRAWS))
+def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, caplog, recwarn,
+                                                       draw):
+    """Baseline documents whose real fields are drawn from finite extremes:
+    every command either succeeds or refuses the document with one line, and
+    none raises.  A design report that a command prints or writes as
+    ``feasibility.json`` is strict JSON, as are the digest that ``run``
+    prints and writes as ``summary.json`` and the ensemble summary of
+    ``monte-carlo``, no command logs the same record twice, and no formula
+    warns of overflow."""
+    path = os.path.join(tmp_path, "scenario.json")
+    for k, doc in enumerate(_extreme_documents(*_EXTREME_DRAWS[draw])):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for command in (["run", "--out", os.path.join(tmp_path, f"run{k}")],
-                        ["monte-carlo", "--runs", "2", "--out", os.path.join(tmp_path, f"mc{k}")],
-                        ["check-feasibility"],
-                        ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")]):
-            caplog.clear()
-            try:
-                code = cli.main([command[0], "--config", path, *command[1:]])
-            except Exception as exc:  # name the document that broke
-                pytest.fail(f"{command[0]} raised {exc!r} on {doc}")
-            assert code in (0, 2), (command[0], doc)
-            records = [(r.levelno, r.getMessage()) for r in caplog.records]
-            assert len(set(records)) == len(records), (command[0], records, doc)
-            out = capsys.readouterr().out
-            if code == 0 and command[0] == "check-feasibility":
-                assert _is_strict_json(out), (command[0], doc)
-            elif code == 0 and command[0] != "bounds":
-                assert _is_strict_json(out), (command[0], doc)
-                for name in ("feasibility.json", "summary.json"):
-                    with open(os.path.join(command[-1], name), encoding="utf-8") as fh:
-                        assert _is_strict_json(fh.read()), (command[0], name, doc)
+        for command in _commands(tmp_path, k):
+            _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys, caplog)
     overflows = [f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in recwarn
                  if issubclass(w.category, RuntimeWarning)]
     assert not overflows
+
+
+_D4_INIT = [[1e308, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [0.0, 2.0]]
+
+
+@pytest.mark.parametrize("overrides, outcomes", [
+    ({"horizon": 1, "T": 1e10, "epsilon": 1.000001, "g_s": 5e-324,
+      "threshold_mode": {"mode": "static", "beta": 1e308}},
+     {"check-feasibility": (0, '"error": "estimation bounds overflow at beta0=1e+308, '
+                               'T=10000000000.0, epsilon=1.000001"')}),
+    ({"horizon": 2, "q": 1e10, "epsilon": 1e308,
+      "threshold_mode": {"mode": "static", "beta": 5e-324, "omega": 0.999999}},
+     {"check-feasibility": (0, '"error": "threshold design overflows at T=0.01, '
+                               'q=10000000000.0, epsilon=1e+308, mu=0.1, omega=0.999999"'),
+      "run": (2, "step 1 leaves the float range: phi=inf"),
+      "monte-carlo": (2, "step 1 leaves the float range: phi=inf")}),
+    ({"horizon": 0, "T": 0.9, "q": 1e-300, "mu": 0.9, "g_s": 1e-10, "g_v": 1e-10,
+      "threshold_mode": {"mode": "static"}},
+     {"check-feasibility": (2, "Lyapunov residual 9.605e+00 exceeds 1e-06/sqrt(10)")}),
+    ({"horizon": 3, "x_init": _D4_INIT, "x_hat_init": [[-1e308, 0.0]] + [[0.0, 0.0]] * 4},
+     {"check-feasibility": (0, '"initial_error": {\n    "error": "initial error overflows '
+                               'at vehicle 1\'s x_init and x_hat_init"\n  }')}),
+], ids=["edge-bound-overflow", "threshold-overflow", "lyapunov-warning", "initial-error-overflow"])
+def test_documents_past_the_float_range_give_strict_json_or_one_error_line(
+        tmp_path, capsys, caplog, recwarn, overrides, outcomes):
+    """Documents whose design numbers or run leave the float range: each
+    command prints and writes strict JSON, where the overflowing block holds
+    an ``error``, or exits 2 with one line; none warns."""
+    path = _config_file(tmp_path, **overrides)
+    doc = baseline_doc(**overrides)
+    for command in _commands(tmp_path, 0):
+        code, text = _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys,
+                                                                 caplog)
+        if command[0] in outcomes:
+            want_code, fragment = outcomes[command[0]]
+            assert code == want_code and fragment in text, (command[0], text)
+        if code == 2 and command[0] != "check-feasibility":
+            assert not os.path.exists(command[-1])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("threshold, fragment", [
@@ -483,8 +556,8 @@ def test_threshold_midpoint_stays_finite_where_the_interval_ends_overflow_their_
     capsys.readouterr()
     with open(os.path.join(out, "feasibility.json"), encoding="utf-8") as fh:
         written = fh.read()
-    assert _is_strict_json(printed) and _is_strict_json(written)
-    threshold = json.loads(printed)["threshold"]
+    assert strict_json(written) == strict_json(printed)
+    threshold = strict_json(printed)["threshold"]
     lo, hi = threshold["interval"]
     assert lo + hi == math.inf and lo < threshold["beta0"] < hi
     assert 0.0 < threshold["k0"] < 1.0
@@ -502,9 +575,8 @@ def test_run_digest_stays_finite_where_the_error_norm_overflows(tmp_path, capsys
     printed = capsys.readouterr().out
     with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
         written = fh.read()
-    assert _is_strict_json(printed) and _is_strict_json(written)
-    digest = json.loads(printed)
-    assert digest == json.loads(written)
+    digest = strict_json(printed)
+    assert digest == strict_json(written)
     assert digest["bound_violations"] == 0 and 1e154 < digest["max_estimation_error"] < 1e300
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -520,7 +592,7 @@ def string101(tmp_path_factory):
 
 def test_check_feasibility_certifies_the_101_vehicle_string(string101, capsys):
     assert cli.main(["check-feasibility", "--config", string101]) == 0
-    loop = json.loads(capsys.readouterr().out)["closed_loop"]
+    loop = strict_json(capsys.readouterr().out)["closed_loop"]
     assert loop["schur"] is True
     assert math.sqrt(202) * loop["lyapunov_residual"] <= controller.CROSS_CHECK_TOL
 
@@ -532,7 +604,7 @@ def test_run_writes_every_artifact_on_the_101_vehicle_string(string101, tmp_path
                  "detection.csv", "summary.json"):
         assert os.path.isfile(os.path.join(out, name))
     with open(os.path.join(out, "feasibility.json"), encoding="utf-8") as fh:
-        assert json.load(fh)["closed_loop"]["schur"] is True
+        assert strict_json(fh.read())["closed_loop"]["schur"] is True
 
 
 def _cli_artifact_digests(tmp_path, capsys, cfg_path) -> dict:
@@ -549,7 +621,7 @@ def _cli_artifact_digests(tmp_path, capsys, cfg_path) -> dict:
     assert cli.main(["bounds", "--config", cfg_path, "--out", path("bounds.csv")]) == 0
     capsys.readouterr()
     assert cli.main(["check-feasibility", "--config", cfg_path]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     del report["closed_loop"], report["tracking_bounds"]
     digests = {"feasibility": hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()}
     for name in ("run/scenario.json", "run/summary.json", "mc/summary.json",

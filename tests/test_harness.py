@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import baseline_doc, string_overrides
+from conftest import baseline_doc, strict_json, string_overrides
 from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
                      controller_neighbors, local_counts, performance_phi, platoon_phi,
                      stack_rows, stack_traces, step_vehicle)
@@ -727,7 +727,7 @@ def test_write_json_handles_numpy_and_rejects_unknown(tmp_path):
                       "c": np.arange(3), "d": [1, 2]})
     raw = open(path, encoding="utf-8").read()
     assert raw.endswith("\n")
-    assert json.loads(raw) == {"a": 3, "b": 0.5, "c": [0, 1, 2], "d": [1, 2]}
+    assert strict_json(raw) == {"a": 3, "b": 0.5, "c": [0, 1, 2], "d": [1, 2]}
     with pytest.raises(TypeError):
         write_json(os.path.join(tmp_path, "bad.json"), {"s": {1, 2}})
 
@@ -756,11 +756,11 @@ def test_write_run_dir_artifacts(tmp_path):
     assert det[0].startswith("t,i,trusted,attacked,suspected")
     assert len(det) == 1 + 6 * 5
 
-    digest = json.load(open(paths["summary"], encoding="utf-8"))
+    digest = strict_json(open(paths["summary"], encoding="utf-8").read())
     assert digest["steps"] == 6
-    round_trip = load_scenario(json.load(open(paths["scenario"], encoding="utf-8")))
+    round_trip = load_scenario(strict_json(open(paths["scenario"], encoding="utf-8").read()))
     assert round_trip == cfg
-    rep = json.load(open(paths["feasibility"], encoding="utf-8"))
+    rep = strict_json(open(paths["feasibility"], encoding="utf-8").read())
     assert rep["threshold"]["feasible"]
 
 
