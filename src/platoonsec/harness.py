@@ -22,7 +22,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, make_dataclass
 
 import numpy as np
 
@@ -60,29 +60,39 @@ def _phi_pair(xs, x_hats, x_stars) -> tuple:
 # traces
 # --------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class StepTrace:
-    """Complete state of the simulation after one step (treat as read-only)."""
+#: the trace schema in ``trace.csv`` order: name, one step's shape in ``N``
+#: and ``W`` = 2L+1, the form a row hands it out in, and the ``trace.csv``
+#: label, suffixed per pair ``_s``/``_v`` or per gain ``_1`` .. ``_W``;
+#: ``None`` keeps a field out of the file, whose rows open with ``t,i``
+TRACE_FIELDS = (
+    ("t", (), "scalar", None),
+    ("x", ("N", 2), "view", "x"),                 # true states
+    ("x_star", ("N", 2), "view", "x_star"),       # desired formation states
+    ("x_hat", ("N", 2), "view", "x_hat"),         # estimates
+    ("x_bar", ("N", 2), "view", "x_bar"),         # predictions used this step
+    ("u", ("N",), "view", "u"),                   # control inputs computed this step
+    ("rho", ("N",), "floats", "rho"),             # interior bound, NaN for edge vehicles
+    ("lam", ("N",), "floats", "lambda"),          # cleared-edge bound, NaN for interior
+    ("tau", ("N",), "floats", "tau"),             # leaning-edge bound, NaN for interior
+    ("alpha", ("N",), "floats", "alpha"),         # active real-time error bound
+    ("beta", ("N",), "floats", "beta"),           # saturation threshold, NaN for edge / t=0
+    ("attack_norms", ("N",), "view", "attack_norm"),  # injected attack magnitude per sensor
+    ("phi", (), "scalar", "phi"),
+    ("phi_platoon", (), "scalar", "phi_platoon"),
+    ("gains", ("N", "W"), "view", "gain"),        # innovation gains, NaN where not applicable
+    ("x_leader", (2,), "view", None),             # reference state
+    ("sets", ("N",), "stored", None),             # per-vehicle DetectionSets
+    ("fired", ("N", 4), "stored", None),          # detector rule flags
+)
 
-    t: int
-    x: np.ndarray        # (N, 2) true states
-    x_star: np.ndarray   # (N, 2) desired formation states
-    x_leader: np.ndarray  # (2,) reference state
-    x_hat: np.ndarray    # (N, 2) estimates
-    x_bar: np.ndarray    # (N, 2) predictions used this step
-    u: np.ndarray        # (N,) control inputs computed this step
-    rho: tuple           # (N,) interior bound, NaN for edge vehicles
-    lam: tuple           # (N,) cleared-edge bound, NaN for interior
-    tau: tuple           # (N,) leaning-edge bound, NaN for interior
-    alpha: tuple         # (N,) active real-time error bound
-    beta: tuple          # (N,) saturation threshold used, NaN for edge / t=0
-    gains: np.ndarray    # (N, 2L+1) innovation gains, NaN where not applicable
-    sets: tuple          # per-vehicle DetectionSets
-    fired: tuple         # (N, 4) detector rule flags
-    attack_norms: np.ndarray  # (N,) injected attack magnitude per sensor
-    phi: float
-    phi_platoon: float
+#: how a row hands out step ``k`` of a column, per form: a view of the
+#: column, a tuple of floats, a Python int or float, or the stored tuple
+_ROW_FORMS = {"view": operator.getitem, "floats": lambda col, k: tuple(col[k].tolist()),
+              "scalar": lambda col, k: col[k].item(), "stored": operator.getitem}
 
+StepTrace = make_dataclass("StepTrace", [name for name, *_ in TRACE_FIELDS], slots=True,
+                           namespace={"__module__": __name__, "__doc__": "Complete state of "
+                                      "the simulation after one step (treat as read-only)."})
 
 #: every detector flag row ``(pairwise, innovation, exhaustion, completion)``,
 #: at index ``8*pairwise + 4*innovation + 2*exhaustion + completion``, so a
@@ -91,37 +101,26 @@ _FLAG_ROWS = tuple(itertools.product((False, True), repeat=4))
 
 
 class RunTrace:
-    """One run's trace as per-run columns, one row per step.
+    """One run's trace as per-run columns, one row per step: per
+    :data:`TRACE_FIELDS` field a float64 column ``(steps, *shape)``, ``t``
+    counting the steps, or for the stored ``sets`` and ``fired`` a list of
+    each step's tuple, which steps with the same ones may share.
 
-    The float columns are ``(steps, N, 2)`` for ``x``, ``x_star``, ``x_hat``
-    and ``x_bar``; ``(steps, N)`` for ``u``, ``rho`` .. ``beta`` and
-    ``attack_norms``; ``(steps, N, 2L+1)`` for ``gains``; ``(steps, 2)`` for
-    ``x_leader``; and ``(steps,)`` for ``t`` and both φ.  ``sets`` and
-    ``fired`` hold each step's tuple of ``DetectionSets`` and of flag rows;
-    steps with the same ones may share a tuple.
-
-    Indexing, slicing and iteration hand out :class:`StepTrace` rows:
-    arrays are views of the columns, ``rho`` .. ``beta`` are tuples of
-    floats.  Step 0 has made no prediction, so its row hands out ``x_hat``
-    as ``x_bar`` too; a run's ``x_bar`` column holds the same values there.
-    Iteration goes through ``__getitem__`` until it raises ``IndexError``.
+    Indexing, slicing and iteration hand out :class:`StepTrace` rows, each
+    field in its form.  Step 0 has made no prediction, so its row hands out
+    ``x_hat`` as ``x_bar`` too; a run's ``x_bar`` column holds the same
+    values there.  Iteration goes through ``__getitem__`` until it raises
+    ``IndexError``.
     """
 
-    __slots__ = ("t", "x", "x_star", "x_leader", "x_hat", "x_bar", "u", "rho", "lam",
-                 "tau", "alpha", "beta", "gains", "sets", "fired", "attack_norms",
-                 "phi", "phi_platoon")
+    __slots__ = tuple(name for name, *_ in TRACE_FIELDS)
 
     def __init__(self, steps: int, n: int, width: int):
+        dims = {"N": n, "W": width}
+        for name, shape, form, _ in TRACE_FIELDS:
+            setattr(self, name, [None] * steps if form == "stored" else
+                    np.empty((steps, *(dims.get(d, d) for d in shape))))
         self.t = np.arange(steps)
-        self.x, self.x_star, self.x_hat, self.x_bar = (np.empty((steps, n, 2))
-                                                       for _ in range(4))
-        self.x_leader = np.empty((steps, 2))
-        (self.u, self.rho, self.lam, self.tau, self.alpha, self.beta,
-         self.attack_norms) = (np.empty((steps, n)) for _ in range(7))
-        self.gains = np.empty((steps, n, width))
-        self.phi, self.phi_platoon = np.empty(steps), np.empty(steps)
-        self.sets = [None] * steps
-        self.fired = [None] * steps
 
     def __len__(self) -> int:
         return len(self.t)
@@ -134,15 +133,10 @@ class RunTrace:
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError(f"step {k} outside a trace of {len(self)} steps")
-        x_hat = self.x_hat[k]
-        return StepTrace(
-            t=int(self.t[k]), x=self.x[k], x_star=self.x_star[k], x_leader=self.x_leader[k],
-            x_hat=x_hat, x_bar=x_hat if k == 0 else self.x_bar[k], u=self.u[k],
-            rho=tuple(self.rho[k].tolist()), lam=tuple(self.lam[k].tolist()),
-            tau=tuple(self.tau[k].tolist()), alpha=tuple(self.alpha[k].tolist()),
-            beta=tuple(self.beta[k].tolist()), gains=self.gains[k], sets=self.sets[k],
-            fired=self.fired[k], attack_norms=self.attack_norms[k],
-            phi=float(self.phi[k]), phi_platoon=float(self.phi_platoon[k]))
+        row = {name: _ROW_FORMS[form](getattr(self, name), k) for name, _, form, _ in TRACE_FIELDS}
+        if k == 0:
+            row["x_bar"] = row["x_hat"]
+        return StepTrace(**row)
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +230,11 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     varpi = config.varpi
     nan = math.nan
     has_attack = bool(config.attack.attacked)
-    run = RunTrace(config.horizon + 1, n, width)
+    try:
+        run = RunTrace(config.horizon + 1, n, width)
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
+        raise SimulationError(f"a trace of horizon {config.horizon} for N={n} vehicles "
+                              f"cannot be allocated: {exc}") from exc
     rnd = RunRandom(config.seed if seed is None else seed, run_index)
 
     x = [(float(s), float(v)) for s, v in config.x_init]
@@ -389,10 +387,10 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         run.sets[t] = step_sets
         run.fired[t] = step_fired
         run.attack_norms[t] = norms
-        run.phi[t], run.phi_platoon[t] = _phi_pair(x, x_hat, stars)
-    if not np.isfinite(run.phi).all():  # φ is finite iff every error of its step is
-        t = int(np.argmin(np.isfinite(run.phi)))
-        raise SimulationError(f"step {t} leaves the float range: phi={float(run.phi[t])!r}")
+        phi, run.phi_platoon[t] = _phi_pair(x, x_hat, stars)
+        if not math.isfinite(phi):  # φ is finite iff every error of its step is
+            raise SimulationError(f"step {t} leaves the float range: phi={phi!r}")
+        run.phi[t] = phi
     return run
 
 
@@ -449,8 +447,14 @@ def monte_carlo(config: ScenarioConfig, runs: int,
     base = config.seed if base_seed is None else base_seed
     total, final_phi = {}, []
     for k in range(runs):  # summed as each run ends, in the order of ``sum`` from 0
-        m = _run_metrics(run_simulation(config, seed=base + k, run_index=k))
-        total = {key: total.get(key, 0) + value for key, value in m.items()}
+        run = run_simulation(config, seed=base + k, run_index=k)
+        try:  # a finite run's states relative to the leader, or their sums, can overflow
+            with np.errstate(over="raise"):
+                m = _run_metrics(run)
+                total = {key: total.get(key, 0) + value for key, value in m.items()}
+        except FloatingPointError as exc:
+            raise SimulationError(f"run {k} takes the ensemble metrics out of the float "
+                                  f"range: {exc}") from exc
         final_phi.append(m["phi"][-1] if config.horizon else 0.0)
     return MonteCarloSummary(runs=runs, base_seed=base, horizon=config.horizon, n=config.N,
                              final_phi=np.array(final_phi),
@@ -626,10 +630,9 @@ def write_json(path: str, doc: dict) -> None:
 
 
 def trace_columns(L: int) -> list:
-    gains = [f"gain_{s}" for s in range(1, 2 * L + 2)]
-    return ["t", "i", "x_s", "x_v", "x_star_s", "x_star_v", "x_hat_s", "x_hat_v",
-            "x_bar_s", "x_bar_v", "u", "rho", "lambda", "tau", "alpha", "beta",
-            "attack_norm", "phi", "phi_platoon"] + gains
+    ends = {(): ("",), (2,): ("_s", "_v"), ("W",): [f"_{s}" for s in range(1, 2 * L + 2)]}
+    return ["t", "i", *(label + end for _, shape, _, label in TRACE_FIELDS if label
+                        for end in ends[shape[1:]])]
 
 
 def _row_format(labels, n_floats: int, end: str = "\n") -> list:
@@ -658,32 +661,34 @@ def write_bounds_csv(fh, rows) -> None:
 
 
 def write_trace_csv(path: str, run: RunTrace, L: int) -> None:
-    """``trace.csv``: per row the head ``x, x_star, x_hat, x_bar, u``, distinct
-    on nearly every row, then the tail ``rho`` .. ``phi_platoon`` and the
-    gains, which few vehicles of a step differ in.  Each distinct tail is
-    formatted once per step and taken by the row template as ``%s``; tails
-    are told apart by their bytes, since ``0.0 == -0.0`` prints differently
-    and ``nan != nan``."""
+    """``trace.csv``: per row the head, the leading views of
+    :data:`TRACE_FIELDS` (``x`` .. ``u``), distinct on nearly every row, then
+    the tail ``rho`` .. ``gains``, which few vehicles of a step differ in.
+    Each distinct tail is formatted once per step and taken by the row
+    template as ``%s``; tails are told apart by their bytes, since
+    ``0.0 == -0.0`` prints differently and ``nan != nan``."""
     cols = trace_columns(L)
-    n_tail = len(cols) - 11
+    fields = [(getattr(run, name), form) for name, _, form, label in TRACE_FIELDS if label]
+    split = next(k for k, (_, form) in enumerate(fields) if form != "view")
+    head, tail = ([col for col, _ in part] for part in (fields[:split], fields[split:]))
+    n_head = sum(math.prod(col.shape[2:]) for col in head)
+    n_tail = len(cols) - 2 - n_head
     tail_fmt = ",".join(["%.17g"] * n_tail)
     tail_bytes = np.dtype((np.void, 8 * n_tail))
     n = run.x.shape[1]
-    lines = _row_format(range(1, n + 1), 9, ",%s\n")
+    lines = _row_format(range(1, n + 1), n_head, ",%s\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for k, t in enumerate(run.t.tolist()):
-            tail = np.column_stack((
-                run.rho[k], run.lam[k], run.tau[k], run.alpha[k], run.beta[k],
-                run.attack_norms[k], np.full(n, run.phi[k]), np.full(n, run.phi_platoon[k]),
-                run.gains[k]))
-            keys = tail.view(tail_bytes).ravel().tolist()
-            tails = dict(zip(keys, tail.tolist()))
+            # a column of one value per step repeats it on every row
+            tail_k = np.column_stack([col[k] if col.ndim > 1 else np.full(n, col[k])
+                                      for col in tail])
+            keys = tail_k.view(tail_bytes).ravel().tolist()
+            tails = dict(zip(keys, tail_k.tolist()))
             for key, row in tails.items():
                 tails[key] = tail_fmt % tuple(row)
             cells = []
-            for row, key in zip(np.column_stack((run.x[k], run.x_star[k], run.x_hat[k],
-                                                 run.x_bar[k], run.u[k])).tolist(), keys):
+            for row, key in zip(np.column_stack([col[k] for col in head]).tolist(), keys):
                 cells += row
                 cells.append(tails[key])
             _write_step(fh, lines, t, cells)

@@ -123,9 +123,9 @@ def _window_update(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
     ``sources``, summed in sensor order and divided by ``scale = 2L``.
 
     An unknown (gated) source whose ``‖e‖`` exceeds ``beta`` gets the gain
-    ``beta / ‖e‖``, and ``not <=`` keeps a NaN norm's gain NaN; every other
-    source adds ``e`` itself, which is exactly ``1.0 * e``.  The gain row is
-    ``row`` unless a source was clipped.
+    ``beta / ‖e‖``, and ``not <=`` keeps the gain NaN where the norm or
+    ``beta`` is NaN; every other source adds ``e`` itself, which is exactly
+    ``1.0 * e``.  The gain row is ``row`` unless a source was clipped.
     """
     p0, p1 = pref_own
     gains = row
@@ -139,7 +139,7 @@ def _window_update(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
         if gated:
             norm = math.hypot(e0, e1)
             if not norm <= beta:
-                k = beta / norm
+                k = beta / norm if norm else beta  # only a NaN beta clips a zero norm
                 if gains is row:
                     gains = list(row)
                 gains[m] = k

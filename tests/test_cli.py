@@ -5,18 +5,21 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import baseline_doc, strict_json, string_overrides
 from oracles import _fmt
 import platoonsec
-from platoonsec import cli, controller, detector, harness, observer
+from platoonsec import cli, controller, detector, harness, observer, sensing
 from platoonsec.core import DetectionSets, InconsistentSetsError, load_scenario
 
 
@@ -485,6 +488,9 @@ def test_every_command_exits_0_or_2_on_extreme_numbers(tmp_path, capsys, caplog,
 
 
 _D4_INIT = [[1e308, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [0.0, 2.0]]
+#: vehicle 5 starts 1e308 ahead of its place: one run stays finite, but two
+#: runs' summed positions relative to the leader overflow
+_D5_INIT = [[200.0, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [1e308, 2.0]]
 
 
 @pytest.mark.parametrize("overrides, outcomes", [
@@ -504,12 +510,23 @@ _D4_INIT = [[1e308, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [0.0, 2.0]]
     ({"horizon": 3, "x_init": _D4_INIT, "x_hat_init": [[-1e308, 0.0]] + [[0.0, 0.0]] * 4},
      {"check-feasibility": (0, '"initial_error": {\n    "error": "initial error overflows '
                                'at vehicle 1\'s x_init and x_hat_init"\n  }')}),
-], ids=["edge-bound-overflow", "threshold-overflow", "lyapunov-warning", "initial-error-overflow"])
+    ({"horizon": 1, "g_s": 1.5, "x_init": _D5_INIT, "x_hat_init": _D5_INIT},
+     {"run": (0, '"bound_violations": 0'),
+      "monte-carlo": (2, "run 1 takes the ensemble metrics out of the float range: ")}),
+    # the interior bound turns NaN at step 4, and so does its threshold; a
+    # zero innovation then drew a gain of NaN / 0.0, a ZeroDivisionError
+    ({**string_overrides(3, []), "L": 1, "b": 1, "horizon": 4,
+      "threshold_mode": {"mode": "adaptive", "beta": 1e300},
+      "delta_x": [[5e-324, 1e300], [20.0, 0.0]]},
+     {"run": (2, "step 4 leaves the float range: phi=nan"),
+      "monte-carlo": (2, "step 4 leaves the float range: phi=nan")}),
+], ids=["edge-bound-overflow", "threshold-overflow", "lyapunov-warning", "initial-error-overflow",
+        "ensemble-overflow", "nan-threshold"])
 def test_documents_past_the_float_range_give_strict_json_or_one_error_line(
         tmp_path, capsys, caplog, recwarn, overrides, outcomes):
-    """Documents whose design numbers or run leave the float range: each
-    command prints and writes strict JSON, where the overflowing block holds
-    an ``error``, or exits 2 with one line; none warns."""
+    """Documents whose design numbers, run or ensemble leave the float
+    range: each command prints and writes strict JSON, where the overflowing
+    block holds an ``error``, or exits 2 with one line; none warns."""
     path = _config_file(tmp_path, **overrides)
     doc = baseline_doc(**overrides)
     for command in _commands(tmp_path, 0):
@@ -521,6 +538,95 @@ def test_documents_past_the_float_range_give_strict_json_or_one_error_line(
         if code == 2 and command[0] != "check-feasibility":
             assert not os.path.exists(command[-1])
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_trace_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, caplog):
+    """A horizon whose trace numpy cannot allocate is refused with one line
+    naming the horizon and N, and no artifact is written.  ``bounds`` is not
+    run: it keeps one row per step and vehicle in a list."""
+    path = _config_file(tmp_path, horizon=2 ** 62)
+    doc = baseline_doc(horizon=2 ** 62)
+    for command in _commands(tmp_path, 0)[:2]:
+        code, line = _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys,
+                                                                 caplog)
+        assert code == 2 and line.startswith(
+            f"a trace of horizon {2 ** 62} for N=5 vehicles cannot be allocated: "), line
+        assert not os.path.exists(command[-1])
+
+
+#: finite magnitudes from the smallest subnormal to the largest float
+_MAGNITUDES = st.sampled_from((5e-324, 1e-300, 0.5, 0.999999, 1.000001, 1e10, 1e300, 1e308))
+_FINITE = st.one_of(_MAGNITUDES, _MAGNITUDES.map(operator.neg), st.just(0.0))
+#: the values each field rule of ``sensing`` admits, keyed by its description
+_ADMITTED = {
+    sensing.FINITE[1]: _FINITE,
+    sensing.POSITIVE[1]: _MAGNITUDES,
+    sensing.NONNEGATIVE[1]: st.one_of(st.just(0.0), _MAGNITUDES),
+    sensing.INTEGER[1]: st.integers(-2 ** 70, 2 ** 70),
+    sensing.COUNT[1]: st.integers(0, 2 ** 70),
+    sensing.integer_at_least(1)[1]: st.integers(1, 2 ** 70),
+    sensing.PAIR[1]: st.lists(_FINITE, min_size=2, max_size=2),
+}
+#: JSON values of other kinds, which a field may hold instead
+_OTHER = st.sampled_from((None, True, "1", [], {}, [1.0], -1, -1e308, 1.5))
+#: the rule of each document field a draw may replace; a list field's
+#: rule is its rows'
+_FIELD_RULES = {
+    "T": sensing.POSITIVE, "q": sensing.POSITIVE, "epsilon": sensing.NONNEGATIVE,
+    "mu": sensing.NONNEGATIVE, "g_s": sensing.POSITIVE, "g_v": sensing.POSITIVE,
+    "varpi": sensing.POSITIVE, "v0": sensing.FINITE, "seed": sensing.INTEGER,
+    "x0": sensing.PAIR, "delta_x": sensing.PAIR, "x_init": sensing.PAIR,
+    "x_hat_init": sensing.PAIR, "beta": sensing.POSITIVE, "omega": sensing.POSITIVE,
+}
+
+
+@st.composite
+def _scenario_documents(draw):
+    """A whole scenario document of horizon at most 8 on the string geometry
+    of 3 to 9 vehicles: its attack takes knobs drawn for their rules in
+    ``KNOBS``, up to four fields (or a row of a list field) take another
+    value their rule admits, often at an end of the float range, and at
+    most one field holds a JSON value of another kind."""
+    n = draw(st.integers(3, 9))
+    L = draw(st.integers(1, (n - 1) // 2))
+    attacked = draw(st.lists(st.integers(1, n), max_size=L, unique=True))
+    doc = baseline_doc(**{**string_overrides(n, attacked), "L": L, "b": L,
+                          "horizon": draw(st.integers(0, 8))})
+    kind = doc["attack"]["kind"] = draw(st.sampled_from(sensing.ATTACK_KINDS))
+    doc["attack"]["params"] = {name: draw(_ADMITTED[rule[1]])
+                               for name, rule in sensing.KNOBS[kind].items()
+                               if draw(st.booleans())}
+    threshold = doc["threshold_mode"] = {"mode": draw(st.sampled_from(("static", "adaptive")))}
+    doc["controller_mode"] = draw(st.sampled_from(("observer", "pwm")))
+    for key in draw(st.sets(st.sampled_from(sorted(_FIELD_RULES)), max_size=4)):
+        value = draw(_ADMITTED[_FIELD_RULES[key][1]])
+        if key in ("delta_x", "x_init", "x_hat_init"):
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = value
+        else:
+            (threshold if key in ("beta", "omega") else doc)[key] = value
+    other = draw(st.none() | st.sampled_from(sorted(doc)))
+    if other is not None:
+        doc[other] = draw(_OTHER)
+    return doc
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_scenario_documents())
+def test_every_command_exits_0_or_2_on_whole_documents(capsys, caplog, recwarn, doc):
+    """Whole scenario documents drawn from the field rules: every command
+    prints and writes strict JSON on exit 0 or logs one ERROR line on exit 2,
+    none raises, logs a record twice or warns."""
+    recwarn.clear()  # the fixture outlives each drawn document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _commands(tmp, 0):
+            _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys, caplog)
+    overflows = [f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in recwarn
+                 if issubclass(w.category, RuntimeWarning)]
+    assert not overflows, doc
 
 
 @pytest.mark.parametrize("threshold, fragment", [

@@ -31,6 +31,7 @@ from platoonsec.dynamics import (advance_deltas, desired_state_chain,
 from platoonsec.harness import (
     MonteCarloSummary,
     RunTrace,
+    TRACE_FIELDS,
     SimulationError,
     StepTrace,
     _phi_pair,
@@ -107,6 +108,28 @@ def test_every_horizon_gives_a_run_trace(baseline_cfg, tmp_path):
         assert fh.read() == ",".join(trace_columns(cfg.L)) + "\n"
     mc = monte_carlo(cfg, runs=2)
     assert mc.eta_pos.shape == (0, 5) and mc.final_phi.tolist() == [0.0, 0.0]
+    for horizon, steps in ((0, 0), (3, 4)):
+        _assert_columns_follow_the_schema(
+            run_simulation(dataclasses.replace(baseline_cfg, horizon=horizon)), steps)
+
+
+def _assert_columns_follow_the_schema(run, steps):
+    """Every column of ``run`` has the shape and type :data:`TRACE_FIELDS`
+    gives it for the baseline's N=5 and 2L+1=5: ``t`` counts the steps in
+    integers, every other computed field is a float64 column, and a stored
+    field is a list of one tuple per step."""
+    assert RunTrace.__slots__ == tuple(name for name, *_ in TRACE_FIELDS)
+    dims = {"N": 5, "W": 5}
+    for name, shape, form, _ in TRACE_FIELDS:
+        col = getattr(run, name)
+        step_shape = tuple(dims.get(d, d) for d in shape)
+        if form == "stored":
+            assert type(col) is list and len(col) == steps, name
+            assert all(type(v) is tuple and np.shape(v) == step_shape for v in col), name
+        elif name == "t":
+            assert col.dtype.kind == "i" and col.tolist() == list(range(steps))
+        else:
+            assert col.dtype == np.float64 and col.shape == (steps, *step_shape), name
 
 
 def test_initial_trace_row(baseline_cfg):
@@ -150,6 +173,27 @@ def test_infeasible_threshold_refuses_to_simulate():
                        x_init=[[200.0, 10.0], [100.0, 8.0], [50.0, 6.0]])
     with pytest.raises(SimulationError):
         run_simulation(load_scenario(doc))
+
+
+def test_a_run_is_refused_at_its_first_step_past_the_float_range(monkeypatch):
+    """A run whose φ leaves the float range at step 1 is refused there, with
+    the step and φ named: however long its horizon, it measures steps 0 and
+    1 only."""
+    cfg = load_scenario(baseline_doc(
+        horizon=500, q=1e10, epsilon=1e308,
+        threshold_mode={"mode": "static", "beta": 5e-324, "omega": 0.999999}))
+    measure_rows = sensing.measure_rows
+    steps = []
+
+    def counted(*args):
+        steps.append(args[4])
+        return measure_rows(*args)
+
+    monkeypatch.setattr(sensing, "measure_rows", counted)
+    with pytest.raises(SimulationError) as refused:
+        run_simulation(cfg)
+    assert str(refused.value) == "step 1 leaves the float range: phi=inf"
+    assert steps == [0, 1]
 
 
 def test_initial_error_above_q_refuses_to_simulate(baseline_cfg):
