@@ -7,13 +7,16 @@ half of the module certifies the gain pair: a grounded-Laplacian eigenvalue
 condition, the closed-loop spectral radius (computed two independent ways),
 and a Lyapunov-based ISS gain, checked by its own residual, that converts
 bounded estimation error into a bounded formation tracking error.
+
+scipy is imported inside :func:`iss_certificate`, just before its Lyapunov
+solve, and nowhere else in the package: simulating, writing artifacts and
+the ``bounds`` command run on numpy alone.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import plant_norm
 
@@ -138,6 +141,7 @@ def iss_certificate(mat: np.ndarray) -> IssCertificate:
         raise ValueError(
             f"closed loop is not Schur stable (spectral radius {radius:.6f} >= 1)")
     dim = mat.shape[0]
+    import scipy.linalg  # deferred to the solve: see the module docstring
     with warnings.catch_warnings():  # the residual gate below judges the solve
         warnings.simplefilter("ignore", RuntimeWarning)
         M = scipy.linalg.solve_discrete_lyapunov(mat.T, np.eye(dim))

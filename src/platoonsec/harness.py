@@ -23,6 +23,7 @@ import math
 import operator
 import os
 from dataclasses import asdict, dataclass, make_dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -571,37 +572,40 @@ def feasibility_report(config: ScenarioConfig) -> dict:
     return report
 
 
-def bound_envelopes(config: ScenarioConfig) -> list:
+def bound_envelopes(config: ScenarioConfig) -> Iterator[tuple]:
     """Offline worst-case bound trajectories with detection sets held empty.
 
-    Returns one row per (t, vehicle): ``(t, i, rho, lam, tau, alpha)`` with
+    Yields one row per (t, vehicle): ``(t, i, rho, lam, tau, alpha)`` with
     NaN where a bound does not apply to the vehicle's class.  With empty
     sets every interior window counts no trusted or attacked sensor, so all
     interior vehicles share one ``rho``, and every edge vehicle leans on an
-    interior neighbour, whose bound is that ``rho``.
+    interior neighbour, whose bound is that ``rho``.  The design is made
+    when this is called, so a refused design raises before the first row;
+    the rows are made as they are taken, so memory does not grow with the
+    horizon.
     """
     topo = config.topology()
     params = observer.ObserverParams.from_config(config)
     thr = _designed_threshold(config, params)
     empty = DetectionSets.empty()
-    nan = float("nan")
-
     dist = {i: abs(observer.nearest_trusted(i, empty, topo) - i) for i in topo.v2}
     interior = min(topo.v1)
-    rho = params.q
-    tau = dict.fromkeys(topo.v2, params.q)
 
-    rows = []
-    for t in range(config.horizon + 1):
-        if t:
-            tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
-            rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
-        for i in topo.vehicles():
-            if i in topo.v1:
-                rows.append((t, i, rho, nan, nan, rho))
-            else:
-                rows.append((t, i, nan, tau[i], tau[i], tau[i]))
-    return rows
+    def rows():
+        nan = float("nan")
+        rho = params.q
+        tau = dict.fromkeys(topo.v2, params.q)
+        for t in range(config.horizon + 1):
+            if t:
+                tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
+                rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
+            for i in topo.vehicles():
+                if i in topo.v1:
+                    yield (t, i, rho, nan, nan, rho)
+                else:
+                    yield (t, i, nan, tau[i], tau[i], tau[i])
+
+    return rows()
 
 
 # --------------------------------------------------------------------------

@@ -116,6 +116,21 @@ def test_bounds_to_file_and_stdout(tmp_path, capsys):
     assert streamed == lines
 
 
+def test_bounds_refuses_a_failed_threshold_design_before_its_file(tmp_path, capsys, caplog):
+    """The design runs before the first row, so a refused design exits 2 with
+    one ERROR line and ``--out`` is never created."""
+    doc = baseline_doc(L=1, b=3, N=3, delta_x=[[20.0, 0.0]] * 2,
+                       x_init=[[200.0, 10.0], [100.0, 8.0], [50.0, 6.0]])
+    path = os.path.join(tmp_path, "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    command = ["bounds", "--out", os.path.join(tmp_path, "bounds.csv")]
+    code, line = _exit_0_with_strict_json_or_2_with_one_line(command, path, doc, capsys,
+                                                             caplog)
+    assert code == 2 and line.startswith("threshold design failed: "), line
+    assert not os.path.exists(command[-1])
+
+
 def test_bad_configuration_exits_with_error_code(tmp_path, capsys):
     path = os.path.join(tmp_path, "broken.json")
     doc = baseline_doc()
@@ -543,7 +558,8 @@ def test_documents_past_the_float_range_give_strict_json_or_one_error_line(
 def test_a_trace_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, caplog):
     """A horizon whose trace numpy cannot allocate is refused with one line
     naming the horizon and N, and no artifact is written.  ``bounds`` is not
-    run: it keeps one row per step and vehicle in a list."""
+    run: it streams its rows, so it has nothing to allocate up front (see
+    ``test_bound_envelopes_stream_the_first_steps_of_an_unbounded_horizon``)."""
     path = _config_file(tmp_path, horizon=2 ** 62)
     doc = baseline_doc(horizon=2 ** 62)
     for command in _commands(tmp_path, 0)[:2]:

@@ -152,6 +152,55 @@ def test_importing_core_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+#: code run in a fresh interpreter, which names the baseline document ``doc``,
+#: a refused one ``bad`` and a scratch directory ``out``, and whether it must
+#: load ``scipy.linalg``: only the Lyapunov solve of the certificate does
+_SCIPY_PROBES = {
+    "import cli": ("import platoonsec.cli", False),
+    "import harness": ("import platoonsec.harness", False),
+    "run and writers": ("""
+from platoonsec import harness
+cfg = core.load_scenario(doc)
+run = harness.run_simulation(cfg)
+harness.summarize_run(cfg, run)
+harness.write_trace_csv(os.path.join(out, "trace.csv"), run, cfg.L)
+harness.write_detection_csv(os.path.join(out, "detection.csv"), run)
+""", False),
+    "monte_carlo": ("""
+from platoonsec import harness
+harness.monte_carlo(core.load_scenario(doc), 2)
+""", False),
+    "bounds command": ("""
+from platoonsec import cli
+assert cli.main(["bounds", "--config", doc, "--out", os.path.join(out, "b.csv")]) == 0
+""", False),
+    "refused document": ("""
+from platoonsec import cli
+assert cli.main(["run", "--config", bad, "--out", os.path.join(out, "run")]) == 2
+""", False),
+    "feasibility_report": ("""
+from platoonsec import harness
+harness.feasibility_report(core.load_scenario(doc))
+""", True),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_SCIPY_PROBES))
+def test_only_the_certificate_loads_scipy(tmp_path, probe):
+    code, loads = _SCIPY_PROBES[probe]
+    paths = []
+    for name, doc in (("doc", baseline_doc(horizon=20)), ("bad", baseline_doc(q=-1.0))):
+        paths.append(os.path.join(tmp_path, f"{name}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = ("import os, sys\nfrom platoonsec import core\ndoc, bad, out = sys.argv[1:]\n"
+              + code + "\nprint('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script, *paths, str(tmp_path)], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == str(loads)
+
+
 # --------------------------------------------------------------------------
 # detection sets
 # --------------------------------------------------------------------------

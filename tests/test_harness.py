@@ -10,11 +10,13 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,7 +695,7 @@ def test_feasibility_report_with_infeasible_threshold():
 
 
 def test_bound_envelopes_baseline_prefix():
-    rows = bound_envelopes(load_scenario(baseline_doc(horizon=2)))
+    rows = list(bound_envelopes(load_scenario(baseline_doc(horizon=2))))
     assert len(rows) == 3 * 5
     first = {(t, i): (r, l, ta, a) for t, i, r, l, ta, a in rows}
     assert first[(0, 3)][0] == 300.0 and math.isnan(first[(0, 3)][1])
@@ -708,8 +710,8 @@ def test_bound_envelopes_baseline_prefix():
 
 
 def test_bound_envelopes_static_mode_differs():
-    rows = bound_envelopes(load_scenario(
-        baseline_doc(horizon=2, threshold_mode={"mode": "static"})))
+    rows = list(bound_envelopes(load_scenario(
+        baseline_doc(horizon=2, threshold_mode={"mode": "static"}))))
     by = {(t, i): vals for t, i, *vals in rows}
     assert by[(1, 3)][0] == 159.08912203164363   # same first step
     assert by[(2, 3)][0] == 48.089122031643605   # tighter than adaptive
@@ -747,6 +749,39 @@ def test_bound_envelopes_match_the_per_vehicle_driver(mode):
         cfg = load_scenario(doc)
         assert _envelope_bits(bound_envelopes(cfg)) == _envelope_bits(
             bound_envelopes_per_vehicle(cfg))
+
+
+def test_bound_envelopes_stream_the_first_steps_of_an_unbounded_horizon(monkeypatch):
+    """On a ``horizon: 2**62`` baseline the first three steps come at once,
+    bit for bit the rows of the ``horizon: 2`` document: taking them advances
+    the interior bound twice, and a third advance fails the test rather than
+    letting a list of every row exhaust memory."""
+    want = _envelope_bits(bound_envelopes(load_scenario(baseline_doc(horizon=2))))
+    calls, advance = [], observer.rho_update
+
+    def rho_update(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "bound_envelopes ran ahead of the rows taken"
+        return advance(*args)
+
+    monkeypatch.setattr(observer, "rho_update", rho_update)
+    rows = bound_envelopes(load_scenario(baseline_doc(horizon=2 ** 62)))
+    assert _envelope_bits(itertools.islice(rows, 3 * 5)) == want
+    assert len(calls) == 2
+
+
+def test_bound_envelopes_memory_does_not_grow_with_the_horizon():
+    """Draining N=21, H=5,000 (105,021 rows) peaks far below the rows held
+    as a list, which take about 100 B each."""
+    cfg = load_scenario(baseline_doc(horizon=5000, **string_overrides(21, [6, 15])))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in bound_envelopes(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 5001 * 21
+    assert peak < 5 * count, peak
 
 
 # --------------------------------------------------------------------------
@@ -1139,7 +1174,7 @@ def test_bounds_csv_matches_the_per_cell_oracle(tmp_path, monkeypatch, capsys):
     cfg_path = os.path.join(tmp_path, "scenario.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(baseline_doc(horizon=30), fh)
-    rows = bound_envelopes(load_scenario(baseline_doc(horizon=30)))
+    rows = list(bound_envelopes(load_scenario(baseline_doc(horizon=30))))
     odd = [(0, 1, -0.0, math.inf, -math.inf, 5e-324),
            (12, 3, math.nan, -math.nan, 1 / 3, 1e308)]
     for case in (rows, odd):
