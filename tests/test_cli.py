@@ -13,7 +13,6 @@ import sys
 import tempfile
 
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import baseline_doc, strict_json, string_overrides
@@ -263,9 +262,8 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, caplog, capsys, doc, r
 def _perturb_the_lyapunov_solve(monkeypatch):
     """Scale every Lyapunov solution by 1 + 1e-4, so that the certificate's
     own residual check refuses it."""
-    solve = scipy.linalg.solve_discrete_lyapunov
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
-                        lambda a, q: solve(a, q) * (1.0 + 1e-4))
+    solve = controller.lyapunov_series
+    monkeypatch.setattr(controller, "lyapunov_series", lambda a: solve(a) * (1.0 + 1e-4))
 
 
 @pytest.mark.parametrize("command, kept", [
@@ -521,7 +519,7 @@ _D5_INIT = [[200.0, 10.0], [100.0, 8.0], [50.0, 6.0], [20.0, 4.0], [1e308, 2.0]]
       "monte-carlo": (2, "step 1 leaves the float range: phi=inf")}),
     ({"horizon": 0, "T": 0.9, "q": 1e-300, "mu": 0.9, "g_s": 1e-10, "g_v": 1e-10,
       "threshold_mode": {"mode": "static"}},
-     {"check-feasibility": (2, "Lyapunov residual 9.605e+00 exceeds 1e-06/sqrt(10)")}),
+     {"check-feasibility": (2, "Lyapunov residual 8.663e+06 exceeds 1e-06/sqrt(10)")}),
     ({"horizon": 3, "x_init": _D4_INIT, "x_hat_init": [[-1e308, 0.0]] + [[0.0, 0.0]] * 4},
      {"check-feasibility": (0, '"initial_error": {\n    "error": "initial error overflows '
                                'at vehicle 1\'s x_init and x_hat_init"\n  }')}),
@@ -703,20 +701,35 @@ def test_run_digest_stays_finite_where_the_error_norm_overflows(tmp_path, capsys
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.fixture(scope="module")
-def string101(tmp_path_factory):
-    """The 101-vehicle string, whose certificate the dense route still covers."""
-    path = os.path.join(tmp_path_factory.mktemp("string101"), "scenario.json")
+def _string_file(tmp_path_factory, n):
+    path = os.path.join(tmp_path_factory.mktemp(f"string{n}"), "scenario.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(baseline_doc(horizon=20, **string_overrides(101, [30, 70])), fh)
+        json.dump(baseline_doc(horizon=20, **string_overrides(n, [30, 70])), fh)
     return path
 
 
-def test_check_feasibility_certifies_the_101_vehicle_string(string101, capsys):
-    assert cli.main(["check-feasibility", "--config", string101]) == 0
+@pytest.fixture(scope="module")
+def string101(tmp_path_factory):
+    """The 101-vehicle string, whose certificate the dense route still covers."""
+    return _string_file(tmp_path_factory, 101)
+
+
+def _assert_certified(path, n, capsys):
+    assert cli.main(["check-feasibility", "--config", path]) == 0
     loop = strict_json(capsys.readouterr().out)["closed_loop"]
     assert loop["schur"] is True
-    assert math.sqrt(202) * loop["lyapunov_residual"] <= controller.CROSS_CHECK_TOL
+    assert math.sqrt(2 * n) * loop["lyapunov_residual"] <= controller.CROSS_CHECK_TOL
+
+
+def test_check_feasibility_certifies_the_101_vehicle_string(string101, capsys):
+    _assert_certified(string101, 101, capsys)
+
+
+@pytest.mark.parametrize("n", [161, 301])
+def test_check_feasibility_certifies_the_longer_strings(tmp_path_factory, capsys, n):
+    """Claim 3 past the sizes scipy's solver certified, which stopped near
+    N=150; the doubling certifies the string up to N=376."""
+    _assert_certified(_string_file(tmp_path_factory, n), n, capsys)
 
 
 def test_run_writes_every_artifact_on_the_101_vehicle_string(string101, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from oracles import control_input, controller_neighbors
+from platoonsec import controller
 from platoonsec.controller import (
     CROSS_CHECK_TOL,
     CertificateError,
@@ -165,8 +166,34 @@ def test_lyapunov_series_closed_forms():
     assert np.array_equal(lyapunov_series(np.zeros((2, 2))), np.eye(2))
     got = lyapunov_series(0.5 * np.eye(2))
     assert got == pytest.approx(np.eye(2) * (4.0 / 3.0), rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match="doubling budget"):
         lyapunov_series(np.eye(2))
+
+
+def _acceptance_6_matrices():
+    """The 20 random Schur matrices of acceptance 6, drawn from its stream."""
+    rng = np.random.default_rng(13579)
+    for _ in range(20):
+        dim = int(rng.integers(2, 9))
+        raw = rng.normal(size=(dim, dim))
+        yield raw * (float(rng.uniform(0.3, 0.95)) / spectral_radius(raw))
+        rng.uniform(0.1, 2.0)
+        rng.normal(size=(1500, dim))  # the noise acceptance 6 drives each loop with
+
+
+@pytest.mark.parametrize("loops", [
+    [LOOP], [closed_loop_matrix(41, T, G_S, G_V)], list(_acceptance_6_matrices()),
+], ids=["baseline", "string41", "acceptance6"])
+def test_lyapunov_series_matches_scipy(loops):
+    for mat in loops:
+        want = scipy.linalg.solve_discrete_lyapunov(mat.T, np.eye(mat.shape[0]))
+        assert np.linalg.norm(lyapunov_series(mat) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_the_101_vehicle_string_certifies_with_headroom():
+    """scipy's solver left sqrt(dim)*||R||_F = 1.6e-7 here; the doubling 2.4e-9."""
+    c = iss_certificate(closed_loop_matrix(101, T, G_S, G_V))
+    assert math.sqrt(202) * c.residual <= 1e-7
 
 
 def test_iss_certificate_solves_the_lyapunov_equation(cert):
@@ -200,9 +227,8 @@ def test_iss_certificate_keeps_its_residual_and_the_extremes_of_m(cert):
     (float("nan"), True),
 ])
 def test_iss_certificate_refuses_a_solve_by_its_residual(monkeypatch, scale, refused):
-    solve = scipy.linalg.solve_discrete_lyapunov
-    monkeypatch.setattr(scipy.linalg, "solve_discrete_lyapunov",
-                        lambda a, q: solve(a, q) * (1.0 + scale))
+    solve = controller.lyapunov_series
+    monkeypatch.setattr(controller, "lyapunov_series", lambda a: solve(a) * (1.0 + scale))
     if not refused:
         c = iss_certificate(LOOP)
         assert math.sqrt(2 * N) * c.residual <= CROSS_CHECK_TOL

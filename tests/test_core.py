@@ -153,8 +153,9 @@ def test_importing_core_does_not_load_scipy():
 
 
 #: code run in a fresh interpreter, which names the baseline document ``doc``,
-#: a refused one ``bad`` and a scratch directory ``out``, and whether it must
-#: load ``scipy.linalg``: only the Lyapunov solve of the certificate does
+#: a refused one ``bad`` and a scratch directory ``out``, and whether it
+#: loads ``scipy.linalg``: no command does, and the last probe shows that the
+#: guard sees it when it is loaded
 _SCIPY_PROBES = {
     "import cli": ("import platoonsec.cli", False),
     "import harness": ("import platoonsec.harness", False),
@@ -181,12 +182,17 @@ assert cli.main(["run", "--config", bad, "--out", os.path.join(out, "run")]) == 
     "feasibility_report": ("""
 from platoonsec import harness
 harness.feasibility_report(core.load_scenario(doc))
-""", True),
+""", False),
+    "check-feasibility command": ("""
+from platoonsec import cli
+assert cli.main(["check-feasibility", "--config", doc]) == 0
+""", False),
+    "import scipy.linalg": ("import scipy.linalg", True),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(_SCIPY_PROBES))
-def test_only_the_certificate_loads_scipy(tmp_path, probe):
+def test_no_command_loads_scipy(tmp_path, probe):
     code, loads = _SCIPY_PROBES[probe]
     paths = []
     for name, doc in (("doc", baseline_doc(horizon=20)), ("bad", baseline_doc(q=-1.0))):
