@@ -64,8 +64,8 @@ def closed_loop_matrix(n: int, T: float, g_s: float, g_v: float) -> np.ndarray:
     return np.kron(np.eye(n), np.array([[1.0, T], [0.0, 1.0]])) - np.kron(lg, feedback)
 
 
-def spectral_radius(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+def spectral_radius(mat: np.ndarray, eigs: np.ndarray | None = None) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(mat) if eigs is None else eigs)))
 
 
 def block_spectrum(n: int, T: float, g_s: float, g_v: float) -> np.ndarray:
@@ -131,14 +131,15 @@ class IssCertificate:
         return float(np.sqrt(2.0 * self.kappa * sigma * sigma * self.lam_max / self.lam_min))
 
 
-def iss_certificate(mat: np.ndarray) -> IssCertificate:
+def iss_certificate(mat: np.ndarray, eigs: np.ndarray | None = None) -> IssCertificate:
     """Solve ``P^T M P - M = -I`` and derive the ISS constant ``kappa``.
 
     The solution is checked by its own residual ``R``: for Schur ``P`` the
     exact ``M*`` has ``M - M* = -sum_k (P^T)^k R P^k``, so ``||M - M*||_F <=
     sqrt(dim) ||R||_F ||M*||_F``; a bound above ``CROSS_CHECK_TOL`` (or NaN) aborts.
+    ``eigs``, if given, are ``mat``'s eigenvalues, already taken.
     """
-    radius = spectral_radius(mat)
+    radius = spectral_radius(mat, eigs)
     if radius >= 1.0:
         raise ValueError(
             f"closed loop is not Schur stable (spectral radius {radius:.6f} >= 1)")

@@ -264,7 +264,10 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     att_state = sensing.AttackState(config.attack)
 
     # identity memos, one slot per vehicle; each is sound because fusion and
-    # detection hand back the very same sets object whenever no set grew:
+    # detection hand back the very same sets object whenever no set grew, and
+    # ``canon`` maps each value they do build to the run's first object of that
+    # value, so equal states are one object and the memos key on values in
+    # effect; only new objects are looked up, as sets hash in Python:
     # - fused: fusion is a pure function of its input sets, so it reruns only
     #   for the vehicles in ``refuse``, whose own or a neighbour's sets object
     #   changed in the last step; without this memo the N=101, H=500 run took
@@ -275,6 +278,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     # - edge_memo: an edge vehicle's source, its distance, and whether its
     #   own sensor is trusted
     fused = [None] * n
+    canon = {sets[0]: sets[0]}
     refuse = set(range(n))
     local = [[k, *(j - 1 for j in nbr_lists[k])] for k in range(n)]
     count_memo = [None] * n
@@ -309,13 +313,15 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                 for i in vehicles:
                     k = i - 1
                     if k in refuse:
-                        fused[k] = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
+                        f = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
+                        fused[k] = f if f is sets[k] else canon.setdefault(f, f)
                     bound_prev = rho[k] if interior[k] else tau[k]
                     res = detector.detector_step(
                         i, fused[k], y_rel[i - 2] if i >= 2 else None,
                         y_abs[i - 2] if i >= 2 else None, y_abs[k],
                         x_bar[k], bound_prev, n, b, mu, eps, norm_A, count_memo)
-                    new_sets.append(res.sets)
+                    s = res.sets
+                    new_sets.append(s if s is fused[k] else canon.setdefault(s, s))
                     flags.append(_FLAG_ROWS[8 * res.pairwise + 4 * res.innovation
                                             + 2 * res.exhaustion + res.completion])
             except InconsistentSetsError as exc:
@@ -535,11 +541,11 @@ def feasibility_report(config: ScenarioConfig) -> dict:
                                           f"g_s={config.g_s!r}, g_v={config.g_v!r}"}
     else:
         full = np.array(sorted(np.linalg.eigvals(P), key=lambda z: (abs(z), z.real, z.imag)))
-        radius = float(np.max(np.abs(full)))
+        radius = controller.spectral_radius(P, full)
         report["closed_loop"] = {"spectral_radius": radius, "schur": radius < 1.0,
                                  "spectrum_gap": float(np.max(np.abs(block - full)))}
     if report["closed_loop"].get("schur"):
-        cert = controller.iss_certificate(P)
+        cert = controller.iss_certificate(P, full)
         report["closed_loop"]["lyapunov_residual"] = cert.residual
         report["closed_loop"]["kappa"] = cert.kappa
 
@@ -705,7 +711,8 @@ def write_detection_csv(path: str, run: RunTrace) -> None:
     cols = ["t", "i", "trusted", "attacked", "suspected",
             "pairwise", "innovation", "exhaustion", "completion"]
     # set objects recur across vehicles and steps, so each one's cells are
-    # joined once; the memo holds the object itself, so its id stays unique
+    # joined once; ``run_simulation`` keeps one object per distinct state, so
+    # that is once per state; the memo holds the object, so its id stays unique
     set_cells = {}
     flag_cells = {}
     last_sets = last_fired = None
@@ -746,9 +753,16 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     trusted_goal = frozenset(range(1, config.N + 1)) - true_attacked
     first_full = None
     if true_attacked:
+        verdict = {}
+        last = None
         for t, sets in zip(run.t.tolist(), run.sets):
-            if all(s.attacked == true_attacked and s.trusted == trusted_goal
-                   for s in sets):
+            if sets is last:
+                continue
+            last = sets
+            for s in sets:
+                if id(s) not in verdict:  # the trace keeps s alive, so its id stays unique
+                    verdict[id(s)] = s.attacked == true_attacked and s.trusted == trusted_goal
+            if all(verdict[id(s)] for s in sets):
                 first_full = t
                 break
     return {

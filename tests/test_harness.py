@@ -575,6 +575,41 @@ def test_run_trace_keeps_no_container_per_vehicle_step():
     assert _deep_size(run, set()) <= 1.2 * held
 
 
+_KIND_PARAMS = (("random", {"scale": 1.0}), ("bias", {"offset": [6.0, -1.0]}),
+                ("dos", {"start": 5}), ("replay", {"record_len": 10, "start": 12}))
+
+
+@pytest.mark.parametrize("doc", [
+    baseline_doc(horizon=60, **string_overrides(21, [6, 15])),
+    *(baseline_doc(horizon=60, attack={"set": [3], "kind": kind, "params": params})
+      for kind, params in _KIND_PARAMS),
+], ids=["string21", *(kind for kind, _ in _KIND_PARAMS)])
+def test_a_run_keeps_one_sets_object_per_distinct_state(monkeypatch, doc):
+    """Within a run equal detection states are one object: the fused sets
+    handed to the detector and the sets the trace keeps have as many
+    distinct objects as distinct values."""
+    held = {}
+    step = detector.detector_step
+
+    def spy(i, fused, *args):
+        held[id(fused)] = fused  # kept alive, so ids stay unique
+        return step(i, fused, *args)
+    monkeypatch.setattr(detector, "detector_step", spy)
+    run = run_simulation(load_scenario(doc))
+    assert all(s.attacked for s in run.sets[-1])
+    held.update((id(s), s) for sets in run.sets for s in sets)
+    assert len(held) == len(set(held.values())) > 2
+
+
+def test_a_long_string_trace_holds_its_sets_in_under_0_2_mb():
+    """The N=101 string passes through a handful of detection states, so
+    its H=200 trace keeps a handful of sets objects, not one per vehicle
+    and change (1.5 MB of copies when each vehicle built its own)."""
+    run = run_simulation(load_scenario(baseline_doc(
+        horizon=200, **string_overrides(101, [30, 70]))))
+    assert _deep_size(run.sets, set()) < 0.2e6
+
+
 def test_baseline_run_digest(baseline_cfg, traces500):
     digest = summarize_run(baseline_cfg, traces500)
     assert digest["horizon"] == 500 and digest["steps"] == 501
@@ -598,6 +633,32 @@ def test_digest_without_attack_has_no_detection_time():
         horizon=5, attack={"set": [], "kind": "random", "params": {}}))
     digest = summarize_run(cfg, run_simulation(cfg))
     assert digest["first_full_detection"] is None
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its ``==`` calls."""
+    eq_calls = 0
+
+    def __eq__(self, other):
+        type(self).eq_calls += 1
+        return frozenset.__eq__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+def test_digest_judges_each_sets_object_once(monkeypatch):
+    """``first_full_detection`` judges each distinct sets object once, and
+    skips a step that repeats the last step's tuple."""
+    cfg = load_scenario(baseline_doc(horizon=5))
+    partial = DetectionSets(trusted=frozenset({1, 2}), attacked=_CountingSet({3}))
+    exact = DetectionSets(trusted=frozenset({1, 2, 4, 5}), attacked=_CountingSet({3}))
+    final = (exact,) * 5
+    steps = [(exact,) * 4 + (partial,) for _ in range(4)] + [final, final]
+    run = stack_rows([_synthetic_step(t, 5, 2, sets=s) for t, s in enumerate(steps)])
+    monkeypatch.setattr(_CountingSet, "eq_calls", 0)
+    digest = summarize_run(cfg, run)
+    assert digest["first_full_detection"] == 4
+    assert _CountingSet.eq_calls <= len({id(s) for sets in steps for s in sets}) == 2
 
 
 # --------------------------------------------------------------------------
@@ -640,6 +701,21 @@ def test_monte_carlo_defaults_and_degenerate_cases(baseline_cfg):
 # --------------------------------------------------------------------------
 # feasibility report and bound envelopes
 # --------------------------------------------------------------------------
+
+def test_feasibility_report_solves_the_loop_spectrum_once(baseline_cfg, monkeypatch):
+    """The report's spectral radius also serves the certificate's Schur
+    check, so the 2N x 2N closed loop goes through ``eigvals`` once."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counting(mat):
+        shapes.append(np.shape(mat))
+        return eigvals(mat)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    loop = feasibility_report(baseline_cfg)["closed_loop"]
+    assert loop["schur"] and loop["kappa"] > 0
+    assert shapes.count((10, 10)) == 1
+
 
 def test_feasibility_report_baseline(baseline_cfg):
     rep = feasibility_report(baseline_cfg)
