@@ -59,9 +59,11 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     run = harness.run_simulation(config)
-    summary = harness.summarize_run(config, run)
+    # the pure-Python indent encoder takes tens of ms at a few hundred
+    # vehicles, so the digest's text is made once, for the file and stdout
+    summary = harness.json_text(harness.summarize_run(config, run))
     harness.write_run_dir(args.out, config, run, summary)
-    print(harness.json_text(summary))
+    print(summary)
     return 0
 
 
@@ -87,10 +89,11 @@ def _cmd_bounds(args) -> int:
     config = load_scenario(args.config)
     rows = harness.bound_envelopes(config)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "wb") as fh:
             harness.write_bounds_csv(fh, rows)
     else:
-        harness.write_bounds_csv(sys.stdout, rows)
+        sys.stdout.flush()  # the rows go to the byte stream under the text layer
+        harness.write_bounds_csv(sys.stdout.buffer, rows)
     return 0
 
 

@@ -634,9 +634,13 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, default=_json_default)
 
 
-def write_json(path: str, doc: dict) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(doc) + "\n")
+        fh.write(text + "\n")
+
+
+def write_json(path: str, doc: dict) -> None:
+    _write_text(path, json_text(doc))
 
 
 def trace_columns(L: int) -> list:
@@ -645,25 +649,26 @@ def trace_columns(L: int) -> list:
                         for end in ends[shape[1:]])]
 
 
-def _row_format(labels, n_floats: int, end: str = "\n") -> list:
+def _row_format(labels, n_floats: int, end: bytes = b"\n") -> list:
     """printf lines of one step's CSV rows, each without its leading ``t,``:
     the row label ``i``, then ``n_floats`` float cells rendered byte for byte
     as ``_fmt`` in ``tests/oracles.py`` renders them (``%.17g`` prints every
     NaN as ``nan``), then ``end``.  The list opens with an empty line, so
     joining it on ``t,`` puts the prefix in front of every row."""
-    cells = ",".join(["%.17g"] * n_floats)
-    return ["", *(f"{i},{cells}{end}" for i in labels)]
+    cells = b",".join([b"%.17g"] * n_floats)
+    return [b"", *(b"%d,%b%b" % (i, cells, end) for i in labels)]
 
 
 def _write_step(fh, lines, t: int, cells) -> None:
-    """Write one step's rows with one format call; ``cells`` fills the
-    ``_row_format`` ``lines`` in order."""
-    fh.write(("%d," % t).join(lines) % tuple(cells))
+    """Write one step's rows to the binary file ``fh`` with one format call;
+    ``cells`` fills the ``_row_format`` ``lines`` in order."""
+    fh.write((b"%d," % t).join(lines) % tuple(cells))
 
 
 def write_bounds_csv(fh, rows) -> None:
-    """The ``bounds`` CSV of :func:`bound_envelopes` rows, one step at a time."""
-    fh.write("t,i,rho,lambda,tau,alpha\n")
+    """The ``bounds`` CSV of :func:`bound_envelopes` rows, one step at a
+    time, to the binary file ``fh``."""
+    fh.write(b"t,i,rho,lambda,tau,alpha\n")
     for t, step in itertools.groupby(rows, operator.itemgetter(0)):
         step = list(step)
         _write_step(fh, _row_format([row[1] for row in step], 4), t,
@@ -674,34 +679,40 @@ def write_trace_csv(path: str, run: RunTrace, L: int) -> None:
     """``trace.csv``: per row the head, the leading views of
     :data:`TRACE_FIELDS` (``x`` .. ``u``), distinct on nearly every row, then
     the tail ``rho`` .. ``gains``, which few vehicles of a step differ in.
-    Each distinct tail is formatted once per step and taken by the row
-    template as ``%s``; tails are told apart by their bytes, since
-    ``0.0 == -0.0`` prints differently and ``nan != nan``."""
+
+    Each step formats its one-value columns (``phi``, ``phi_platoon``) once,
+    into the step's tail template, and each distinct tail once, from one of
+    its rows; the row template takes the tail as ``%b``.  Tails are told
+    apart by the bytes of their per-vehicle cells, since ``0.0 == -0.0``
+    prints differently and ``nan != nan``, and equal bytes print alike.  A
+    step's cells are laid out in one object block, heads then tail, which
+    hands them out in row order."""
     cols = trace_columns(L)
     fields = [(getattr(run, name), form) for name, _, form, label in TRACE_FIELDS if label]
     split = next(k for k, (_, form) in enumerate(fields) if form != "view")
     head, tail = ([col for col, _ in part] for part in (fields[:split], fields[split:]))
     n_head = sum(math.prod(col.shape[2:]) for col in head)
-    n_tail = len(cols) - 2 - n_head
-    tail_fmt = ",".join(["%.17g"] * n_tail)
-    tail_bytes = np.dtype((np.void, 8 * n_tail))
+    per_row = [col for col in tail if col.ndim > 1]
+    per_step = [col for col in tail if col.ndim == 1]
+    # a step's tail template: ``%%.17g`` survives the step's ``%`` as the cell
+    # of a per-vehicle value, ``%b`` takes a one-value column's cell
+    tail_fmt = b",".join(b",".join([b"%%.17g"] * math.prod(col.shape[2:])) if col.ndim > 1
+                         else b"%b" for col in tail)
+    tail_bytes = np.dtype((np.void, 8 * sum(math.prod(col.shape[2:]) for col in per_row)))
     n = run.x.shape[1]
-    lines = _row_format(range(1, n + 1), n_head, ",%s\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
+    lines = _row_format(range(1, n + 1), n_head, b",%b\n")
+    block = np.empty((n, n_head + 1), dtype=object)
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\n")
         for k, t in enumerate(run.t.tolist()):
-            # a column of one value per step repeats it on every row
-            tail_k = np.column_stack([col[k] if col.ndim > 1 else np.full(n, col[k])
-                                      for col in tail])
+            step_fmt = tail_fmt % tuple(b"%.17g" % col[k] for col in per_step)
+            tail_k = np.column_stack([col[k] for col in per_row])
             keys = tail_k.view(tail_bytes).ravel().tolist()
-            tails = dict(zip(keys, tail_k.tolist()))
-            for key, row in tails.items():
-                tails[key] = tail_fmt % tuple(row)
-            cells = []
-            for row, key in zip(np.column_stack([col[k] for col in head]).tolist(), keys):
-                cells += row
-                cells.append(tails[key])
-            _write_step(fh, lines, t, cells)
+            tails = {key: step_fmt % tuple(tail_k[j].tolist())
+                     for key, j in dict(zip(keys, range(n))).items()}
+            block[:, :n_head] = np.column_stack([col[k] for col in head])
+            block[:, n_head] = [tails[key] for key in keys]
+            _write_step(fh, lines, t, block.ravel().tolist())
 
 
 def write_detection_csv(path: str, run: RunTrace) -> None:
@@ -716,24 +727,24 @@ def write_detection_csv(path: str, run: RunTrace) -> None:
     set_cells = {}
     flag_cells = {}
     last_sets = last_fired = None
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\n")
         for t, sets, fired in zip(run.t.tolist(), run.sets, run.fired):
             if not (sets is last_sets and fired is last_fired):
                 last_sets, last_fired = sets, fired
-                rows = [""]
+                rows = [b""]
                 for i, (s, flags) in enumerate(zip(sets, fired), 1):
                     entry = set_cells.get(id(s))
                     if entry is None:
-                        entry = set_cells[id(s)] = (s, ",".join(
-                            "|".join(map(str, sorted(part)))
+                        entry = set_cells[id(s)] = (s, b",".join(
+                            b"|".join(b"%d" % j for j in sorted(part))
                             for part in (s.trusted, s.attacked, s.suspected)))
                     flag_cell = flag_cells.get(flags)
                     if flag_cell is None:
-                        flag_cell = flag_cells[flags] = ",".join(
-                            "1" if f else "0" for f in flags)
-                    rows.append(f"{i},{entry[1]},{flag_cell}\n")
-            fh.write(f"{t},".join(rows))
+                        flag_cell = flag_cells[flags] = b",".join(
+                            b"1" if f else b"0" for f in flags)
+                    rows.append(b"%d,%b,%b\n" % (i, entry[1], flag_cell))
+            fh.write((b"%d," % t).join(rows))
 
 
 def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
@@ -777,11 +788,11 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     }
 
 
-def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: dict) -> dict:
-    """Persist one run: resolved scenario, both trace CSVs, its
-    ``summarize_run`` digest ``summary`` and, last, the feasibility report,
-    whose certificate can fail after the run succeeded.  Returns the path of
-    each artifact."""
+def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: str) -> dict:
+    """Persist one run: resolved scenario, both trace CSVs, ``summary``,
+    the :func:`json_text` of its ``summarize_run`` digest, and, last, the
+    feasibility report, whose certificate can fail after the run succeeded.
+    Returns the path of each artifact."""
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "scenario": os.path.join(outdir, "scenario.json"),
@@ -793,7 +804,7 @@ def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: d
     write_json(paths["scenario"], config.to_json())
     write_trace_csv(paths["trace"], run, config.L)
     write_detection_csv(paths["detection"], run)
-    write_json(paths["summary"], summary)
+    _write_text(paths["summary"], summary)
     write_json(paths["feasibility"], feasibility_report(config))
     return paths
 
@@ -810,8 +821,8 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
     write_json(paths["scenario"], config.to_json())
     write_json(paths["summary"], summary.to_json())
     lines = _row_format(range(1, summary.n + 1), 6)
-    with open(paths["metrics"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon\n")
+    with open(paths["metrics"], "wb") as fh:
+        fh.write(b"t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon\n")
         for t in range(summary.phi.shape[0]):
             _write_step(fh, lines, t, np.column_stack((
                 summary.eta_pos[t], summary.eta_vel[t],

@@ -29,17 +29,23 @@ def _config_file(tmp_path, **overrides):
     return path
 
 
-def test_run_writes_the_trace_directory_and_prints_the_digest(tmp_path, capsys):
+def test_run_writes_the_trace_directory_and_prints_the_digest(tmp_path, capsys, monkeypatch):
+    docs = []
+    json_text = harness.json_text
+    monkeypatch.setattr(harness, "json_text", lambda doc: docs.append(doc) or json_text(doc))
     cfg_path = _config_file(tmp_path, horizon=5)
     out = os.path.join(tmp_path, "out")
     assert cli.main(["run", "--config", cfg_path, "--out", out]) == 0
-    digest = strict_json(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    digest = strict_json(printed)
     assert digest["steps"] == 6 and digest["horizon"] == 5
     for name in ("scenario.json", "feasibility.json", "trace.csv",
                  "detection.csv", "summary.json"):
         assert os.path.isfile(os.path.join(out, name))
-    on_disk = strict_json(open(os.path.join(out, "summary.json"), encoding="utf-8").read())
-    assert on_disk == digest
+    on_disk = open(os.path.join(out, "summary.json"), encoding="utf-8").read()
+    assert strict_json(on_disk) == digest and on_disk == printed
+    # one serialization of the digest serves both the file and stdout
+    assert sum("final_sets" in doc for doc in docs) == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -20,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import baseline_doc, strict_json, string_overrides
 from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
@@ -39,6 +40,7 @@ from platoonsec.harness import (
     _phi_pair,
     bound_envelopes,
     feasibility_report,
+    json_text,
     monte_carlo,
     run_simulation,
     summarize_run,
@@ -105,7 +107,7 @@ def test_every_horizon_gives_a_run_trace(baseline_cfg, tmp_path):
     run = run_simulation(cfg)
     assert type(run) is RunTrace and len(run) == 0
     assert run.x.shape == (0, 5, 2) and run.gains.shape == (0, 5, 5)
-    paths = write_run_dir(str(tmp_path), cfg, run, summarize_run(cfg, run))
+    paths = write_run_dir(str(tmp_path), cfg, run, json_text(summarize_run(cfg, run)))
     with open(paths["trace"], encoding="utf-8") as fh:
         assert fh.read() == ",".join(trace_columns(cfg.L)) + "\n"
     mc = monte_carlo(cfg, runs=2)
@@ -898,7 +900,7 @@ def test_write_run_dir_artifacts(tmp_path):
     cfg = load_scenario(baseline_doc(horizon=5))
     traces = run_simulation(cfg)
     out = os.path.join(tmp_path, "run")
-    paths = write_run_dir(out, cfg, traces, summarize_run(cfg, traces))
+    paths = write_run_dir(out, cfg, traces, json_text(summarize_run(cfg, traces)))
     assert sorted(paths) == ["detection", "feasibility", "scenario", "summary",
                              "trace"]
     for p in paths.values():
@@ -922,8 +924,9 @@ def test_write_run_dir_artifacts(tmp_path):
 def test_write_run_dir_is_byte_deterministic(tmp_path):
     cfg = load_scenario(baseline_doc(horizon=4))
     traces = run_simulation(cfg)
-    pa = write_run_dir(os.path.join(tmp_path, "a"), cfg, traces, summarize_run(cfg, traces))
-    pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces, summarize_run(cfg, traces))
+    summary = json_text(summarize_run(cfg, traces))
+    pa = write_run_dir(os.path.join(tmp_path, "a"), cfg, traces, summary)
+    pb = write_run_dir(os.path.join(tmp_path, "b"), cfg, traces, summary)
     for key in pa:
         assert open(pa[key], "rb").read() == open(pb[key], "rb").read(), key
 
@@ -1087,6 +1090,34 @@ def _oracle_bounds_csv(out, rows):
         w.writerow([str(t), str(i), _fmt(rho), _fmt(lam), _fmt(tau), _fmt(alpha)])
 
 
+def _float_of_bits(word: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", word))[0]
+
+
+_BOUNDARY = [b * s for b in (1e16, 1e17) for s in (1.0, -1.0)]
+
+#: cells that stress ``%.17g``: NaN of either sign with any payload bits,
+#: ±0, subnormals, ±inf, and the 1e16/1e17 exponents, across which it moves
+#: from integer digits to an exponent (the float below 1e17 prints
+#: ``99999999999999984``, 1e17 ``1e+17``)
+_CELLS = st.one_of(
+    st.builds(lambda sign, payload: _float_of_bits(sign << 63 | 0x7FF << 52 | payload),
+              st.integers(0, 1), st.integers(1, 2 ** 52 - 1)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, *_BOUNDARY,
+                     *(math.nextafter(b, d) for b in _BOUNDARY for d in (0.0, 2 * b))]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and ±0
+    st.floats(1e15, 1e18) | st.floats(-1e18, -1e15),
+    st.floats(),
+)
+
+
+def _drawn_cells(data, *shape) -> np.ndarray:
+    """A float64 array of ``shape`` whose cells are drawn from ``_CELLS``."""
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(_CELLS, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
 def _assert_run_csvs_match_oracle(tmp_path, traces, L):
     pairs = [(write_trace_csv, _oracle_trace_csv, (L,)),
              (write_detection_csv, _oracle_detection_csv, ())]
@@ -1157,6 +1188,18 @@ def test_run_csvs_match_the_oracle_on_special_floats(tmp_path):
              ((False, True, False, True),) * 2),
     ]
     _assert_run_csvs_match_oracle(tmp_path, traces, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def drawn(data):  # every float field of one to three steps drawn
+        n, steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        dims = {"N": n, "W": 3}
+        _assert_run_csvs_match_oracle(tmp_path, [StepTrace(
+            t=t, sets=(DetectionSets.empty(),) * n, fired=((False,) * 4,) * n,
+            **{name: _drawn_cells(data, *(dims.get(d, d) for d in shape))
+               for name, shape, form, _ in TRACE_FIELDS if form != "stored" and name != "t"})
+            for t in range(steps)], 1)
+    drawn()
 
 
 def _synthetic_step(t, n, L, *, sets=None, fired=None, phi=1.5, **tail):
@@ -1238,11 +1281,26 @@ def test_metrics_csv_matches_the_per_cell_oracle(tmp_path):
     odd[1, 0] = math.nan
     phi = mc.phi.copy()
     phi[2] = -math.nan
-    for summary in (mc, dataclasses.replace(mc, eta_pos=odd, phi=phi)):
+
+    def check(summary):
         paths = write_monte_carlo_dir(os.path.join(tmp_path, "mc"), cfg, summary)
         want = os.path.join(tmp_path, "want.csv")
         _oracle_metrics_csv(want, summary)
         assert open(paths["metrics"], "rb").read() == open(want, "rb").read()
+
+    for summary in (mc, dataclasses.replace(mc, eta_pos=odd, phi=phi)):
+        check(summary)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def drawn(data):  # every metric of one to three steps and vehicles drawn
+        n, steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        check(dataclasses.replace(
+            mc, n=n, horizon=steps - 1, phi=_drawn_cells(data, steps),
+            phi_platoon=_drawn_cells(data, steps),
+            **{key: _drawn_cells(data, steps, n)
+               for key in ("eta_pos", "eta_vel", "zeta_pos", "zeta_vel")}))
+    drawn()
 
 
 def test_bounds_csv_matches_the_per_cell_oracle(tmp_path, monkeypatch, capsys):
@@ -1253,7 +1311,8 @@ def test_bounds_csv_matches_the_per_cell_oracle(tmp_path, monkeypatch, capsys):
     rows = list(bound_envelopes(load_scenario(baseline_doc(horizon=30))))
     odd = [(0, 1, -0.0, math.inf, -math.inf, 5e-324),
            (12, 3, math.nan, -math.nan, 1 / 3, 1e308)]
-    for case in (rows, odd):
+
+    def check(case):
         monkeypatch.setattr(harness, "bound_envelopes", lambda config: case)
         want = io.StringIO()
         _oracle_bounds_csv(want, case)
@@ -1263,3 +1322,14 @@ def test_bounds_csv_matches_the_per_cell_oracle(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert cli.main(["bounds", "--config", cfg_path]) == 0
         assert capsys.readouterr().out == want.getvalue()
+
+    for case in (rows, odd):
+        check(case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def drawn(data):  # one to three steps of one to three vehicles, bounds drawn
+        steps, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        cells = _drawn_cells(data, steps, n, 4).tolist()
+        check([(t, i, *cells[t][i - 1]) for t in range(steps) for i in range(1, n + 1)])
+    drawn()
