@@ -54,10 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _seeded_scenario(args):
+    """The scenario with ``--seed`` as its seed, so the directory's
+    ``scenario.json`` reproduces the command's runs."""
     config = load_scenario(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
+def _cmd_run(args) -> int:
+    config = _seeded_scenario(args)
     run = harness.run_simulation(config)
     # the pure-Python indent encoder takes tens of ms at a few hundred
     # vehicles, so the digest's text is made once, for the file and stdout
@@ -68,8 +73,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_monte_carlo(args) -> int:
-    config = load_scenario(args.config)
-    summary = harness.monte_carlo(config, args.runs, args.seed)
+    config = _seeded_scenario(args)
+    summary = harness.monte_carlo(config, args.runs)
     harness.write_monte_carlo_dir(args.out, config, summary)
     digest = {"runs": summary.runs, "horizon": summary.horizon,
               "phi_start": float(summary.phi[0]) if len(summary.phi) else None,

@@ -28,13 +28,19 @@ class InconsistentSetsError(RuntimeError):
 # topology
 # --------------------------------------------------------------------------
 
-def partition_vehicles(N: int, L: int) -> tuple[frozenset, frozenset]:
-    """Split ``1..N`` into interior vehicles (full sensor window) and edge
-    vehicles (truncated window)."""
+def _check_interior(N: int, L: int) -> None:
+    """Refuse a string with no interior vehicle, in time and memory that do
+    not grow with ``N``."""
     if L < 1:
         raise ConfigError(f"communication range L must be at least 1, got {L}")
     if 2 * L >= N:
         raise ConfigError(f"need N > 2L for a non-empty interior, got N={N}, L={L}")
+
+
+def partition_vehicles(N: int, L: int) -> tuple[frozenset, frozenset]:
+    """Split ``1..N`` into interior vehicles (full sensor window) and edge
+    vehicles (truncated window)."""
+    _check_interior(N, L)
     v1 = frozenset(range(L + 1, N - L + 1))
     v2 = frozenset(range(1, N + 1)) - v1
     return v1, v2
@@ -247,7 +253,7 @@ def load_scenario(source) -> ScenarioConfig:
     N, L, b = (checked(doc[key], key, INTEGER) for key in ("N", "L", "b"))
     if N < 2:
         raise ConfigError(f"need at least two vehicles, got N={N}")
-    partition_vehicles(N, L)  # validates N > 2L, L >= 1
+    _check_interior(N, L)  # the document's rows are counted before anything of size N is built
     if b < 1:
         LOG.warning("b=%d leaves no attack budget; detection rules will be vacuous", b)
     elif b > L:

@@ -667,12 +667,14 @@ def _write_step(fh, lines, t: int, cells) -> None:
 
 def write_bounds_csv(fh, rows) -> None:
     """The ``bounds`` CSV of :func:`bound_envelopes` rows, one step at a
-    time, to the binary file ``fh``."""
+    time, to the binary file ``fh``; steps of the same vehicles share a template."""
     fh.write(b"t,i,rho,lambda,tau,alpha\n")
+    templates = {}
     for t, step in itertools.groupby(rows, operator.itemgetter(0)):
         step = list(step)
-        _write_step(fh, _row_format([row[1] for row in step], 4), t,
-                    itertools.chain.from_iterable(row[2:] for row in step))
+        labels = tuple(row[1] for row in step)
+        lines = templates.get(labels) or templates.setdefault(labels, _row_format(labels, 4))
+        _write_step(fh, lines, t, itertools.chain.from_iterable(row[2:] for row in step))
 
 
 def write_trace_csv(path: str, run: RunTrace, L: int) -> None:
@@ -723,7 +725,8 @@ def write_detection_csv(path: str, run: RunTrace) -> None:
             "pairwise", "innovation", "exhaustion", "completion"]
     # set objects recur across vehicles and steps, so each one's cells are
     # joined once; ``run_simulation`` keeps one object per distinct state, so
-    # that is once per state; the memo holds the object, so its id stays unique
+    # that is once per state; the trace keeps each object alive, so its id
+    # stays unique
     set_cells = {}
     flag_cells = {}
     last_sets = last_fired = None
@@ -734,16 +737,16 @@ def write_detection_csv(path: str, run: RunTrace) -> None:
                 last_sets, last_fired = sets, fired
                 rows = [b""]
                 for i, (s, flags) in enumerate(zip(sets, fired), 1):
-                    entry = set_cells.get(id(s))
-                    if entry is None:
-                        entry = set_cells[id(s)] = (s, b",".join(
+                    set_cell = set_cells.get(id(s))
+                    if set_cell is None:
+                        set_cell = set_cells[id(s)] = b",".join(
                             b"|".join(b"%d" % j for j in sorted(part))
-                            for part in (s.trusted, s.attacked, s.suspected)))
+                            for part in (s.trusted, s.attacked, s.suspected))
                     flag_cell = flag_cells.get(flags)
                     if flag_cell is None:
                         flag_cell = flag_cells[flags] = b",".join(
                             b"1" if f else b"0" for f in flags)
-                    rows.append(b"%d,%b,%b\n" % (i, entry[1], flag_cell))
+                    rows.append(b"%d,%b,%b\n" % (i, set_cell, flag_cell))
             fh.write((b"%d," % t).join(rows))
 
 
@@ -788,40 +791,35 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     }
 
 
-def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: str) -> dict:
-    """Persist one run: resolved scenario, both trace CSVs, ``summary``,
-    the :func:`json_text` of its ``summarize_run`` digest, and, last, the
-    feasibility report, whose certificate can fail after the run succeeded.
-    Returns the path of each artifact."""
+def _write_dir(outdir: str, config: ScenarioConfig, *artifacts) -> dict:
+    """The directory of ``run`` and ``monte-carlo``: the resolved scenario
+    first, then the command's ``artifacts`` in order, each ``(file name,
+    writer, *args)`` written as ``writer(path, *args)``, and last the
+    feasibility report, whose certificate can fail after the command's work,
+    which then stays on disk.  Returns each path keyed by its file's stem."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "scenario": os.path.join(outdir, "scenario.json"),
-        "feasibility": os.path.join(outdir, "feasibility.json"),
-        "trace": os.path.join(outdir, "trace.csv"),
-        "detection": os.path.join(outdir, "detection.csv"),
-        "summary": os.path.join(outdir, "summary.json"),
-    }
+    names = ("scenario.json", "feasibility.json", *(name for name, *_ in artifacts))
+    paths = {name.split(".")[0]: os.path.join(outdir, name) for name in names}
     write_json(paths["scenario"], config.to_json())
-    write_trace_csv(paths["trace"], run, config.L)
-    write_detection_csv(paths["detection"], run)
-    _write_text(paths["summary"], summary)
+    for name, write, *args in artifacts:
+        write(os.path.join(outdir, name), *args)
     write_json(paths["feasibility"], feasibility_report(config))
     return paths
 
 
-def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
-                          summary: MonteCarloSummary) -> dict:
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "scenario": os.path.join(outdir, "scenario.json"),
-        "feasibility": os.path.join(outdir, "feasibility.json"),
-        "summary": os.path.join(outdir, "summary.json"),
-        "metrics": os.path.join(outdir, "metrics.csv"),
-    }
-    write_json(paths["scenario"], config.to_json())
-    write_json(paths["summary"], summary.to_json())
+def write_run_dir(outdir: str, config: ScenarioConfig, run: RunTrace, summary: str) -> dict:
+    """Persist one run through :func:`_write_dir`: both trace CSVs, then
+    ``summary``, the :func:`json_text` of its ``summarize_run`` digest."""
+    return _write_dir(outdir, config, ("trace.csv", write_trace_csv, run, config.L),
+                      ("detection.csv", write_detection_csv, run),
+                      ("summary.json", _write_text, summary))
+
+
+def write_metrics_csv(path: str, summary: MonteCarloSummary) -> None:
+    """``metrics.csv``: per step and vehicle the ensemble's ``eta`` and
+    ``zeta`` components, then the step's ``phi`` and ``phi_platoon``."""
     lines = _row_format(range(1, summary.n + 1), 6)
-    with open(paths["metrics"], "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(b"t,i,eta_pos,eta_vel,zeta_pos,zeta_vel,phi,phi_platoon\n")
         for t in range(summary.phi.shape[0]):
             _write_step(fh, lines, t, np.column_stack((
@@ -829,6 +827,10 @@ def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
                 summary.zeta_pos[t], summary.zeta_vel[t],
                 np.full(summary.n, summary.phi[t]),
                 np.full(summary.n, summary.phi_platoon[t]))).ravel().tolist())
-    # last: its certificate can fail after the ensemble is done
-    write_json(paths["feasibility"], feasibility_report(config))
-    return paths
+
+
+def write_monte_carlo_dir(outdir: str, config: ScenarioConfig,
+                          summary: MonteCarloSummary) -> dict:
+    """Persist one ensemble through :func:`_write_dir`: summary, then metrics."""
+    return _write_dir(outdir, config, ("summary.json", write_json, summary.to_json()),
+                      ("metrics.csv", write_metrics_csv, summary))

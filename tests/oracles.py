@@ -5,8 +5,9 @@ reconstruction), per-vehicle forms of batched code (the control law, the
 saturation gain, the saturated window update, the bound envelopes), the
 window counts by set intersection, a fresh generator per draw site, the
 per-cell CSV format, the message and run-splitting helpers the reference
-step loop uses, the stack of every array field of a trace list, and the
-stack of hand-built trace rows into the columns the writers read."""
+step loop uses, the stack of every array field of a trace list, the
+stack of hand-built trace rows into the columns the writers read, and the
+paper's claims read off a run's trace."""
 
 import math
 from dataclasses import dataclass
@@ -301,3 +302,53 @@ def stack_rows(traces) -> RunTrace:
         for name in RunTrace.__slots__:
             getattr(run, name)[k] = getattr(row, name)
     return run
+
+
+def paper_claims(config, run: RunTrace) -> dict:
+    """The paper's claims on one run, read off its trace alone, not through
+    ``summarize_run``:
+
+    - ``worst_gap``: the largest ``‖x̂ − x‖ − α`` over steps and vehicles;
+    - ``unsound``: each ``(t, i)`` whose sets call a clean sensor attacked or
+      an attacked one trusted, or lose a member since the last step;
+    - ``first_confirmed``: the first step at which some vehicle confirms b
+      attacks, and ``exact_from``: the step from which on every vehicle's
+      sets are exact, all b attacked and every other sensor trusted (each
+      ``None`` if there is none);
+    - ``risen``: each ``(mode, sets)`` of a distinct final state whose
+      static or adaptive asymptotic radii exceed those at empty sets.
+    """
+    attacked = frozenset(config.attack.attacked)
+    clean = frozenset(range(1, config.N + 1)) - attacked
+    exact = DetectionSets(trusted=clean, attacked=attacked)
+    gap = np.hypot(*np.moveaxis(run.x_hat - run.x, 2, 0)) - run.alpha
+    unsound = []
+    first_confirmed = exact_from = None
+    prev = (DetectionSets.empty(),) * config.N
+    for t, sets in zip(run.t.tolist(), run.sets):
+        if sets is prev:  # the same objects, judged on the step they came
+            continue
+        for i, (was, now) in enumerate(zip(prev, sets), 1):
+            if now is not was and not (now.attacked <= attacked and now.trusted <= clean
+                                       and was.attacked <= now.attacked
+                                       and was.trusted <= now.trusted):
+                unsound.append((t, i))
+        if first_confirmed is None and any(len(s.attacked) == config.b for s in sets):
+            first_confirmed = t
+        if all(s == exact for s in sets):
+            exact_from = t if exact_from is None else exact_from
+        else:
+            exact_from = None
+        prev = sets
+    topo = config.topology()
+    params = ObserverParams.from_config(config)
+    beta0 = _designed_threshold(config, params).beta0
+    risen = []
+    for mode, radii in (("static", observer.asymptotic_bounds_static),
+                        ("adaptive", observer.asymptotic_bounds_adaptive)):
+        at_empty = radii(DetectionSets.empty(), topo, beta0, params)
+        for s in set(run.sets[-1]):
+            if any(r > e for r, e in zip(radii(s, topo, beta0, params), at_empty)):
+                risen.append((mode, s))
+    return {"worst_gap": float(np.max(gap)), "unsound": unsound,
+            "first_confirmed": first_confirmed, "exact_from": exact_from, "risen": risen}

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -73,6 +74,23 @@ def test_run_seed_override_lands_in_the_written_scenario(tmp_path, capsys):
     assert got[1].split(",")[2] == _fmt(want[0].x[0][0])
 
 
+def test_monte_carlo_seed_override_lands_in_the_written_scenario(tmp_path, capsys):
+    """``--seed`` is the ensemble's base seed and the written scenario's
+    seed, so a re-run from that ``scenario.json`` writes the same directory."""
+    cfg_path = _config_file(tmp_path, horizon=4)
+    out, again = os.path.join(tmp_path, "mc"), os.path.join(tmp_path, "again")
+    assert cli.main(["monte-carlo", "--config", cfg_path, "--runs", "2", "--seed", "7",
+                     "--out", out]) == 0
+    doc = strict_json(open(os.path.join(out, "scenario.json"), encoding="utf-8").read())
+    assert doc["seed"] == 7
+    assert cli.main(["monte-carlo", "--config", os.path.join(out, "scenario.json"),
+                     "--runs", "2", "--out", again]) == 0
+    capsys.readouterr()
+    for name in ("scenario.json", "summary.json", "metrics.csv", "feasibility.json"):
+        assert (open(os.path.join(out, name), "rb").read()
+                == open(os.path.join(again, name), "rb").read()), name
+
+
 def test_monte_carlo_command(tmp_path, capsys):
     cfg_path = _config_file(tmp_path, horizon=4)
     out = os.path.join(tmp_path, "mc")
@@ -97,6 +115,23 @@ def test_monte_carlo_without_runs_exits_with_one_line(tmp_path, caplog, runs):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"need at least one run, got {runs}"]
     assert not os.path.exists(out)
+
+
+def test_a_mis_sized_document_is_refused_before_anything_of_size_n_is_built(tmp_path, caplog):
+    """N=2,000,001 over the baseline's four ``delta_x`` rows: the row count is
+    refused with one line before any N-sized set is built (those sets took
+    259 MB at this N)."""
+    cfg_path = _config_file(tmp_path, N=2_000_001)
+    tracemalloc.start()
+    try:
+        code = cli.main(["check-feasibility", "--config", cfg_path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("delta_x must be a list of 2000000 pairs")
+    assert peak < 16e6
 
 
 def test_check_feasibility_prints_the_report(tmp_path, capsys):

@@ -4,13 +4,17 @@ L=4, every attack kind with a start time per attacked sensor, and both
 threshold modes.  Every step and vehicle of every run must keep the true
 state inside its real-time error bound, and every vehicle's detection sets
 must stay fault-free and never shrink.  Once some vehicle has confirmed
-all b attacks, every vehicle's sets must be exact one diameter later."""
+all b attacks, every vehicle's sets must be exact one diameter later.  The
+N=401 string is checked against the same claims, and claim 2's radii at
+its final sets, through ``oracles.paper_claims``."""
 
 import math
 
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import baseline_doc, string_overrides
+from oracles import paper_claims
 from platoonsec.core import DetectionSets, load_scenario
 from platoonsec.dynamics import plant_norm
 from platoonsec.harness import run_simulation
@@ -107,3 +111,17 @@ def test_sets_are_exact_one_diameter_after_b_attacks_are_confirmed(doc):
             return
     event("no vehicle confirmed b attacks" if first is None
           else "first confirmation plus one diameter beyond the horizon")
+
+
+def test_the_paper_claims_hold_on_the_401_vehicle_string():
+    """Claims 1 and 2 and bound soundness at N=401: the horizon ends one
+    diameter (200 steps) after the first confirmation of b attacks, which
+    comes at t=51, and every vehicle's sets are exact from t=152 on."""
+    cfg = load_scenario(baseline_doc(**string_overrides(401, [100, 300]), horizon=251))
+    claims = paper_claims(cfg, run_simulation(cfg))
+    assert claims["worst_gap"] <= SLACK, claims["worst_gap"]
+    assert claims["unsound"] == []
+    assert claims["first_confirmed"] is not None
+    assert claims["exact_from"] is not None
+    assert claims["exact_from"] <= claims["first_confirmed"] + cfg.topology().diameter()
+    assert claims["risen"] == []
