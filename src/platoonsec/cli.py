@@ -123,6 +123,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         logging.getLogger("platoonsec").error("i/o failure: %s", exc)
         return 2
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        logging.getLogger("platoonsec").error("out of memory: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":

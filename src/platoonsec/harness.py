@@ -3,7 +3,7 @@
 One simulated step runs, in order: plant propagation under the previous
 control, reference/formation propagation, sensing with attack injection,
 set fusion with the neighbours' previous-step sets plus detection, the
-observer update, the error-bound recursions, and finally the controller.
+observer with its error bounds (``observer.row_observer``), then control.
 The detector runs before the observer on purpose — the observer's gains and
 the edge vehicles' source selection consume the *current* step's sets, while
 the detection tests themselves only use previous-step bounds and predictions.
@@ -216,19 +216,15 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         return RunTrace(0, config.N, 2 * config.L + 1)
 
     n = config.N
-    Lw = config.L
-    width = 2 * Lw + 1
+    width = 2 * config.L + 1
     T = config.T
     vehicles = range(1, n + 1)
     interior = [i in topo.v1 for i in vehicles]
-    inner = slice(Lw, n - Lw)  # rows of the interior vehicles L+1 .. N-L
-    edge_vehicles = sorted(topo.v2)
     nbr_lists = [sorted(topo.neighbors[i]) for i in vehicles]
     pwm = config.controller_mode == "pwm"
     g_s, g_v = config.g_s, config.g_v
     mu, eps, b = config.mu, config.epsilon, config.b
     norm_A = params.norm_A
-    varpi = config.varpi
     nan = math.nan
     has_attack = bool(config.attack.attacked)
     try:
@@ -254,8 +250,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     lam = [nan if flag else params.q for flag in interior]
     tau = [nan if flag else params.q for flag in interior]
     alpha = [params.q] * n
-    nan_gains = [nan] * width
-    gains = [nan_gains] * n
+    gains = [[nan] * width] * n
     beta_row = [nan] * n
     # a step that keeps the last step's set objects, or repeats its flag
     # rows, shares that step's tuple, so quiet steps keep no container
@@ -273,17 +268,13 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     #   changed in the last step; without this memo the N=101, H=500 run took
     #   about 22% longer (best of 10 on a 2-core Xeon host: 0.93 s -> 1.13 s)
     # - count_memo: the detector's counting rules on a quiet step
-    # - class_memo: an interior window's count terms, non-attacked sources
-    #   and 0/1 gain row
-    # - edge_memo: an edge vehicle's source, its distance, and whether its
-    #   own sensor is trusted
+    # - the observer's, per interior window and edge source: ``row_observer``
     fused = [None] * n
     canon = {sets[0]: sets[0]}
     refuse = set(range(n))
     local = [[k, *(j - 1 for j in nbr_lists[k])] for k in range(n)]
     count_memo = [None] * n
-    class_memo = [None] * n
-    edge_memo = [None] * n
+    update_rows = observer.row_observer(thr, params, topo)
     zero_noise = [(0.0, 0.0)] * n
 
     for t in range(config.horizon + 1):
@@ -315,11 +306,10 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                     if k in refuse:
                         f = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
                         fused[k] = f if f is sets[k] else canon.setdefault(f, f)
-                    bound_prev = rho[k] if interior[k] else tau[k]
                     res = detector.detector_step(
                         i, fused[k], y_rel[i - 2] if i >= 2 else None,
                         y_abs[i - 2] if i >= 2 else None, y_abs[k],
-                        x_bar[k], bound_prev, n, b, mu, eps, norm_A, count_memo)
+                        x_bar[k], alpha[k], n, b, mu, eps, norm_A, count_memo)
                     s = res.sets
                     new_sets.append(s if s is fused[k] else canon.setdefault(s, s))
                     flags.append(_FLAG_ROWS[8 * res.pairwise + 4 * res.innovation
@@ -330,38 +320,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
                 raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
                                             + (f"; {clash}" if clash else "")) from exc
 
-            x_hat = [None] * n
-            gains = [nan_gains] * n
-            beta_row = [nan] * n
-            alpha_new = [0.0] * n
-            estimates, gain_rows, betas, bounds = observer.interior_rows(
-                x_bar, y_abs, pref, new_sets, rho, thr, params, class_memo)
-            x_hat[inner] = estimates
-            gains[inner] = gain_rows
-            beta_row[inner] = betas
-            rho[inner] = bounds
-            alpha_new[inner] = bounds
-            for i in edge_vehicles:
-                k = i - 1
-                si = new_sets[k]
-                entry = edge_memo[k]
-                if entry is None or entry[0] is not si:
-                    j = observer.nearest_trusted(i, si, topo)
-                    entry = edge_memo[k] = (si, j, abs(j - i), i in si.trusted)
-                _, j, dist, own_trusted = entry
-                if own_trusted:
-                    src = y_abs[k]
-                else:
-                    src = sensing.chained_rows((x_bar[j - 1],), (pref[j - 1],), pref[k])[0]
-                x_hat[k] = observer.measurement_update_v2(x_bar[k], src, varpi)
-                tau[k] = observer.tau_update(tau[k], dist, alpha[j - 1], params)
-                if own_trusted:
-                    lam[k] = observer.lambda_update(lam[k], params)
-                    alpha_new[k] = lam[k]
-                else:
-                    lam[k] = tau[k]
-                    alpha_new[k] = tau[k]
-
+            x_hat, gains, beta_row, alpha = update_rows(x_bar, y_abs, pref, new_sets,
+                                                       rho, lam, tau, alpha)
             refuse = {j for k in range(n) if new_sets[k] is not sets[k] for j in local[k]}
             if refuse:
                 step_sets = tuple(new_sets)
@@ -369,7 +329,6 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
             fired = tuple(flags)
             if fired != step_fired:
                 step_fired = fired
-            alpha = alpha_new
 
         if pwm:
             u = _control_all(n, stars, lead, y_abs, y_abs, g_s, g_v)

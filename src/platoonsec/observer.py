@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import plant_norm
-from .sensing import ConfigError
+from .sensing import ConfigError, chained_rows
 
 if TYPE_CHECKING:
     from .core import DetectionSets, Topology
@@ -248,6 +248,53 @@ def nearest_trusted(i: int, sets: DetectionSets, topo: Topology) -> int:
     if not candidates:
         raise ConfigError(f"vehicle {i} has no dependable source to lean on")
     return min(candidates, key=lambda j: (abs(j - i), j))
+
+
+def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
+    """The observer of one run's platoon: ``update_rows(xb, ya, pf, sets,
+    rho, lam, tau, alpha)`` runs one step for every vehicle on the float
+    rows of :func:`interior_rows`, which runs the interior vehicles.  An
+    edge vehicle moves by ``measurement_update_v2`` toward its own reading
+    once its sensor is trusted, else toward its ``nearest_trusted`` source's
+    prediction chained to it; ``tau`` advances from the source's previous
+    ``alpha``, and ``lam`` while the sensor is trusted, else it takes
+    ``tau``.  ``rho``, ``lam`` and ``tau`` advance in place; the estimates,
+    gain rows and thresholds (NaN for edge vehicles) and the new ``alpha``
+    are returned.  ``memo`` keeps, per vehicle and across steps, an interior
+    slot as in :func:`interior_rows` or an edge vehicle's source row,
+    distance and own-trusted flag, for the last sets object seen.
+    """
+    n, L = topo.N, p.L
+    inner = slice(L, n - L)
+    edges = (*range(L), *range(n - L, n))
+    nan_gains = [math.nan] * (2 * L + 1)
+    memo = [None] * n
+
+    def update_rows(xb: list, ya: list, pf: list, sets, rho: list, lam: list, tau: list,
+                    alpha: list) -> tuple[list, list, list, list]:
+        estimates, gain_rows, betas, bounds = interior_rows(xb, ya, pf, sets, rho, thr, p, memo)
+        x_hat = [None] * n
+        gains = [nan_gains] * n
+        beta_row = [math.nan] * n
+        alpha_new = [0.0] * n
+        x_hat[inner] = estimates
+        gains[inner] = gain_rows
+        beta_row[inner] = betas
+        rho[inner] = bounds
+        alpha_new[inner] = bounds
+        for k in edges:
+            si = sets[k]
+            entry = memo[k]
+            if entry is None or entry[0] is not si:
+                j = nearest_trusted(k + 1, si, topo)
+                entry = memo[k] = (si, j - 1, abs(j - k - 1), k + 1 in si.trusted)
+            _, s, dist, own_trusted = entry
+            src = ya[k] if own_trusted else chained_rows((xb[s],), (pf[s],), pf[k])[0]
+            x_hat[k] = measurement_update_v2(xb[k], src, p.varpi)
+            tau[k] = tau_update(tau[k], dist, alpha[s], p)
+            lam[k] = alpha_new[k] = lambda_update(lam[k], p) if own_trusted else tau[k]
+        return x_hat, gains, beta_row, alpha_new
+    return update_rows
 
 
 # --------------------------------------------------------------------------

@@ -609,6 +609,26 @@ def test_a_trace_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, cap
         assert not os.path.exists(command[-1])
 
 
+def test_design_matrices_too_large_to_allocate_exit_with_one_line(tmp_path, capsys, caplog,
+                                                                 monkeypatch):
+    """When numpy cannot allocate the dense N x N design matrices (at N=100,001
+    the grounded Laplacian alone needs 74.5 GiB), the commands that certify
+    the gains exit 2 with one line naming the allocation and write nothing."""
+    message = ("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "
+               "and data type float64")
+
+    def refuse(n):
+        raise MemoryError(message)
+    monkeypatch.setattr(controller, "grounded_laplacian", refuse)
+    path = _config_file(tmp_path)
+    for command in _commands(tmp_path, 0)[:3]:
+        caplog.clear()
+        assert cli.main([command[0], "--config", path, *command[1:]]) == 2, command[0]
+        assert [r.getMessage() for r in caplog.records] == [f"out of memory: {message}"]
+        assert capsys.readouterr().out == ""
+        assert command[0] == "check-feasibility" or not os.path.exists(command[-1])
+
+
 #: finite magnitudes from the smallest subnormal to the largest float
 _MAGNITUDES = st.sampled_from((5e-324, 1e-300, 0.5, 0.999999, 1.000001, 1e10, 1e300, 1e308))
 _FINITE = st.one_of(_MAGNITUDES, _MAGNITUDES.map(operator.neg), st.just(0.0))

@@ -176,12 +176,22 @@ def _bits(values) -> bytes:
 def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
     """``interior_rows`` equals beta_at -> the per-window reference
     ``oracles.saturated_window_update`` -> rho_update, bit for bit, for a
-    fresh memo and again for a reused memo whose sets objects changed."""
+    fresh memo and again for a reused memo whose sets objects changed.
+
+    The ``update_rows`` of ``row_observer`` hands out the same interior
+    rows, and each edge vehicle equals nearest_trusted -> its own reading or
+    the chained surrogate ``estimate_based_measurement`` ->
+    measurement_update_v2, with tau_update and lambda_update, bit for bit,
+    on bounds rotated from ``rho``, from its own fresh and then reused memo."""
     n = len(x_bar)
     topo = Topology.build(n, p.L)
     frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
     memo = [None] * n
+    update_rows = observer.row_observer(thr, p, topo)
+    lam, tau, alpha = rho[1:] + rho[:1], rho[::-1], rho[2:] + rho[:2]
     for view in (sets, sets, sets[::-1]):
+        _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, view, rho, lam, tau, alpha,
+                                            topo, update_rows)
         got_x, got_g, got_b, got_r = observer.interior_rows(
             x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), view, rho, thr, p,
             memo)
@@ -198,6 +208,36 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
         assert _bits(got_g) == _bits(want_g)
         assert _bits(got_b) == _bits(want_b)
         assert _bits(got_r) == _bits(want_r)
+
+
+def _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, sets, rho, lam, tau, alpha,
+                                        topo, update_rows):
+    n = len(x_bar)
+    inner = slice(p.L, n - p.L)
+    got_rho, got_lam, got_tau = list(rho), list(lam), list(tau)
+    x_hat, gains, betas, got_alpha = update_rows(
+        x_bar.tolist(), frame.y_abs.tolist(), frame.rel_prefix.tolist(), sets, got_rho,
+        got_lam, got_tau, alpha)
+    want_x, want_g, want_b, want_r = observer.interior_rows(
+        x_bar.tolist(), frame.y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
+        [None] * n)
+    assert _bits(x_hat[inner]) == _bits(want_x) and _bits(gains[inner]) == _bits(want_g)
+    assert _bits(betas[inner]) == _bits(want_b) and _bits(got_rho[inner]) == _bits(want_r)
+    assert _bits(got_alpha[inner]) == _bits(want_r)
+    for i in sorted(topo.v2):
+        k = i - 1
+        j = nearest_trusted(i, sets[k], topo)
+        own = i in sets[k].trusted
+        src = frame.y_abs[k] if own else sensing.estimate_based_measurement(
+            x_bar[j - 1], frame, i, j)
+        want_tau = tau_update(tau[k], abs(j - i), alpha[j - 1], p)
+        want_lam = lambda_update(lam[k], p) if own else want_tau
+        assert _bits(x_hat[k]) == _bits(measurement_update_v2(
+            x_bar[k].tolist(), src.tolist(), p.varpi))
+        assert _bits([got_tau[k], got_lam[k], got_alpha[k]]) == _bits(
+            [want_tau, want_lam, want_lam])
+        assert np.isnan(gains[k]).all() and len(gains[k]) == 2 * p.L + 1
+        assert math.isnan(betas[k]) and _bits(got_rho[k]) == _bits(rho[k])
 
 
 def _mixed_sets(rng, n):
