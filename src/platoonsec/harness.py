@@ -2,8 +2,9 @@
 
 One simulated step runs, in order: plant propagation under the previous
 control, reference/formation propagation, sensing with attack injection,
-set fusion with the neighbours' previous-step sets plus detection, the
-observer with its error bounds (``observer.row_observer``), then control.
+set fusion with the neighbours' previous-step sets plus detection
+(``detector.row_detector``), the observer with its error bounds
+(``observer.row_observer``), then control.
 The detector runs before the observer on purpose — the observer's gains and
 the edge vehicles' source selection consume the *current* step's sets, while
 the detection tests themselves only use previous-step bounds and predictions.
@@ -28,8 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from . import controller, detector, observer, sensing
-from .core import (ConfigError, DetectionSets, InconsistentSetsError,
-                   ScenarioConfig, describe_clash, fuse_sets)
+from .core import ConfigError, DetectionSets, ScenarioConfig, fuse_sets
 from .dynamics import (advance_deltas, desired_state_chain, reference_step, rows_array,
                        step_rows)
 from .rng import RunRandom
@@ -94,12 +94,6 @@ _ROW_FORMS = {"view": operator.getitem, "floats": lambda col, k: tuple(col[k].to
 StepTrace = make_dataclass("StepTrace", [name for name, *_ in TRACE_FIELDS], slots=True,
                            namespace={"__module__": __name__, "__doc__": "Complete state of "
                                       "the simulation after one step (treat as read-only)."})
-
-#: every detector flag row ``(pairwise, innovation, exhaustion, completion)``,
-#: at index ``8*pairwise + 4*innovation + 2*exhaustion + completion``, so a
-#: run shares these 16 tuples instead of keeping one per vehicle and step
-_FLAG_ROWS = tuple(itertools.product((False, True), repeat=4))
-
 
 class RunTrace:
     """One run's trace as per-run columns, one row per step: per
@@ -218,13 +212,10 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     n = config.N
     width = 2 * config.L + 1
     T = config.T
-    vehicles = range(1, n + 1)
-    interior = [i in topo.v1 for i in vehicles]
-    nbr_lists = [sorted(topo.neighbors[i]) for i in vehicles]
+    interior = [i in topo.v1 for i in range(1, n + 1)]
     pwm = config.controller_mode == "pwm"
     g_s, g_v = config.g_s, config.g_v
-    mu, eps, b = config.mu, config.epsilon, config.b
-    norm_A = params.norm_A
+    mu, eps = config.mu, config.epsilon
     nan = math.nan
     has_attack = bool(config.attack.attacked)
     try:
@@ -245,35 +236,15 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     # step 0 predicts nothing, so it controls on x_hat itself; bounds that
     # never apply to a vehicle's class stay NaN in the trace
     x_bar = x_hat
-    sets = [DetectionSets.empty()] * n
     rho = [params.q if flag else nan for flag in interior]
     lam = [nan if flag else params.q for flag in interior]
     tau = [nan if flag else params.q for flag in interior]
     alpha = [params.q] * n
     gains = [[nan] * width] * n
     beta_row = [nan] * n
-    # a step that keeps the last step's set objects, or repeats its flag
-    # rows, shares that step's tuple, so quiet steps keep no container
-    step_sets = tuple(sets)
-    step_fired = (_FLAG_ROWS[0],) * n
     att_state = sensing.AttackState(config.attack)
-
-    # identity memos, one slot per vehicle; each is sound because fusion and
-    # detection hand back the very same sets object whenever no set grew, and
-    # ``canon`` maps each value they do build to the run's first object of that
-    # value, so equal states are one object and the memos key on values in
-    # effect; only new objects are looked up, as sets hash in Python:
-    # - fused: fusion is a pure function of its input sets, so it reruns only
-    #   for the vehicles in ``refuse``, whose own or a neighbour's sets object
-    #   changed in the last step; without this memo the N=101, H=500 run took
-    #   about 22% longer (best of 10 on a 2-core Xeon host: 0.93 s -> 1.13 s)
-    # - count_memo: the detector's counting rules on a quiet step
-    # - the observer's, per interior window and edge source: ``row_observer``
-    fused = [None] * n
-    canon = {sets[0]: sets[0]}
-    refuse = set(range(n))
-    local = [[k, *(j - 1 for j in nbr_lists[k])] for k in range(n)]
-    count_memo = [None] * n
+    sets, fired, detect_rows = detector.row_detector(topo, fuse_sets, config.b, mu, eps,
+                                                     params.norm_A)
     update_rows = observer.row_observer(thr, params, topo)
     zero_noise = [(0.0, 0.0)] * n
 
@@ -297,38 +268,9 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         if t:
             pref = sensing.prefix_rows(y_rel)
             x_bar = step_rows(x_hat, u, T)
-
-            new_sets = []
-            flags = []
-            try:
-                for i in vehicles:
-                    k = i - 1
-                    if k in refuse:
-                        f = fuse_sets(sets[k], tuple(sets[j - 1] for j in nbr_lists[k]))
-                        fused[k] = f if f is sets[k] else canon.setdefault(f, f)
-                    res = detector.detector_step(
-                        i, fused[k], y_rel[i - 2] if i >= 2 else None,
-                        y_abs[i - 2] if i >= 2 else None, y_abs[k],
-                        x_bar[k], alpha[k], n, b, mu, eps, norm_A, count_memo)
-                    s = res.sets
-                    new_sets.append(s if s is fused[k] else canon.setdefault(s, s))
-                    flags.append(_FLAG_ROWS[8 * res.pairwise + 4 * res.innovation
-                                            + 2 * res.exhaustion + res.completion])
-            except InconsistentSetsError as exc:
-                parties = [(j, sets[j - 1]) for j in sorted([i, *nbr_lists[i - 1]])]
-                clash = describe_clash(parties)
-                raise InconsistentSetsError(f"step {t}, vehicle {i}: {exc}"
-                                            + (f"; {clash}" if clash else "")) from exc
-
-            x_hat, gains, beta_row, alpha = update_rows(x_bar, y_abs, pref, new_sets,
+            sets, fired = detect_rows(t, y_abs, y_rel, x_bar, alpha)
+            x_hat, gains, beta_row, alpha = update_rows(x_bar, y_abs, pref, sets,
                                                        rho, lam, tau, alpha)
-            refuse = {j for k in range(n) if new_sets[k] is not sets[k] for j in local[k]}
-            if refuse:
-                step_sets = tuple(new_sets)
-            sets = new_sets
-            fired = tuple(flags)
-            if fired != step_fired:
-                step_fired = fired
 
         if pwm:
             u = _control_all(n, stars, lead, y_abs, y_abs, g_s, g_v)
@@ -350,8 +292,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         run.alpha[t] = alpha
         run.beta[t] = beta_row
         run.gains[t] = rows_array(gains, width)
-        run.sets[t] = step_sets
-        run.fired[t] = step_fired
+        run.sets[t] = sets
+        run.fired[t] = fired
         run.attack_norms[t] = norms
         phi, run.phi_platoon[t] = _phi_pair(x, x_hat, stars)
         if not math.isfinite(phi):  # φ is finite iff every error of its step is

@@ -6,19 +6,22 @@ production version can never silently diverge from the written-out rules.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from oracles import split_suspicious
 from platoonsec import sensing
-from platoonsec.core import DetectionSets, InconsistentSetsError
+from platoonsec.core import DetectionSets, InconsistentSetsError, Topology, fuse_sets
 from platoonsec.detector import (
     DetectorStepResult,
     detector_step,
     innovation_check,
     min_attacked_count,
     pairwise_check,
+    row_detector,
     saturation_check,
 )
 
@@ -342,3 +345,76 @@ def test_detector_step_matches_the_reference_on_randomized_inputs():
               and res.sets == fused):
             pytest.fail("quiet step with unchanged sets must return the fused object")
     assert all(seen.values()), f"fuzz failed to reach every branch: {seen}"
+
+
+# --------------------------------------------------------------------------
+# one run's detector step against fusion and detection per vehicle
+# --------------------------------------------------------------------------
+
+_FLOAT = st.floats(-3.0, 3.0)
+#: a residual off a reading: none, or one that may fire a test
+_OFFSET = st.one_of(st.just((0.0, 0.0)), st.tuples(_FLOAT, _FLOAT))
+
+
+@st.composite
+def _detector_runs(draw):
+    """A platoon of 5 to 9 vehicles with its budget and noise radii, and up
+    to six steps of float rows: predictions, bounds, and absolute and gap
+    readings that miss the prediction and the front reading by drawn
+    residuals."""
+    n = draw(st.integers(5, 9))
+    topo = Topology.build(n, draw(st.integers(1, 2)))
+    b, mu, eps = draw(st.integers(1, 2)), draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    rows = st.lists(_OFFSET, min_size=n, max_size=n)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        x_bar = draw(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                              min_size=n, max_size=n))
+        y_abs = [(s + ds, v + dv) for (s, v), (ds, dv) in zip(x_bar, draw(rows))]
+        y_rel = [(own[0] - front[0] + ds, own[1] - front[1] + dv)
+                 for front, own, (ds, dv) in zip(y_abs, y_abs[1:], draw(rows))]
+        alpha = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        steps.append((y_abs, y_rel, x_bar, alpha))
+    return topo, b, mu, eps, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_detector_runs())
+def test_row_detector_matches_fusion_and_detector_step_per_vehicle(case):
+    """Per step, every vehicle fuses the previous step's sets and runs
+    ``detector_step`` without its memo: the run's detector gives the same
+    sets and flag rows, one object per sets value over the run, and the
+    last step's tuple exactly when none of its entries changed; a clash
+    names its step and vehicle."""
+    topo, b, mu, eps, steps = case
+    n = topo.N
+    sets, fired, detect_rows = row_detector(topo, fuse_sets, b, mu, eps, NORM_A)
+    assert sets == (EMPTY,) * n and fired == ((False,) * 4,) * n
+    want = sets
+    held = list(sets)  # kept alive, so ids stay unique
+    for t, (y_abs, y_rel, x_bar, alpha) in enumerate(steps, 1):
+        rows, flags = [], []
+        try:
+            for i in topo.vehicles():
+                fused = fuse_sets(want[i - 1], tuple(want[j - 1]
+                                                     for j in sorted(topo.neighbors[i])))
+                res = detector_step(i, fused, y_rel[i - 2] if i >= 2 else None,
+                                    y_abs[i - 2] if i >= 2 else None, y_abs[i - 1],
+                                    x_bar[i - 1], alpha[i - 1], n, b, mu, eps, NORM_A,
+                                    memo=None)
+                rows.append(res.sets)
+                flags.append((res.pairwise, res.innovation, res.exhaustion, res.completion))
+        except InconsistentSetsError:
+            event("clash")
+            with pytest.raises(InconsistentSetsError, match=rf"^step {t}, vehicle {i}: "):
+                detect_rows(t, y_abs, y_rel, x_bar, alpha)
+            break
+        last_sets, last_fired = sets, fired
+        sets, fired = detect_rows(t, y_abs, y_rel, x_bar, alpha)
+        want = tuple(rows)
+        assert sets == want and fired == tuple(flags)
+        assert (sets is last_sets) == all(map(operator.is_, sets, last_sets))
+        assert (fired is last_fired) == (fired == last_fired)
+        event(f"sets kept: {sets is last_sets}, flags kept: {fired is last_fired}")
+        held.extend(sets)
+    assert len({id(s) for s in held}) == len(set(held))
