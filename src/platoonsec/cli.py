@@ -9,6 +9,7 @@ the offline worst-case error-bound envelopes.
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 
 from . import controller, harness
@@ -120,6 +121,9 @@ def main(argv=None) -> int:
             controller.CertificateError) as exc:
         logging.getLogger("platoonsec").error("%s", exc)
         return 2
+    except BrokenPipeError:  # the reader stopped early, as ``bounds | head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet last flush
+        return 0
     except OSError as exc:
         logging.getLogger("platoonsec").error("i/o failure: %s", exc)
         return 2

@@ -4,18 +4,18 @@ One simulated step runs, in order: plant propagation under the previous
 control, reference/formation propagation, sensing with attack injection,
 set fusion with the neighbours' previous-step sets plus detection
 (``detector.row_detector``), the observer with its error bounds
-(``observer.row_observer``), then control.
-The detector runs before the observer on purpose — the observer's gains and
-the edge vehicles' source selection consume the *current* step's sets, while
-the detection tests themselves only use previous-step bounds and predictions.
+(``observer.row_observer``), then control; the two factories also make the
+step-0 sets, flags and bounds.  The detector runs before the observer on
+purpose — the observer's gains and the edge vehicles' source selection
+consume the *current* step's sets, while the detection tests themselves
+only use previous-step bounds and predictions.
 
 Every random draw comes from a counter-based generator keyed by
 ``(seed, run, t, vehicle, stream)``, so a run is reproducible bit for bit
-regardless of execution order, and Monte Carlo runs are independent.  In a
-run with an attack set, the measurement noise and the random attack's
-normals are both drawn at the attack site ``(seed, run, t, 0,
-STREAM_ATTACK)``, noise first; the ``STREAM_MEASURE`` site serves
-attack-free runs only.
+regardless of execution order, and Monte Carlo runs are independent.  A
+step's sensing draws its noise, then the random attack's normals, from one
+generator: at the attack site ``STREAM_ATTACK`` in a run with an attack
+set, else at the ``STREAM_MEASURE`` site.
 """
 
 import itertools
@@ -212,12 +212,9 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     n = config.N
     width = 2 * config.L + 1
     T = config.T
-    interior = [i in topo.v1 for i in range(1, n + 1)]
     pwm = config.controller_mode == "pwm"
     g_s, g_v = config.g_s, config.g_v
     mu, eps = config.mu, config.epsilon
-    nan = math.nan
-    has_attack = bool(config.attack.attacked)
     try:
         run = RunTrace(config.horizon + 1, n, width)
     except (ValueError, MemoryError) as exc:  # numpy: "array is too big", or no memory
@@ -233,19 +230,14 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     x_star = desired_state_chain(lead, deltas)
     stars = x_star.tolist()
 
-    # step 0 predicts nothing, so it controls on x_hat itself; bounds that
-    # never apply to a vehicle's class stay NaN in the trace
+    # step 0 predicts nothing, so it controls on x_hat itself
     x_bar = x_hat
-    rho = [params.q if flag else nan for flag in interior]
-    lam = [nan if flag else params.q for flag in interior]
-    tau = [nan if flag else params.q for flag in interior]
-    alpha = [params.q] * n
-    gains = [[nan] * width] * n
-    beta_row = [nan] * n
+    gains = [[math.nan] * width] * n
+    beta_row = [math.nan] * n
     att_state = sensing.AttackState(config.attack)
     sets, fired, detect_rows = detector.row_detector(topo, fuse_sets, config.b, mu, eps,
                                                      params.norm_A)
-    update_rows = observer.row_observer(thr, params, topo)
+    rho, lam, tau, alpha, update_rows = observer.row_observer(thr, params, topo)
     zero_noise = [(0.0, 0.0)] * n
 
     for t in range(config.horizon + 1):
@@ -258,12 +250,10 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
             x_star = desired_state_chain(lead, deltas)
             stars = x_star.tolist()
 
-        # with an attack set, one generator positioned once at the attack
-        # site serves both streams, the noise drawn first
-        rng_attack = rnd.attack(t) if has_attack else None
-        rng_measure = (rng_attack if has_attack else rnd.measurement(t)) if mu else None
-        y_abs, y_rel, norms = sensing.measure_rows(x, config.attack, mu, att_state, t,
-                                                   rng_measure, rng_attack)
+        # one generator serves the step's sensing: the attack site with an
+        # attack set, else the measurement site when there is noise to draw
+        rng = rnd.attack(t) if config.attack.attacked else rnd.measurement(t) if mu else None
+        y_abs, y_rel, norms = sensing.measure_rows(x, mu, att_state, t, rng)
 
         if t:
             pref = sensing.prefix_rows(y_rel)

@@ -251,18 +251,20 @@ def nearest_trusted(i: int, sets: DetectionSets, topo: Topology) -> int:
 
 
 def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
-    """The observer of one run's platoon: ``update_rows(xb, ya, pf, sets,
-    rho, lam, tau, alpha)`` runs one step for every vehicle on the float
-    rows of :func:`interior_rows`, which runs the interior vehicles.  An
-    edge vehicle moves by ``measurement_update_v2`` toward its own reading
-    once its sensor is trusted, else toward its ``nearest_trusted`` source's
-    prediction chained to it; ``tau`` advances from the source's previous
-    ``alpha``, and ``lam`` while the sensor is trusted, else it takes
-    ``tau``.  ``rho``, ``lam`` and ``tau`` advance in place; the estimates,
-    gain rows and thresholds (NaN for edge vehicles) and the new ``alpha``
-    are returned.  ``memo`` keeps, per vehicle and across steps, an interior
-    slot as in :func:`interior_rows` or an edge vehicle's source row,
-    distance and own-trusted flag, for the last sets object seen.
+    """The observer of one run's platoon: its step-0 rows ``rho, lam, tau,
+    alpha`` (``q`` for the vehicles a bound applies to, NaN elsewhere) and
+    ``update_rows(xb, ya, pf, sets, rho, lam, tau, alpha)``, which runs one
+    step for every vehicle on the float rows of :func:`interior_rows`, which
+    runs the interior vehicles.  An edge vehicle moves by
+    ``measurement_update_v2`` toward its own reading once its sensor is
+    trusted, else toward its ``nearest_trusted`` source's prediction chained
+    to it; ``tau`` advances from the source's previous ``alpha``, and
+    ``lam`` while the sensor is trusted, else it takes ``tau``.  ``rho``,
+    ``lam`` and ``tau`` advance in place; the estimates, gain rows and
+    thresholds (NaN for edge vehicles) and the new ``alpha`` are returned.
+    ``memo`` keeps, per vehicle and across steps, an interior slot as in
+    :func:`interior_rows` or an edge vehicle's source row, distance and
+    own-trusted flag, for the last sets object seen.
     """
     n, L = topo.N, p.L
     inner = slice(L, n - L)
@@ -294,7 +296,10 @@ def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
             tau[k] = tau_update(tau[k], dist, alpha[s], p)
             lam[k] = alpha_new[k] = lambda_update(lam[k], p) if own_trusted else tau[k]
         return x_hat, gains, beta_row, alpha_new
-    return update_rows
+    rho, lam = [math.nan] * n, [p.q] * n
+    rho[inner] = [p.q] * (n - 2 * L)
+    lam[inner] = [math.nan] * (n - 2 * L)
+    return rho, lam, list(lam), [p.q] * n, update_rows
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,10 @@ order, or on which thread.  Streams are backed by Philox, whose 256-bit
 counter we key directly.
 
 :class:`RunRandom` hands out one shared generator, repositioned once per
-draw site, so two sites cannot be drawn from side by side.  With an attack
-set, the simulation positions it at the attack site of step ``t`` before it
-measures, and the measurement noise and the random attack's normals are
-both drawn there, noise first, at ``(seed, run, t, 0, STREAM_ATTACK)``;
+draw site, so two sites cannot be drawn from side by side.  A step's
+sensing takes it whole: with an attack set it sits at the attack site
+``(seed, run, t, 0, STREAM_ATTACK)``, and ``sensing.measure_rows`` draws
+the measurement noise first, then the random attack's normals;
 ``STREAM_MEASURE`` is drawn only in attack-free runs.  The tests compare
 its draws with ``stream_rng`` in ``tests/oracles.py``.
 """

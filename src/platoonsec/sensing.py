@@ -169,12 +169,13 @@ def attack_spec_from_json(doc: dict) -> AttackSpec:
 
 
 class AttackState:
-    """Per-run attack bookkeeping: each attacked sensor's knobs, resolved once
-    so the hot loop never walks the override dictionary, and its emitted
-    readings, which the DoS hold and the replay read back."""
+    """Per-run attack bookkeeping: the attack kind, each attacked sensor's
+    knobs, resolved once so the hot loop never walks the override
+    dictionary, and its emitted readings, which the DoS hold and the replay
+    read back."""
 
     def __init__(self, spec: AttackSpec):
-        self.spec = spec
+        self.kind = spec.kind
         self.order = sorted(spec.attacked)
         self.knobs = {i: {name: spec.knob(i, name) for name in KNOBS[spec.kind]}
                       for i in self.order}
@@ -196,19 +197,19 @@ def sample_noise(rng: np.random.Generator, bound: float, n: int) -> np.ndarray:
 _ZERO = (0.0, 0.0)
 
 
-def attack_signal(spec: AttackSpec, i: int, t: int, x_i, noise_i,
-                  state: AttackState, rng: np.random.Generator) -> tuple:
-    """Additive corruption ``(a_s, a_v)`` of sensor ``i`` at step ``t``, from
-    its true state and noise as float pairs.
+def attack_signal(i: int, t: int, x_i, noise_i, state: AttackState,
+                  rng: np.random.Generator) -> tuple:
+    """Additive corruption ``(a_s, a_v)`` of attacked sensor ``i`` at step
+    ``t``, from its true state and noise as float pairs.
 
     The DoS and replay kinds cancel the true state plus fresh noise so the
     emitted measurement is exactly the held (resp. recorded) reading:
     ``held - x - n``.
     """
-    knobs = state.knobs.get(i)
-    if knobs is None or t < knobs["start"]:
+    knobs = state.knobs[i]
+    if t < knobs["start"]:
         return _ZERO
-    kind = spec.kind
+    kind = state.kind
     if kind == "random":
         w = rng.standard_normal() * knobs["scale"]
         return (w * x_i[0], w * x_i[1])
@@ -262,20 +263,20 @@ class MeasurementFrame:
         return np.array(prefix_rows(self.y_rel.tolist()))
 
 
-def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: int,
-                 rng_measure: np.random.Generator,
-                 rng_attack: np.random.Generator) -> tuple[list, list, list]:
+def measure_rows(xs: list, mu: float, state: AttackState, t: int, rng) -> tuple[list, list, list]:
     """The step-``t`` readings of true states ``xs`` (float rows ``(s, v)``).
 
     Returns the absolute readings ``(x + n) + a``, the gap readings
     ``(x_j - x_{j-1}) + n`` and the attack norms, as lists.  A zero noise
     or attack signal is still added, so a ``-0.0`` state reads as ``0.0``.
-    Must be called once per step in increasing ``t`` so replay/DoS history
-    lines up with the emitted readings.
+    The one generator ``rng`` gives the ``2N-1`` noise rows first, then a
+    random attack's normal per attacked sensor in sensor order.  Must be
+    called once per step in increasing ``t`` so replay/DoS history lines up
+    with the emitted readings.
     """
     n = len(xs)
     # one draw covers both sensor families, absolute sensors first
-    buf = sample_noise(rng_measure, mu, 2 * n - 1).tolist()
+    buf = sample_noise(rng, mu, 2 * n - 1).tolist()
     noise_abs, noise_rel = buf[:n], buf[n:]
     y_abs = [(s + n0, v + n1) for (s, v), (n0, n1) in zip(xs, noise_abs)]
     attack_norms = [0.0] * n
@@ -283,7 +284,7 @@ def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: i
         if i > n:
             continue
         k = i - 1
-        a0, a1 = attack_signal(spec, i, t, xs[k], noise_abs[k], state, rng_attack)
+        a0, a1 = attack_signal(i, t, xs[k], noise_abs[k], state, rng)
         y0, y1 = y_abs[k]
         y_abs[k] = row = (y0 + a0, y1 + a1)
         attack_norms[k] = math.hypot(a0, a1)
@@ -296,11 +297,10 @@ def measure_rows(xs: list, spec: AttackSpec, mu: float, state: AttackState, t: i
     return y_abs, y_rel, attack_norms
 
 
-def measure(xs: np.ndarray, spec: AttackSpec, mu: float, state: AttackState, t: int,
-            rng_measure: np.random.Generator, rng_attack: np.random.Generator) -> MeasurementFrame:
+def measure(xs: np.ndarray, mu: float, state: AttackState, t: int, rng) -> MeasurementFrame:
     """:func:`measure_rows` for an ``(N, 2)`` array of true states, as a frame."""
     y_abs, y_rel, attack_norms = measure_rows(
-        np.asarray(xs, dtype=float).tolist(), spec, mu, state, t, rng_measure, rng_attack)
+        np.asarray(xs, dtype=float).tolist(), mu, state, t, rng)
     return MeasurementFrame(t=t, y_abs=np.array(y_abs), y_rel=np.array(y_rel).reshape(-1, 2),
                             attack_norms=np.array(attack_norms))
 

@@ -309,8 +309,8 @@ def test_acceptance_8_reconstruction_identities():
             offsets = {j: np.asarray(off, dtype=float) for j in attacked}
 
         frame = sensing.measure(
-            xs, spec, mu, sensing.AttackState(spec), 0,
-            np.random.default_rng(trial) if mu else None, None)
+            xs, mu, sensing.AttackState(spec), 0,
+            np.random.default_rng(trial) if mu else None)
 
         for i in topo.vehicles():
             if i in topo.v1:

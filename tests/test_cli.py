@@ -156,6 +156,22 @@ def test_bounds_to_file_and_stdout(tmp_path, capsys):
     assert streamed == lines
 
 
+def test_bounds_exits_0_quietly_when_its_reader_stops_early(tmp_path):
+    """As in ``bounds | head -2``: the reader takes the header and one row
+    and closes the pipe while rows still stream, and the command exits 0
+    with nothing on stderr."""
+    cfg_path = _config_file(tmp_path, horizon=200000)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(platoonsec.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "platoonsec.cli", "bounds", "--config",
+                             cfg_path], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert head[0] == b"t,i,rho,lambda,tau,alpha\n" and head[1].startswith(b"0,1,")
+
+
 def test_bounds_refuses_a_failed_threshold_design_before_its_file(tmp_path, capsys, caplog):
     """The design runs before the first row, so a refused design exits 2 with
     one ERROR line and ``--out`` is never created."""

@@ -217,7 +217,7 @@ def test_equal_bias_on_adjacent_sensors_evades_the_gap_test():
     xs = np.arange(10, dtype=float).reshape(5, 2) * 8.0
     spec = sensing.AttackSpec(attacked=frozenset({2, 3}), kind="bias",
                               offset=(7.0, 0.0))
-    frame = sensing.measure(xs, spec, 0.0, sensing.AttackState(spec), 0, None, None)
+    frame = sensing.measure(xs, 0.0, sensing.AttackState(spec), 0, None)
     assert not pairwise_check(frame.y_rel[1], frame.y_abs[1], frame.y_abs[2], 0.0)
     assert pairwise_check(frame.y_rel[0], frame.y_abs[0], frame.y_abs[1], 0.0)
     assert pairwise_check(frame.y_rel[2], frame.y_abs[2], frame.y_abs[3], 0.0)

@@ -190,7 +190,7 @@ def test_a_run_is_refused_at_its_first_step_past_the_float_range(monkeypatch):
     steps = []
 
     def counted(*args):
-        steps.append(args[4])
+        steps.append(args[3])
         return measure_rows(*args)
 
     monkeypatch.setattr(sensing, "measure_rows", counted)
@@ -259,9 +259,9 @@ def _replica(cfg, seed=None, run_index=0):
     alpha = [params.q] * n
 
     att_state = sensing.AttackState(cfg.attack)
-    frame = sensing.measure(x, cfg.attack, cfg.mu, att_state, 0,
-                            rnd.measurement(0) if cfg.mu else None,
-                            rnd.attack(0) if has_attack else None)
+    frame = sensing.measure(x, cfg.mu, att_state, 0,
+                            rnd.attack(0) if has_attack else
+                            rnd.measurement(0) if cfg.mu else None)
     ctrl = frame.y_abs if pwm else x_hat
     u = _u_all(n, x_star, x_leader, ctrl, ctrl, cfg.g_s, cfg.g_v)
 
@@ -288,9 +288,9 @@ def _replica(cfg, seed=None, run_index=0):
         deltas = advance_deltas(deltas, cfg.T)
         x_star = desired_state_chain(x_leader, deltas)
 
-        frame = sensing.measure(x, cfg.attack, cfg.mu, att_state, t,
-                                rnd.measurement(t) if cfg.mu else None,
-                                rnd.attack(t) if has_attack else None)
+        frame = sensing.measure(x, cfg.mu, att_state, t,
+                                rnd.attack(t) if has_attack else
+                                rnd.measurement(t) if cfg.mu else None)
         y_abs, y_rel = frame.y_abs, frame.y_rel
         x_bar = np.stack([step_vehicle(x_hat[k], float(u[k]), None, cfg.T)
                           for k in range(n)])

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import baseline_doc
+from conftest import baseline_doc, string_overrides
 from oracles import (feasibility_check, local_counts, saturated_window_update, saturation_gain,
                      stream_rng)
-from platoonsec import core, observer, sensing
+from platoonsec import core, harness, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
 from platoonsec.observer import (
@@ -97,9 +97,9 @@ def test_measurement_update_v1_equals_saturation_gain_composition():
     spec = sensing.AttackSpec(attacked=frozenset(), kind="bias")
     for trial in range(200):
         mu = float(rng.uniform(0.0, 0.4))
-        frame = sensing.measure(frame_states, spec, mu,
+        frame = sensing.measure(frame_states, mu,
                                 sensing.AttackState(spec), 0,
-                                stream_rng(trial, 0, 0, 0, 1) if mu else None, None)
+                                stream_rng(trial, 0, 0, 0, 1) if mu else None)
         stacked = sensing.stack_measurements(frame, 3, TOPO5)
         labels = set(stacked.labels)
         att = {int(v) for v in rng.choice(sorted(labels), size=int(rng.integers(0, 2)), replace=False)}
@@ -126,7 +126,7 @@ def test_measurement_update_v1_equals_saturation_gain_composition():
 def test_measurement_update_v1_all_trusted_recovers_mean_innovation():
     xs = np.arange(10, dtype=float).reshape(5, 2) * 16.0
     spec = sensing.AttackSpec(attacked=frozenset(), kind="bias")
-    frame = sensing.measure(xs, spec, 0.0, sensing.AttackState(spec), 0, None, None)
+    frame = sensing.measure(xs, 0.0, sensing.AttackState(spec), 0, None)
     stacked = sensing.stack_measurements(frame, 3, TOPO5)
     sets = DetectionSets(frozenset({1, 2, 3, 4, 5}), frozenset(), frozenset())
     x_bar = np.zeros(2)
@@ -187,7 +187,7 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
     topo = Topology.build(n, p.L)
     frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
     memo = [None] * n
-    update_rows = observer.row_observer(thr, p, topo)
+    *_, update_rows = observer.row_observer(thr, p, topo)
     lam, tau, alpha = rho[1:] + rho[:1], rho[::-1], rho[2:] + rho[:2]
     for view in (sets, sets, sets[::-1]):
         _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, view, rho, lam, tau, alpha,
@@ -421,6 +421,36 @@ def test_interior_rows_shares_bound_steps_bit_for_bit(mode, noise):
     alike = [i - 1 - L for i in (5, 7, 10, 11)]
     assert len({id(bounds[r]) for r in alike}) == 1
     assert len({id(betas[r]) for r in alike}) == 1
+
+
+def test_row_observer_step_0_rows_follow_each_bound_class():
+    """The step-0 ``rho``, ``lam``, ``tau`` and ``alpha`` of ``row_observer``
+    equal, bit for bit, the per-vehicle rule (``rho`` is ``q`` on interior
+    vehicles and NaN elsewhere, ``lam`` and ``tau`` the reverse, ``alpha``
+    ``q`` everywhere) and row 0 of a run's columns, for every N from 5 to
+    21 and L from 1 to 3 with N > 2L.  The three rows that advance in place
+    are distinct lists."""
+    nan = math.nan
+    for n in range(5, 22):
+        for L in range(1, 4):
+            if n <= 2 * L:
+                continue
+            cfg = core.load_scenario(baseline_doc(**{**string_overrides(n, []), "L": L,
+                                                     "b": 1, "horizon": 1}))
+            params = ObserverParams.from_config(cfg)
+            thr = design_threshold(params, cfg.threshold_mode, beta=cfg.beta, omega=cfg.omega)
+            topo = cfg.topology()
+            *rows, _ = observer.row_observer(thr, params, topo)
+            interior = [i in topo.v1 for i in range(1, n + 1)]
+            want = ([params.q if flag else nan for flag in interior],
+                    [nan if flag else params.q for flag in interior],
+                    [nan if flag else params.q for flag in interior],
+                    [params.q] * n)
+            run = harness.run_simulation(cfg)
+            for name, got, expected in zip(("rho", "lam", "tau", "alpha"), rows, want):
+                assert type(got) is list and _bits(got) == _bits(expected), (n, L, name)
+                assert _bits(getattr(run, name)[0]) == _bits(expected), (n, L, name)
+            assert len({id(row) for row in rows[:3]}) == 3
 
 
 def test_derived_params_are_computed_once_per_instance():

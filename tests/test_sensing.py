@@ -33,9 +33,9 @@ def _no_attack():
 def _clean_frame(xs, mu=0.0, t=0, state=None, spec=None, seed=77):
     spec = spec or _no_attack()
     state = state or AttackState(spec)
-    rm = stream_rng(seed, 0, t, 0, prng.STREAM_MEASURE) if mu else None
-    ra = stream_rng(seed, 0, t, 0, prng.STREAM_ATTACK) if spec.attacked else None
-    return measure(xs, spec, mu, state, t, rm, ra)
+    stream = prng.STREAM_ATTACK if spec.attacked else prng.STREAM_MEASURE
+    rng = stream_rng(seed, 0, t, 0, stream) if mu or spec.attacked else None
+    return measure(xs, mu, state, t, rng)
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +147,32 @@ def test_measure_noise_is_one_buffer_split_across_sensor_families():
     noise_rel = sample_noise(ref, mu, 4)
     assert np.array_equal(frame.y_abs, xs + noise_abs)
     assert np.array_equal(frame.y_rel, xs[1:] - xs[:-1] + noise_rel)
+
+
+def test_measure_rows_draws_noise_then_each_random_normal_from_one_generator():
+    """One generator serves a step's sensing: ``measure_rows`` equals, bit
+    for bit, a second generator at the same attack site drawing the
+    ``2N-1`` noise rows first and then one normal per attacked sensor, in
+    sensor order."""
+    n, mu, scale, seed = 7, 0.3, 1.5, 2718
+    spec = AttackSpec(attacked=frozenset({5, 2}), kind="random", scale=scale)
+    xs = _states(n=n, seed=11).tolist()
+    got = sensing.measure_rows(xs, mu, AttackState(spec), 0,
+                               stream_rng(seed, 0, 0, 0, prng.STREAM_ATTACK))
+    oracle = stream_rng(seed, 0, 0, 0, prng.STREAM_ATTACK)
+    noise = oracle.uniform(0.0, mu / math.sqrt(2.0), size=(2 * n - 1, 2)).tolist()
+    y_abs = [(s + n0, v + n1) for (s, v), (n0, n1) in zip(xs, noise[:n])]
+    norms = [0.0] * n
+    for i in (2, 5):
+        w = oracle.standard_normal() * scale
+        a0, a1 = w * xs[i - 1][0], w * xs[i - 1][1]
+        y_abs[i - 1] = (y_abs[i - 1][0] + a0, y_abs[i - 1][1] + a1)
+        norms[i - 1] = math.hypot(a0, a1)
+    y_rel = [(s1 - s0 + n0, v1 - v0 + n1)
+             for (s0, v0), (s1, v1), (n0, n1) in zip(xs, xs[1:], noise[n:])]
+    assert norms[1] and norms[4]  # both attacks act at step 0
+    for got_rows, want_rows in zip(got, (y_abs, y_rel, norms)):
+        assert np.asarray(got_rows).tobytes() == np.asarray(want_rows).tobytes()
 
 
 def test_measure_noise_respects_radius():
