@@ -253,7 +253,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
         # one generator serves the step's sensing: the attack site with an
         # attack set, else the measurement site when there is noise to draw
         rng = rnd.attack(t) if config.attack.attacked else rnd.measurement(t) if mu else None
-        y_abs, y_rel, norms = sensing.measure_rows(x, mu, att_state, t, rng)
+        y_abs, y_rel, norms = sensing.measure(x, mu, att_state, t, rng)
 
         if t:
             pref = sensing.prefix_rows(y_rel)
@@ -486,7 +486,7 @@ def bound_envelopes(config: ScenarioConfig) -> Iterator[tuple]:
     thr = _designed_threshold(config, params)
     empty = DetectionSets.empty()
     dist = {i: abs(observer.nearest_trusted(i, empty, topo) - i) for i in topo.v2}
-    interior = min(topo.v1)
+    terms = observer._count_terms(0, 0, 0, params)
 
     def rows():
         nan = float("nan")
@@ -495,7 +495,7 @@ def bound_envelopes(config: ScenarioConfig) -> Iterator[tuple]:
         for t in range(config.horizon + 1):
             if t:
                 tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
-                rho = observer.rho_update(rho, empty, interior, thr.beta_at(rho, params), params)
+                rho = observer.rho_update(rho, terms, thr.beta_at(rho, params), params)
             for i in topo.vehicles():
                 if i in topo.v1:
                     yield (t, i, rho, nan, nan, rho)
@@ -687,14 +687,25 @@ def _write_dir(outdir: str, config: ScenarioConfig, *artifacts) -> dict:
     first, then the command's ``artifacts`` in order, each ``(file name,
     writer, *args)`` written as ``writer(path, *args)``, and last the
     feasibility report, whose certificate can fail after the command's work,
-    which then stays on disk.  Returns each path keyed by its file's stem."""
+    which then stays on disk beside an ``error.json`` naming the failure.  A
+    report or error left by an earlier write is removed first.  Returns each
+    path keyed by its file's stem."""
     os.makedirs(outdir, exist_ok=True)
     names = ("scenario.json", "feasibility.json", *(name for name, *_ in artifacts))
     paths = {name.split(".")[0]: os.path.join(outdir, name) for name in names}
+    error = os.path.join(outdir, "error.json")
+    for stale in (paths["feasibility"], error):
+        if os.path.exists(stale):
+            os.remove(stale)
     write_json(paths["scenario"], config.to_json())
     for name, write, *args in artifacts:
         write(os.path.join(outdir, name), *args)
-    write_json(paths["feasibility"], feasibility_report(config))
+    try:
+        report = feasibility_report(config)
+    except controller.CertificateError as exc:
+        write_json(error, {"error": str(exc)})
+        raise
+    write_json(paths["feasibility"], report)
     return paths
 
 

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import plant_norm
-from .sensing import ConfigError, chained_rows
+from . import sensing
+from .sensing import ConfigError
 
 if TYPE_CHECKING:
     from .core import DetectionSets, Topology
@@ -115,9 +116,9 @@ def _window(classes, first: int) -> tuple[tuple, tuple]:
     return sources, tuple(0.0 if c == _ATTACKED else 1.0 for c in classes)
 
 
-def _window_update(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
-                   sources: tuple, row: tuple, beta: float,
-                   scale: float) -> tuple[float, float, tuple | list]:
+def measurement_update_v1(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
+                          sources: tuple, row: tuple, beta: float,
+                          scale: float) -> tuple[float, float, tuple | list]:
     """Estimate and gains of one window: the prediction plus the gain-weighted
     innovations ``e = (y_abs[j] + (pref_own - pref[j])) - x_bar`` of its
     ``sources``, summed in sensor order and divided by ``scale = 2L``.
@@ -150,23 +151,6 @@ def _window_update(xb0: float, xb1: float, y_abs: list, pref: list, pref_own,
     return xb0 + corr0 / scale, xb1 + corr1 / scale, gains
 
 
-def measurement_update_v1(x_bar: np.ndarray, stacked, sets: DetectionSets,
-                          beta: float, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-vehicle correction: saturated average of all local innovations.
-
-    Returns the new estimate and the gain applied to each source, ordered as
-    ``stacked.labels``.  The chained rows pass with zero prefix rows: ``r +
-    (0.0 - 0.0)`` may turn ``-0.0`` into ``+0.0``, which a sum started at
-    ``+0.0`` cannot tell.
-    """
-    sources, row = _window(_gate_classes(stacked.labels, sets), 0)
-    zero = (0.0, 0.0)
-    x0, x1, gains = _window_update(
-        float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(), [zero] * len(row),
-        zero, sources, row, beta, 2.0 * L)
-    return np.array((x0, x1)), np.array(gains)
-
-
 def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig",
                   p: ObserverParams, memo: list) -> tuple[list, list, list, list]:
     """One observer step for every interior vehicle ``L+1 .. N-L`` at once.
@@ -174,10 +158,10 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     ``xb`` and ``ya`` are the platoon's predictions and absolute readings,
     ``pf`` the gap-reading prefix sums (``sensing.prefix_rows``), all as
     float rows; ``sets`` and ``rho`` hold each vehicle's current sets and
-    previous bound.  Each vehicle's window is rebuilt as in
-    ``stack_measurements``, its threshold taken from ``thr.beta_at``, its
-    estimate and gains computed as in ``measurement_update_v1`` and its
-    bound advanced as in ``rho_update``, bit for bit.  ``memo`` has one slot
+    previous bound.  Each vehicle's threshold is taken from
+    ``thr.beta_at``, its estimate and gains computed by
+    :func:`measurement_update_v1` on its window and its bound advanced by
+    :func:`rho_update`.  ``memo`` has one slot
     per vehicle, kept by the caller across steps: it holds the window's
     count terms, its non-attacked sources and its 0/1 gain row (see
     :func:`_window`) for the last sets object seen, which fusion and
@@ -187,7 +171,7 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
     Vehicles that share the previous bound and the count terms share the
     bound step too: ``steps`` maps a ``(previous bound, count terms)`` key
     to the ``(beta, rho_next)`` computed from it in this call, so
-    ``beta_at`` and ``_rho_next`` run once per distinct pair, and the
+    ``beta_at`` and ``rho_update`` run once per distinct pair, and the
     sharing vehicles get the same float objects.  Only equal floats with
     equal bits may share a key, so a nonzero bound is keyed by its value and
     a zero by its object, since ``0.0 == -0.0``; a NaN matches only itself,
@@ -216,10 +200,10 @@ def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig
         step = steps.get(key)
         if step is None:
             bt = thr.beta_at(rho_prev, p)
-            step = steps[key] = (bt, _rho_next(rho_prev, terms, bt, p))
+            step = steps[key] = (bt, rho_update(rho_prev, terms, bt, p))
         bt, rho_new = step
         xb0, xb1 = xb[k]
-        x0, x1, g = _window_update(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
+        x0, x1, g = measurement_update_v1(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
         estimates.append((x0, x1))
         gains.append(g)
         betas.append(bt)
@@ -291,7 +275,7 @@ def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
                 j = nearest_trusted(k + 1, si, topo)
                 entry = memo[k] = (si, j - 1, abs(j - k - 1), k + 1 in si.trusted)
             _, s, dist, own_trusted = entry
-            src = ya[k] if own_trusted else chained_rows((xb[s],), (pf[s],), pf[k])[0]
+            src = ya[k] if own_trusted else sensing.estimate_based_measurement(xb[s], pf[s], pf[k])
             x_hat[k] = measurement_update_v2(xb[k], src, p.varpi)
             tau[k] = tau_update(tau[k], dist, alpha[s], p)
             lam[k] = alpha_new[k] = lambda_update(lam[k], p) if own_trusted else tau[k]
@@ -347,21 +331,15 @@ def _contraction_and_drive(terms: tuple, kfloor: float,
     return m, base + unknown * beta_t / two_l
 
 
-def _rho_next(rho_prev: float, terms: tuple, beta_t: float,
-              p: ObserverParams) -> float:
+def rho_update(rho_prev: float, terms: tuple, beta_t: float, p: ObserverParams) -> float:
+    """Advance an interior vehicle's error bound one step, from its window's
+    count terms (:func:`_count_terms`) and threshold ``beta_t``."""
     ceiling = p.norm_A * rho_prev + p.eps + p.mu_bar
     # a zero ceiling means every honest innovation is exactly zero, and a
     # zero innovation passes the saturation gate at full gain
     kbar = min(1.0, beta_t / ceiling) if ceiling > 0.0 else 1.0
     m, drive = _contraction_and_drive(terms, kbar, beta_t)
     return m * p.norm_A * rho_prev + drive
-
-
-def rho_update(rho_prev: float, sets: DetectionSets, i: int, beta_t: float,
-               p: ObserverParams) -> float:
-    """Advance the interior-vehicle error bound one step."""
-    _, terms = _window_terms(sets, i, p)
-    return _rho_next(rho_prev, terms, beta_t, p)
 
 
 def lambda_update(lam_prev: float, p: ObserverParams) -> float:

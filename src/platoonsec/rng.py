@@ -8,7 +8,7 @@ counter we key directly.
 :class:`RunRandom` hands out one shared generator, repositioned once per
 draw site, so two sites cannot be drawn from side by side.  A step's
 sensing takes it whole: with an attack set it sits at the attack site
-``(seed, run, t, 0, STREAM_ATTACK)``, and ``sensing.measure_rows`` draws
+``(seed, run, t, 0, STREAM_ATTACK)``, and ``sensing.measure`` draws
 the measurement noise first, then the random attack's normals;
 ``STREAM_MEASURE`` is drawn only in attack-free runs.  The tests compare
 its draws with ``stream_rng`` in ``tests/oracles.py``.

@@ -13,8 +13,7 @@ scenario document is read through live here too, next to the attack knobs.
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,27 +242,7 @@ def prefix_rows(y_rel: list) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class MeasurementFrame:
-    """All sensor outputs of one step, as arrays.
-
-    ``y_abs[i-1]`` is vehicle ``i``'s absolute reading; ``y_rel[j-2]`` is the
-    secured gap reading ``x_j - x_{j-1}`` held by vehicle ``j`` (j >= 2).
-    Frames are treated as immutable once built.
-    """
-
-    t: int
-    y_abs: np.ndarray
-    y_rel: np.ndarray
-    attack_norms: np.ndarray = field(default=None)
-
-    @cached_property
-    def rel_prefix(self) -> np.ndarray:
-        """:func:`prefix_rows` of the gap readings, as an ``(N, 2)`` array."""
-        return np.array(prefix_rows(self.y_rel.tolist()))
-
-
-def measure_rows(xs: list, mu: float, state: AttackState, t: int, rng) -> tuple[list, list, list]:
+def measure(xs: list, mu: float, state: AttackState, t: int, rng) -> tuple[list, list, list]:
     """The step-``t`` readings of true states ``xs`` (float rows ``(s, v)``).
 
     Returns the absolute readings ``(x + n) + a``, the gap readings
@@ -290,65 +269,28 @@ def measure_rows(xs: list, mu: float, state: AttackState, t: int, rng) -> tuple[
         attack_norms[k] = math.hypot(a0, a1)
         log = state.emitted[i]
         if len(log) != t:
-            raise RuntimeError("measurement frames must be produced step by step")
+            raise RuntimeError("sensors must be read once per step, in step order")
         log.append(row)
     y_rel = [(s1 - s0 + n0, v1 - v0 + n1)
              for (s0, v0), (s1, v1), (n0, n1) in zip(xs, xs[1:], noise_rel)]
     return y_abs, y_rel, attack_norms
 
 
-def measure(xs: np.ndarray, mu: float, state: AttackState, t: int, rng) -> MeasurementFrame:
-    """:func:`measure_rows` for an ``(N, 2)`` array of true states, as a frame."""
-    y_abs, y_rel, attack_norms = measure_rows(
-        np.asarray(xs, dtype=float).tolist(), mu, state, t, rng)
-    return MeasurementFrame(t=t, y_abs=np.array(y_abs), y_rel=np.array(y_rel).reshape(-1, 2),
-                            attack_norms=np.array(attack_norms))
+def estimate_based_measurement(row_j, pref_j, pref_i) -> tuple:
+    """Vehicle ``i``'s absolute state rebuilt from a row held at vehicle
+    ``j``, a reading or a broadcast prediction, as a float pair: ``row_j +
+    (pref_i - pref_j)`` with the two vehicles' :func:`prefix_rows` rows.
+    An attack on ``j``'s sensor passes through unchanged; a prediction
+    carries none."""
+    p0, p1 = pref_i
+    f0, f1 = pref_j
+    return (row_j[0] + (p0 - f0), row_j[1] + (p1 - f1))
 
 
-@dataclass(frozen=True, slots=True)
-class StackedMeasurement:
-    """Reconstructed absolute states of vehicle ``i`` from every local sensor."""
-
-    vehicle: int
-    labels: tuple
-    blocks: np.ndarray  # shape (2L+1, 2), row s belongs to labels[s]
-
-
-def chained_rows(y_abs_rows: list, pref_rows: list, pref_own) -> list:
-    """Reconstructions ``y_abs[j] + (pref_own - pref[j])`` of one vehicle's
-    state, as float pairs, from matching rows of readings (or predictions)
-    held at vehicles ``j`` and of :func:`prefix_rows`, and the vehicle's own
-    prefix row."""
-    p0, p1 = pref_own
-    return [(a0 + (p0 - f0), a1 + (p1 - f1))
-            for (a0, a1), (f0, f1) in zip(y_abs_rows, pref_rows)]
-
-
-def _chain_to(row, frame: MeasurementFrame, i: int, j: int) -> np.ndarray:
-    """:func:`chained_rows` of one ``(2,)`` reading held at vehicle ``j``,
-    carried to vehicle ``i`` through the frame's gap readings."""
-    pref = frame.rel_prefix
-    return np.array(chained_rows((np.asarray(row, dtype=float).tolist(),),
-                                 (pref[j - 1].tolist(),), pref[i - 1].tolist())[0])
-
-
-def stack_measurements(frame: MeasurementFrame, i: int, topo) -> StackedMeasurement:
-    """Stack reconstructions from sensors ``i-L .. i+L`` (interior vehicles only)."""
-    if i not in topo.v1:
+def stack_measurements(y_abs: list, pref: list, i: int, L: int) -> list:
+    """Vehicle ``i``'s window: its state rebuilt from every sensor ``i-L ..
+    i+L`` by :func:`estimate_based_measurement` (interior vehicles only)."""
+    if not L < i <= len(y_abs) - L:
         raise ValueError(f"vehicle {i} has a truncated neighbourhood; stacking needs all 2L+1 sensors")
-    L = topo.L
-    labels = tuple(range(i - L, i + L + 1))
-    pref = frame.rel_prefix
-    rows = slice(i - L - 1, i + L)
-    blocks = np.array(chained_rows(frame.y_abs[rows].tolist(), pref[rows].tolist(),
-                                   pref[i - 1].tolist()))
-    return StackedMeasurement(vehicle=i, labels=labels, blocks=blocks)
-
-
-def estimate_based_measurement(x_bar_j: np.ndarray, frame: MeasurementFrame,
-                               i: int, j: int) -> np.ndarray:
-    """Absolute-state surrogate for vehicle ``i`` built from vehicle ``j``'s
-    broadcast prediction instead of ``j``'s (possibly compromised) sensor."""
-    if i == j:
-        return np.asarray(x_bar_j, dtype=float)
-    return _chain_to(x_bar_j, frame, i, j)
+    return [estimate_based_measurement(y_abs[j], pref[j], pref[i - 1])
+            for j in range(i - L - 1, i + L)]

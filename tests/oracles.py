@@ -1,8 +1,10 @@
 """Reference routes the tests compare the package against: array-code
 forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
-reconstruction), per-vehicle forms of batched code (the control law, the
-saturation gain, the saturated window update, the bound envelopes), the
+step's readings as a frame, a reconstruction, the stacked window, the
+chained surrogate, the interior update), per-vehicle forms of batched code
+(the control law, the saturation gain, the saturated window update, the
+interior bound step from a vehicle's sets, the bound envelopes), the
 window counts by set intersection, a fresh generator per draw site, the
 per-cell CSV format, the message and run-splitting helpers the reference
 step loop uses, the stack of every array field of a trace list, the
@@ -10,17 +12,18 @@ stack of hand-built trace rows into the columns the writers read, and the
 paper's claims read off a run's trace."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from platoonsec import observer
+from platoonsec import observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, InconsistentSetsError, Topology
 from platoonsec.dynamics import step_rows
 from platoonsec.harness import RunTrace, _designed_threshold
 from platoonsec.observer import ObserverParams
 from platoonsec.rng import _MASK
-from platoonsec.sensing import MeasurementFrame, _chain_to
+from platoonsec.sensing import prefix_rows
 
 
 def performance_phi(xs, x_hats, x_stars) -> float:
@@ -171,8 +174,7 @@ def bound_envelopes_per_vehicle(config) -> list:
         else:
             rows.append((0, i, nan, params.q, params.q, params.q))
     for t in range(1, config.horizon + 1):
-        new_rho = {i: observer.rho_update(rho[i], empty, i,
-                                          thr.beta_at(rho[i], params), params)
+        new_rho = {i: rho_update(rho[i], empty, i, thr.beta_at(rho[i], params), params)
                    for i in topo.v1}
         new_tau = {i: observer.tau_update(tau[i], abs(source[i] - i),
                                           alpha[source[i]], params)
@@ -216,6 +218,95 @@ def stream_rng(seed: int, run: int, t: int, vehicle: int, stream: int) -> np.ran
     key = np.array([seed & _MASK, run & _MASK], dtype=np.uint64)
     counter = np.array([0, t & _MASK, vehicle & _MASK, stream & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+@dataclass(frozen=True)
+class MeasurementFrame:
+    """All sensor outputs of one step, as arrays.
+
+    ``y_abs[i-1]`` is vehicle ``i``'s absolute reading; ``y_rel[j-2]`` is the
+    secured gap reading ``x_j - x_{j-1}`` held by vehicle ``j`` (j >= 2).
+    Frames are treated as immutable once built.
+    """
+
+    t: int
+    y_abs: np.ndarray
+    y_rel: np.ndarray
+    attack_norms: np.ndarray = field(default=None)
+
+    @cached_property
+    def rel_prefix(self) -> np.ndarray:
+        """:func:`prefix_rows` of the gap readings, as an ``(N, 2)`` array."""
+        return np.array(prefix_rows(self.y_rel.tolist()))
+
+
+def measure(xs: np.ndarray, mu: float, state, t: int, rng) -> MeasurementFrame:
+    """``sensing.measure`` for an ``(N, 2)`` array of true states, as a frame."""
+    y_abs, y_rel, attack_norms = sensing.measure(
+        np.asarray(xs, dtype=float).tolist(), mu, state, t, rng)
+    return MeasurementFrame(t=t, y_abs=np.array(y_abs), y_rel=np.array(y_rel).reshape(-1, 2),
+                            attack_norms=np.array(attack_norms))
+
+
+@dataclass(frozen=True, slots=True)
+class StackedMeasurement:
+    """Reconstructed absolute states of vehicle ``i`` from every local sensor."""
+
+    vehicle: int
+    labels: tuple
+    blocks: np.ndarray  # shape (2L+1, 2), row s belongs to labels[s]
+
+
+def _chain_to(row, frame: MeasurementFrame, i: int, j: int) -> np.ndarray:
+    """``sensing.estimate_based_measurement`` of one ``(2,)`` row held at
+    vehicle ``j``, carried to vehicle ``i`` through the frame's gap readings."""
+    pref = frame.rel_prefix
+    return np.array(sensing.estimate_based_measurement(
+        np.asarray(row, dtype=float).tolist(), pref[j - 1].tolist(), pref[i - 1].tolist()))
+
+
+def stack_measurements(frame: MeasurementFrame, i: int, topo) -> StackedMeasurement:
+    """``sensing.stack_measurements`` of a frame, labelled by sensor
+    (interior vehicles only)."""
+    L = topo.L
+    blocks = np.array(sensing.stack_measurements(frame.y_abs.tolist(),
+                                                 frame.rel_prefix.tolist(), i, L))
+    return StackedMeasurement(vehicle=i, labels=tuple(range(i - L, i + L + 1)), blocks=blocks)
+
+
+def estimate_based_measurement(x_bar_j: np.ndarray, frame: MeasurementFrame,
+                               i: int, j: int) -> np.ndarray:
+    """Absolute-state surrogate for vehicle ``i`` built from vehicle ``j``'s
+    broadcast prediction instead of ``j``'s (possibly compromised) sensor."""
+    if i == j:
+        return np.asarray(x_bar_j, dtype=float)
+    return _chain_to(x_bar_j, frame, i, j)
+
+
+def measurement_update_v1(x_bar: np.ndarray, stacked: StackedMeasurement, sets: DetectionSets,
+                          beta: float, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior-vehicle correction on a stacked window: ``observer.
+    measurement_update_v1`` on its already chained rows.
+
+    Returns the new estimate and the gain applied to each source, ordered as
+    ``stacked.labels``.  The chained rows pass with zero prefix rows: ``r +
+    (0.0 - 0.0)`` may turn ``-0.0`` into ``+0.0``, which a sum started at
+    ``+0.0`` cannot tell.
+    """
+    sources, row = observer._window(observer._gate_classes(stacked.labels, sets), 0)
+    zero = (0.0, 0.0)
+    x0, x1, gains = observer.measurement_update_v1(
+        float(x_bar[0]), float(x_bar[1]), stacked.blocks.tolist(), [zero] * len(row),
+        zero, sources, row, beta, 2.0 * L)
+    return np.array((x0, x1)), np.array(gains)
+
+
+def rho_update(rho_prev: float, sets: DetectionSets, i: int, beta_t: float,
+               p: ObserverParams) -> float:
+    """``observer.rho_update`` of vehicle ``i``, with its window's count
+    terms taken from its sets."""
+    _, terms = observer._window_terms(sets, i, p)
+    return observer.rho_update(rho_prev, terms, beta_t, p)
 
 
 def reconstruct_absolute(frame: MeasurementFrame, i: int, j: int, topo) -> np.ndarray:

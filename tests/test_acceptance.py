@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_doc
-from oracles import reconstruct_absolute
+from oracles import measure, reconstruct_absolute, stack_measurements
 from platoonsec import cli, controller, observer, sensing
 from platoonsec.core import DetectionSets, Topology, load_scenario
 from platoonsec.dynamics import plant_norm
@@ -308,13 +308,13 @@ def test_acceptance_8_reconstruction_identities():
                                       offset=(float(off[0]), float(off[1])))
             offsets = {j: np.asarray(off, dtype=float) for j in attacked}
 
-        frame = sensing.measure(
+        frame = measure(
             xs, mu, sensing.AttackState(spec), 0,
             np.random.default_rng(trial) if mu else None)
 
         for i in topo.vehicles():
             if i in topo.v1:
-                stacked = sensing.stack_measurements(frame, i, topo)
+                stacked = stack_measurements(frame, i, topo)
                 pairs = list(zip(stacked.blocks, stacked.labels))
             else:  # truncated neighbourhood: reconstruct sensor by sensor
                 pairs = [(reconstruct_absolute(frame, i, j, topo), j)

@@ -341,6 +341,31 @@ def test_certificate_failure_keeps_the_run_artifacts(tmp_path, caplog, monkeypat
     assert not os.path.exists(os.path.join(out, "feasibility.json"))
 
 
+@pytest.mark.parametrize("command", [["run"], ["monte-carlo", "--runs", "2"]],
+                         ids=["run", "monte-carlo"])
+def test_a_refused_certificate_leaves_its_error_not_an_earlier_report(tmp_path, caplog,
+                                                                      monkeypatch, command):
+    """A certified write and then a refused one into the same directory
+    leave no ``feasibility.json`` of the first beside the second's scenario,
+    but an ``error.json`` holding the line the command logged; a later
+    certified write removes that error again."""
+    out = os.path.join(tmp_path, "out")
+    argv = [*command, "--config", _config_file(tmp_path, horizon=5), "--out", out]
+    assert cli.main(argv) == 0
+    assert os.path.isfile(os.path.join(out, "feasibility.json"))
+    with monkeypatch.context() as patch:
+        _perturb_the_lyapunov_solve(patch)
+        assert cli.main(argv) == 2
+    assert not os.path.exists(os.path.join(out, "feasibility.json"))
+    with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+        error = strict_json(fh.read())["error"]
+    assert "Lyapunov residual" in error
+    assert error in caplog.messages
+    assert cli.main(argv) == 0
+    assert os.path.isfile(os.path.join(out, "feasibility.json"))
+    assert not os.path.exists(os.path.join(out, "error.json"))
+
+
 def test_inconsistent_sets_mid_run_exits_with_error_code(tmp_path, caplog,
                                                         monkeypatch):
     def clash(own, received):

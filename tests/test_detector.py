@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import split_suspicious
+from oracles import measure, split_suspicious
 from platoonsec import sensing
 from platoonsec.core import DetectionSets, InconsistentSetsError, Topology, fuse_sets
 from platoonsec.detector import (
@@ -217,7 +217,7 @@ def test_equal_bias_on_adjacent_sensors_evades_the_gap_test():
     xs = np.arange(10, dtype=float).reshape(5, 2) * 8.0
     spec = sensing.AttackSpec(attacked=frozenset({2, 3}), kind="bias",
                               offset=(7.0, 0.0))
-    frame = sensing.measure(xs, 0.0, sensing.AttackState(spec), 0, None)
+    frame = measure(xs, 0.0, sensing.AttackState(spec), 0, None)
     assert not pairwise_check(frame.y_rel[1], frame.y_abs[1], frame.y_abs[2], 0.0)
     assert pairwise_check(frame.y_rel[0], frame.y_abs[0], frame.y_abs[1], 0.0)
     assert pairwise_check(frame.y_rel[2], frame.y_abs[2], frame.y_abs[3], 0.0)

@@ -24,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import baseline_doc, strict_json, string_overrides
 from oracles import (Message, _fmt, bound_envelopes_per_vehicle, control_input,
-                     controller_neighbors, local_counts, performance_phi, platoon_phi,
-                     stack_rows, stack_traces, step_vehicle)
+                     controller_neighbors, estimate_based_measurement, local_counts, measure,
+                     measurement_update_v1, performance_phi, platoon_phi, rho_update,
+                     stack_measurements, stack_rows, stack_traces, step_vehicle)
 from platoonsec import detector, harness, observer, sensing
 from platoonsec.core import (DetectionSets, InconsistentSetsError, Topology,
                             fuse_sets, load_scenario)
@@ -186,14 +187,14 @@ def test_a_run_is_refused_at_its_first_step_past_the_float_range(monkeypatch):
     cfg = load_scenario(baseline_doc(
         horizon=500, q=1e10, epsilon=1e308,
         threshold_mode={"mode": "static", "beta": 5e-324, "omega": 0.999999}))
-    measure_rows = sensing.measure_rows
+    measure = sensing.measure
     steps = []
 
     def counted(*args):
         steps.append(args[3])
-        return measure_rows(*args)
+        return measure(*args)
 
-    monkeypatch.setattr(sensing, "measure_rows", counted)
+    monkeypatch.setattr(sensing, "measure", counted)
     with pytest.raises(SimulationError) as refused:
         run_simulation(cfg)
     assert str(refused.value) == "step 1 leaves the float range: phi=inf"
@@ -259,9 +260,9 @@ def _replica(cfg, seed=None, run_index=0):
     alpha = [params.q] * n
 
     att_state = sensing.AttackState(cfg.attack)
-    frame = sensing.measure(x, cfg.mu, att_state, 0,
-                            rnd.attack(0) if has_attack else
-                            rnd.measurement(0) if cfg.mu else None)
+    frame = measure(x, cfg.mu, att_state, 0,
+                    rnd.attack(0) if has_attack else
+                    rnd.measurement(0) if cfg.mu else None)
     ctrl = frame.y_abs if pwm else x_hat
     u = _u_all(n, x_star, x_leader, ctrl, ctrl, cfg.g_s, cfg.g_v)
 
@@ -288,9 +289,9 @@ def _replica(cfg, seed=None, run_index=0):
         deltas = advance_deltas(deltas, cfg.T)
         x_star = desired_state_chain(x_leader, deltas)
 
-        frame = sensing.measure(x, cfg.mu, att_state, t,
-                                rnd.attack(t) if has_attack else
-                                rnd.measurement(t) if cfg.mu else None)
+        frame = measure(x, cfg.mu, att_state, t,
+                        rnd.attack(t) if has_attack else
+                        rnd.measurement(t) if cfg.mu else None)
         y_abs, y_rel = frame.y_abs, frame.y_rel
         x_bar = np.stack([step_vehicle(x_hat[k], float(u[k]), None, cfg.T)
                           for k in range(n)])
@@ -323,17 +324,17 @@ def _replica(cfg, seed=None, run_index=0):
             if i in topo.v1:
                 bt = thr.beta_at(rho[k], params)
                 beta[k] = bt
-                stacked = sensing.stack_measurements(frame, i, topo)
-                x_hat_new[k], gains[k] = observer.measurement_update_v1(
+                stacked = stack_measurements(frame, i, topo)
+                x_hat_new[k], gains[k] = measurement_update_v1(
                     x_bar[k], stacked, si, bt, Lw)
-                rho[k] = observer.rho_update(rho[k], si, i, bt, params)
+                rho[k] = rho_update(rho[k], si, i, bt, params)
                 alpha[k] = rho[k]
             else:
                 j = observer.nearest_trusted(i, si, topo)
                 if i in si.trusted:
                     src = y_abs[k]
                 else:
-                    src = sensing.estimate_based_measurement(
+                    src = estimate_based_measurement(
                         msgs[j - 1].x_bar, frame, i, j)
                 x_hat_new[k] = observer.measurement_update_v2(x_bar[k], src,
                                                               cfg.varpi)
@@ -1000,14 +1001,14 @@ def test_string_identifies_the_attacks_within_one_diameter(n, attacked, t_first,
 
 def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
     """Interior vehicles that share their count terms and their previous
-    bound share one bound step: in each step's interior pass ``_rho_next``
+    bound share one bound step: in each step's interior pass ``rho_update``
     runs exactly once per distinct (terms, previous bound) pair, far fewer
     times than there are interior vehicles."""
     cfg = load_scenario(baseline_doc(horizon=40, **string_overrides(21, [6, 15])))
     topo = cfg.topology()
     params = observer.ObserverParams.from_config(cfg)
     steps = []
-    rows, advance = observer.interior_rows, observer._rho_next
+    rows, advance = observer.interior_rows, observer.rho_update
 
     def counted_rows(xb, ya, pf, sets, rho, *rest):
         pairs = {(observer._count_terms(*local_counts(sets[i - 1], i, topo), params),
@@ -1020,7 +1021,7 @@ def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
         return advance(*args)
 
     monkeypatch.setattr(observer, "interior_rows", counted_rows)
-    monkeypatch.setattr(observer, "_rho_next", counted_advance)
+    monkeypatch.setattr(observer, "rho_update", counted_advance)
     run_simulation(cfg)
     assert len(steps) == 40
     assert [calls for calls, _ in steps] == [distinct for _, distinct in steps]

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc, string_overrides
-from oracles import (feasibility_check, local_counts, saturated_window_update, saturation_gain,
-                     stream_rng)
+from oracles import (MeasurementFrame, estimate_based_measurement, feasibility_check, local_counts,
+                     measure, measurement_update_v1, rho_update, saturated_window_update,
+                     saturation_gain, stack_measurements, stream_rng)
 from platoonsec import core, harness, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
@@ -24,10 +25,8 @@ from platoonsec.observer import (
     design_threshold,
     feasible_omegas,
     lambda_update,
-    measurement_update_v1,
     measurement_update_v2,
     nearest_trusted,
-    rho_update,
     static_threshold_interval,
     tau_update,
 )
@@ -97,10 +96,10 @@ def test_measurement_update_v1_equals_saturation_gain_composition():
     spec = sensing.AttackSpec(attacked=frozenset(), kind="bias")
     for trial in range(200):
         mu = float(rng.uniform(0.0, 0.4))
-        frame = sensing.measure(frame_states, mu,
-                                sensing.AttackState(spec), 0,
-                                stream_rng(trial, 0, 0, 0, 1) if mu else None)
-        stacked = sensing.stack_measurements(frame, 3, TOPO5)
+        frame = measure(frame_states, mu,
+                        sensing.AttackState(spec), 0,
+                        stream_rng(trial, 0, 0, 0, 1) if mu else None)
+        stacked = stack_measurements(frame, 3, TOPO5)
         labels = set(stacked.labels)
         att = {int(v) for v in rng.choice(sorted(labels), size=int(rng.integers(0, 2)), replace=False)}
         tru = {int(v) for v in rng.choice(sorted(labels - att), size=int(rng.integers(0, 3)), replace=False)}
@@ -126,8 +125,8 @@ def test_measurement_update_v1_equals_saturation_gain_composition():
 def test_measurement_update_v1_all_trusted_recovers_mean_innovation():
     xs = np.arange(10, dtype=float).reshape(5, 2) * 16.0
     spec = sensing.AttackSpec(attacked=frozenset(), kind="bias")
-    frame = sensing.measure(xs, 0.0, sensing.AttackState(spec), 0, None)
-    stacked = sensing.stack_measurements(frame, 3, TOPO5)
+    frame = measure(xs, 0.0, sensing.AttackState(spec), 0, None)
+    stacked = stack_measurements(frame, 3, TOPO5)
     sets = DetectionSets(frozenset({1, 2, 3, 4, 5}), frozenset(), frozenset())
     x_bar = np.zeros(2)
     got, gains = measurement_update_v1(x_bar, stacked, sets, beta=1.0, L=2)
@@ -185,7 +184,7 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
     on bounds rotated from ``rho``, from its own fresh and then reused memo."""
     n = len(x_bar)
     topo = Topology.build(n, p.L)
-    frame = sensing.MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
+    frame = MeasurementFrame(t=0, y_abs=y_abs, y_rel=y_rel)
     memo = [None] * n
     *_, update_rows = observer.row_observer(thr, p, topo)
     lam, tau, alpha = rho[1:] + rho[:1], rho[::-1], rho[2:] + rho[:2]
@@ -228,7 +227,7 @@ def _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, sets, rho, lam, ta
         k = i - 1
         j = nearest_trusted(i, sets[k], topo)
         own = i in sets[k].trusted
-        src = frame.y_abs[k] if own else sensing.estimate_based_measurement(
+        src = frame.y_abs[k] if own else estimate_based_measurement(
             x_bar[j - 1], frame, i, j)
         want_tau = tau_update(tau[k], abs(j - i), alpha[j - 1], p)
         want_lam = lambda_update(lam[k], p) if own else want_tau
@@ -327,7 +326,7 @@ def test_interior_rows_zero_innovation_zero_ceiling_and_negative_zero(mode):
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, [0.0] * n)
     _, gains, betas, bounds = observer.interior_rows(
         x_bar.tolist(), y_abs.tolist(),
-        sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
+        MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, [0.0] * n, thr, p, [None] * n)
     assert betas == [0.0] * (n - 2 * L) and bounds == [0.0] * (n - 2 * L)
     assert list(gains[0]) == [1.0] * 5 and list(gains[1]) == [1.0, 1.0, 0.0, 1.0, 1.0]
@@ -367,7 +366,7 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
             x_bar = y_abs = np.full((n, 2), -0.0)
             y_rel = np.zeros((n - 1, 2))
         rho = rng.uniform(0.0, 300.0, size=n).tolist()
-        frame = sensing.MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
+        frame = MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
         got_x, got_g, got_b, got_r = observer.interior_rows(
             x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
             memo)
@@ -414,7 +413,7 @@ def test_interior_rows_shares_bound_steps_bit_for_bit(mode, noise):
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, [every] * n, zeros)
     _, _, betas, bounds = observer.interior_rows(
         x_bar.tolist(), y_abs.tolist(),
-        sensing.MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
+        MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, rho, thr, p, [None] * n)
     # vehicles 5, 7 and 11 hold the one object, vehicle 10 an equal float,
     # all four with an all-trusted window

@@ -1,8 +1,9 @@
 """``src/platoonsec`` holds only code a command runs: a fresh interpreter runs
 the four CLI commands on the baseline under a profile hook, import-time calls
 included, and every function or lambda written in the package must have been
-entered, apart from the benchmark tracer's span boundaries, the two pieces
-only those call, and the error paths.  Reference code lives in ``oracles.py``."""
+entered, apart from the benchmark tracer's span boundaries, of which
+``sensing.stack_measurements`` is the one tracer-only name left, and the
+error paths.  Reference code lives in ``oracles.py``."""
 
 import importlib.util
 import inspect
@@ -15,13 +16,12 @@ import types
 
 from conftest import baseline_doc
 import platoonsec
-from platoonsec import core, harness, sensing
+from platoonsec import core, harness
 
 PACKAGE = pathlib.Path(platoonsec.__file__).resolve().parent
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-#: what only the tracer boundaries call, and the error paths
-ALLOWED = (sensing.MeasurementFrame.__dict__["rel_prefix"].func, sensing._chain_to,
-           core.describe_clash, harness._json_default)
+#: the error paths
+ALLOWED = (core.describe_clash, harness._json_default)
 
 #: argv: scenario file, output directory, result file
 COMMANDS = """

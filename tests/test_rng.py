@@ -79,14 +79,14 @@ def test_run_draws_measurement_noise_at_the_attack_site_when_attacked(
     one generator, positioned at ``(seed, run, t, 0, STREAM_ATTACK)``; only
     attack-free runs draw their noise at the ``STREAM_MEASURE`` site."""
     seen = []
-    measure = sensing.measure_rows
+    measure = sensing.measure
 
     def spy(x, mu, state, t, rng):
         counter = rng.bit_generator.state["state"]["counter"].tolist()
         seen.append((t, counter))
         return measure(x, mu, state, t, rng)
 
-    monkeypatch.setattr(sensing, "measure_rows", spy)
+    monkeypatch.setattr(sensing, "measure", spy)
     attack = {"set": attacked, "kind": "random", "params": {"scale": 1.0}}
     harness.run_simulation(load_scenario(baseline_doc(horizon=4, attack=attack)))
     assert seen == [(t, [0, t, 0, stream]) for t in range(5)]

@@ -6,16 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chain_sum, reconstruct_absolute, stream_rng
+from oracles import (chain_sum, estimate_based_measurement, measure, reconstruct_absolute,
+                     stack_measurements, stream_rng)
 from platoonsec import core, rng as prng, sensing
 from platoonsec.sensing import (
     AttackSpec,
     AttackState,
     attack_spec_from_json,
-    estimate_based_measurement,
-    measure,
     sample_noise,
-    stack_measurements,
 )
 
 TOPO5 = core.Topology.build(5, 2)
@@ -150,15 +148,15 @@ def test_measure_noise_is_one_buffer_split_across_sensor_families():
 
 
 def test_measure_rows_draws_noise_then_each_random_normal_from_one_generator():
-    """One generator serves a step's sensing: ``measure_rows`` equals, bit
+    """One generator serves a step's sensing: ``measure`` equals, bit
     for bit, a second generator at the same attack site drawing the
     ``2N-1`` noise rows first and then one normal per attacked sensor, in
     sensor order."""
     n, mu, scale, seed = 7, 0.3, 1.5, 2718
     spec = AttackSpec(attacked=frozenset({5, 2}), kind="random", scale=scale)
     xs = _states(n=n, seed=11).tolist()
-    got = sensing.measure_rows(xs, mu, AttackState(spec), 0,
-                               stream_rng(seed, 0, 0, 0, prng.STREAM_ATTACK))
+    got = sensing.measure(xs, mu, AttackState(spec), 0,
+                          stream_rng(seed, 0, 0, 0, prng.STREAM_ATTACK))
     oracle = stream_rng(seed, 0, 0, 0, prng.STREAM_ATTACK)
     noise = oracle.uniform(0.0, mu / math.sqrt(2.0), size=(2 * n - 1, 2)).tolist()
     y_abs = [(s + n0, v + n1) for (s, v), (n0, n1) in zip(xs, noise[:n])]

@@ -17,8 +17,9 @@ RUN_SPANS = {
     "detector.detector_step", "dynamics.advance_deltas", "dynamics.desired_state_chain",
     "dynamics.reference_step", "harness.phi_pair", "harness.run_simulation",
     "observer.design_threshold", "observer.static_threshold_interval",
-    "observer.lambda_update", "observer.measurement_update_v2", "observer.nearest_trusted",
-    "observer.tau_update", "rng.reposition", "sensing.sample_noise",
+    "observer.lambda_update", "observer.measurement_update_v1", "observer.measurement_update_v2",
+    "observer.nearest_trusted", "observer.rho_update", "observer.tau_update", "rng.reposition",
+    "sensing.estimate_based_measurement", "sensing.measure", "sensing.sample_noise",
 }
 
 
@@ -39,8 +40,9 @@ def test_benchmark_tracer_finds_every_traced_boundary():
 
 def test_benchmark_tracer_sees_every_layer_of_a_run_and_restores_it():
     """One traced baseline run (N=5, H=20) records calls in the same spans,
-    as many fusions and detector steps as the step loop makes, and leaves
-    every wrapped attribute as it found it."""
+    as many fusions, detector steps, readings, chained surrogates, window
+    updates and bound steps as the step loop makes, and leaves every
+    wrapped attribute as it found it."""
     tracer = _load_tracer()
     originals = [vars(owner)[attr] for _, owner, attr in tracer.BOUNDARIES]
     cfg = load_scenario(baseline_doc(horizon=20))
@@ -57,3 +59,7 @@ def test_benchmark_tracer_sees_every_layer_of_a_run_and_restores_it():
     assert set(calls) == RUN_SPANS
     assert calls["detector.detector_step"] == 20 * 5
     assert calls["core.fuse_sets"] == 20
+    assert calls["sensing.measure"] == 21
+    assert calls["sensing.estimate_based_measurement"] == 4
+    assert calls["observer.measurement_update_v1"] == 20
+    assert calls["observer.rho_update"] == 20
