@@ -57,8 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _seeded_scenario(args):
     """The scenario with ``--seed`` as its seed, so the directory's
-    ``scenario.json`` reproduces the command's runs."""
+    ``scenario.json`` reproduces the command's runs.  The directory is made
+    after the runs, so an ``--out`` that a file blocks is refused first."""
     config = load_scenario(args.config)
+    blocker = os.path.abspath(args.out)
+    while not os.path.lexists(blocker):
+        blocker = os.path.dirname(blocker)
+    if not os.path.isdir(blocker):
+        raise ConfigError(f"--out {args.out}: {blocker} exists and is not a directory")
     return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 

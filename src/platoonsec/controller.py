@@ -31,6 +31,32 @@ def grounded_laplacian(n: int) -> np.ndarray:
     return lg
 
 
+def control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
+    """Whole-platoon control law, term for term the per-vehicle rule, on
+    float rows: desired states, the leader, and the own and neighbour sources.
+
+    Vehicle ``i`` couples to its physical neighbours ``i-1`` (the virtual
+    leader for ``i=1``) and ``i+1`` (absent for ``i=N``); each coupling adds
+    a spring term on position and a damper term on velocity, offset by the
+    desired formation gap.
+    """
+    u = [0.0] * n
+    for k in range(n):
+        star_s, star_v = stars[k]
+        own_s, own_v = own[k]
+        front = lead if k == 0 else nb[k - 1]
+        front_star = lead if k == 0 else stars[k - 1]
+        uk = g_s * (front[0] - own_s + (star_s - front_star[0]))
+        uk += g_v * (front[1] - own_v + (star_v - front_star[1]))
+        if k < n - 1:
+            rear = nb[k + 1]
+            rear_star = stars[k + 1]
+            uk += g_s * (rear[0] - own_s + (star_s - rear_star[0]))
+            uk += g_v * (rear[1] - own_v + (star_v - rear_star[1]))
+        u[k] = uk
+    return u
+
+
 @dataclass(frozen=True)
 class GainReport:
     """Outcome of the gain-feasibility test with per-condition margins."""

@@ -4,11 +4,11 @@ One simulated step runs, in order: plant propagation under the previous
 control, reference/formation propagation, sensing with attack injection,
 set fusion with the neighbours' previous-step sets plus detection
 (``detector.row_detector``), the observer with its error bounds
-(``observer.row_observer``), then control; the two factories also make the
-step-0 sets, flags and bounds.  The detector runs before the observer on
-purpose — the observer's gains and the edge vehicles' source selection
-consume the *current* step's sets, while the detection tests themselves
-only use previous-step bounds and predictions.
+(``observer.row_observer``), then control (``controller.control_all``); the
+two factories also make the step-0 sets, flags and bounds.  The detector
+runs before the observer on purpose — the observer's gains and the edge
+vehicles' source selection consume the *current* step's sets, while the
+detection tests themselves only use previous-step bounds and predictions.
 
 Every random draw comes from a counter-based generator keyed by
 ``(seed, run, t, vehicle, stream)``, so a run is reproducible bit for bit
@@ -167,30 +167,8 @@ def _validated_design(config: ScenarioConfig):
     return params, thr
 
 
-def _control_all(n, stars, lead, own, nb, g_s, g_v) -> list:
-    """Whole-platoon control law, term for term the per-vehicle rule, on
-    float rows: desired states, the leader, and the own and neighbour sources.
-
-    Vehicle ``i`` couples to its physical neighbours ``i-1`` (the virtual
-    leader for ``i=1``) and ``i+1`` (absent for ``i=N``); each coupling adds
-    a spring term on position and a damper term on velocity, offset by the
-    desired formation gap.
-    """
-    u = [0.0] * n
-    for k in range(n):
-        star_s, star_v = stars[k]
-        own_s, own_v = own[k]
-        front = lead if k == 0 else nb[k - 1]
-        front_star = lead if k == 0 else stars[k - 1]
-        uk = g_s * (front[0] - own_s + (star_s - front_star[0]))
-        uk += g_v * (front[1] - own_v + (star_v - front_star[1]))
-        if k < n - 1:
-            rear = nb[k + 1]
-            rear_star = stars[k + 1]
-            uk += g_s * (rear[0] - own_s + (star_s - rear_star[0]))
-            uk += g_v * (rear[1] - own_v + (star_v - rear_star[1]))
-        u[k] = uk
-    return u
+#: the control step; the benchmark's tracer wraps this module binding
+_control_all = controller.control_all
 
 
 def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
@@ -237,7 +215,7 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
     att_state = sensing.AttackState(config.attack)
     sets, fired, detect_rows = detector.row_detector(topo, fuse_sets, config.b, mu, eps,
                                                      params.norm_A)
-    rho, lam, tau, alpha, update_rows = observer.row_observer(thr, params, topo)
+    rho, lam, tau, alpha, _, update_rows = observer.row_observer(thr, params, topo)
     zero_noise = [(0.0, 0.0)] * n
 
     for t in range(config.horizon + 1):
@@ -262,10 +240,8 @@ def run_simulation(config: ScenarioConfig, *, seed: int | None = None,
             x_hat, gains, beta_row, alpha = update_rows(x_bar, y_abs, pref, sets,
                                                        rho, lam, tau, alpha)
 
-        if pwm:
-            u = _control_all(n, stars, lead, y_abs, y_abs, g_s, g_v)
-        else:
-            u = _control_all(n, stars, lead, x_hat, x_bar, g_s, g_v)
+        own, nb = (y_abs, y_abs) if pwm else (x_hat, x_bar)
+        u = _control_all(n, stars, lead, own, nb, g_s, g_v)
 
         # float rows go through ``rows_array`` (``np.fromiter``): at N=101
         # that fills a row in 16 µs, where numpy's conversion of the list of
@@ -473,36 +449,26 @@ def bound_envelopes(config: ScenarioConfig) -> Iterator[tuple]:
     """Offline worst-case bound trajectories with detection sets held empty.
 
     Yields one row per (t, vehicle): ``(t, i, rho, lam, tau, alpha)`` with
-    NaN where a bound does not apply to the vehicle's class.  With empty
-    sets every interior window counts no trusted or attacked sensor, so all
-    interior vehicles share one ``rho``, and every edge vehicle leans on an
-    interior neighbour, whose bound is that ``rho``.  The design is made
-    when this is called, so a refused design raises before the first row;
-    the rows are made as they are taken, so memory does not grow with the
-    horizon.
+    NaN where a bound does not apply to the vehicle's class: the step-0
+    rows and bound step of ``observer.row_observer`` over one tuple of
+    empty sets, equal to a run's columns when its sets stay empty.  The
+    design is made when this is called, so a refused design raises before
+    the first row; the rows are made as they are taken, so memory does not
+    grow with the horizon.
     """
     topo = config.topology()
     params = observer.ObserverParams.from_config(config)
     thr = _designed_threshold(config, params)
-    empty = DetectionSets.empty()
-    dist = {i: abs(observer.nearest_trusted(i, empty, topo) - i) for i in topo.v2}
-    terms = observer._count_terms(0, 0, 0, params)
+    rho, lam, tau, alpha, update_bounds, _ = observer.row_observer(thr, params, topo)
+    sets = (DetectionSets.empty(),) * config.N
 
-    def rows():
-        nan = float("nan")
-        rho = params.q
-        tau = dict.fromkeys(topo.v2, params.q)
+    def rows(alpha):
         for t in range(config.horizon + 1):
             if t:
-                tau = {i: observer.tau_update(tau[i], dist[i], rho, params) for i in topo.v2}
-                rho = observer.rho_update(rho, terms, thr.beta_at(rho, params), params)
-            for i in topo.vehicles():
-                if i in topo.v1:
-                    yield (t, i, rho, nan, nan, rho)
-                else:
-                    yield (t, i, nan, tau[i], tau[i], tau[i])
+                _, alpha = update_bounds(sets, rho, lam, tau, alpha)
+            yield from zip(itertools.repeat(t), topo.vehicles(), rho, lam, tau, alpha)
 
-    return rows()
+    return rows(alpha)
 
 
 # --------------------------------------------------------------------------
@@ -645,7 +611,6 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     """Scalar digest of one run for summary.json."""
     if not run:
         return {"horizon": 0, "steps": 0}
-    final = run[-1]
     gap = run.x_hat - run.x
     with np.errstate(over="ignore"):
         err = np.linalg.norm(gap, axis=2)
@@ -673,12 +638,12 @@ def summarize_run(config: ScenarioConfig, run: RunTrace) -> dict:
     return {
         "horizon": config.horizon,
         "steps": len(run),
-        "final_phi": final.phi,
-        "final_phi_platoon": final.phi_platoon,
+        "final_phi": float(run.phi[-1]),
+        "final_phi_platoon": float(run.phi_platoon[-1]),
         "max_estimation_error": float(np.max(err)),
         "bound_violations": violations,
         "first_full_detection": first_full,
-        "final_sets": [s.sorted_lists() for s in final.sets],
+        "final_sets": [s.sorted_lists() for s in run.sets[-1]],
     }
 
 

@@ -151,64 +151,53 @@ def measurement_update_v1(xb0: float, xb1: float, y_abs: list, pref: list, pref_
     return xb0 + corr0 / scale, xb1 + corr1 / scale, gains
 
 
-def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig",
-                  p: ObserverParams, memo: list) -> tuple[list, list, list, list]:
-    """One observer step for every interior vehicle ``L+1 .. N-L`` at once.
+def interior_bounds(sets, rho, thr: "ThresholdConfig", p: ObserverParams,
+                    memo: list) -> tuple[list, list]:
+    """One bound step for every interior vehicle ``L+1 .. N-L``: each
+    vehicle's threshold ``thr.beta_at`` and :func:`rho_update` from its
+    sets and previous bound, in vehicle order.  ``memo``, kept across
+    steps, holds per vehicle the window's count terms, non-attacked sources
+    and 0/1 gain row (:func:`_window`) for the last sets object seen, which
+    fusion and detection return unchanged, by identity, when no set grew;
+    its last slot holds the last ``sets`` tuple, which the detector also
+    hands out again when nothing changed, the interior count terms and
+    whether they are all equal.
 
-    ``xb`` and ``ya`` are the platoon's predictions and absolute readings,
-    ``pf`` the gap-reading prefix sums (``sensing.prefix_rows``), all as
-    float rows; ``sets`` and ``rho`` hold each vehicle's current sets and
-    previous bound.  Each vehicle's threshold is taken from
-    ``thr.beta_at``, its estimate and gains computed by
-    :func:`measurement_update_v1` on its window and its bound advanced by
-    :func:`rho_update`.  ``memo`` has one slot
-    per vehicle, kept by the caller across steps: it holds the window's
-    count terms, its non-attacked sources and its 0/1 gain row (see
-    :func:`_window`) for the last sets object seen, which fusion and
-    detection return unchanged, by identity, whenever no set grew.  A gain
-    row with no clipped source is handed out as the memo's tuple.
-
-    Vehicles that share the previous bound and the count terms share the
-    bound step too: ``steps`` maps a ``(previous bound, count terms)`` key
-    to the ``(beta, rho_next)`` computed from it in this call, so
-    ``beta_at`` and ``rho_update`` run once per distinct pair, and the
-    sharing vehicles get the same float objects.  Only equal floats with
-    equal bits may share a key, so a nonzero bound is keyed by its value and
-    a zero by its object, since ``0.0 == -0.0``; a NaN matches only itself,
-    as tuple equality tests identity first.  The object ids stay
-    unique because ``rho`` holds every key's object for the whole call.
-    Count terms come from the window's counts and ``p`` alone, and no float
-    in them is a zero whose sign differs between windows, so equal terms
-    give bit-equal steps.
-
-    Returns, in vehicle order, the new estimates, the gain rows, the
-    thresholds and the new bounds.
+    Vehicles with equal ``(previous bound, count terms)`` keys share one
+    step, made once in ``steps``, and so the same float objects, all at once
+    when they share one key.  A nonzero bound is keyed by its value and a
+    zero by its object, since ``0.0 == -0.0``; a NaN matches only itself, as
+    list and tuple equality test identity first.  ``rho`` holds every key's
+    object for the whole call, so the ids stay unique.  Count terms come
+    from the window's counts and ``p`` alone, with no zero whose sign
+    differs between windows, so equal terms give bit-equal steps.
     """
-    L = p.L
-    scale = 2.0 * L
-    estimates, gains, betas, bounds = [], [], [], []
-    steps = {}
-    for k in range(L, len(xb) - L):
-        si = sets[k]
-        entry = memo[k]
-        if entry is None or entry[0] is not si:
-            classes, terms = _window_terms(si, k + 1, p)
-            entry = memo[k] = (si, terms, *_window(classes, k - L))
-        _, terms, sources, row = entry
-        rho_prev = rho[k]
+    L, n = p.L, len(sets)
+    if memo[n] is None or memo[n][0] is not sets:
+        for k in range(L, n - L):
+            si = sets[k]
+            entry = memo[k]
+            if entry is None or entry[0] is not si:
+                classes, terms = _window_terms(si, k + 1, p)
+                memo[k] = (si, terms, *_window(classes, k - L))
+        terms_in = [entry[1] for entry in memo[L:n - L]]
+        memo[n] = (sets, terms_in, terms_in.count(terms_in[0]) == len(terms_in))
+    _, terms_in, one_terms = memo[n]
+    rho_in = rho[L:n - L]
+    m, r0 = len(rho_in), rho_in[0]
+    if one_terms and r0 and rho_in.count(r0) == m:
+        bt = thr.beta_at(r0, p)
+        return [bt] * m, [rho_update(r0, terms_in[0], bt, p)] * m
+    betas, bounds, steps = [], [], {}
+    for rho_prev, terms in zip(rho_in, terms_in):
         key = (rho_prev or (id(rho_prev),), terms)  # a zero by its object: 0.0 == -0.0
         step = steps.get(key)
         if step is None:
             bt = thr.beta_at(rho_prev, p)
             step = steps[key] = (bt, rho_update(rho_prev, terms, bt, p))
-        bt, rho_new = step
-        xb0, xb1 = xb[k]
-        x0, x1, g = measurement_update_v1(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
-        estimates.append((x0, x1))
-        gains.append(g)
-        betas.append(bt)
-        bounds.append(rho_new)
-    return estimates, gains, betas, bounds
+        betas.append(step[0])
+        bounds.append(step[1])
+    return betas, bounds
 
 
 def measurement_update_v2(x_bar, y_source, varpi: float) -> tuple:
@@ -237,34 +226,33 @@ def nearest_trusted(i: int, sets: DetectionSets, topo: Topology) -> int:
 def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
     """The observer of one run's platoon: its step-0 rows ``rho, lam, tau,
     alpha`` (``q`` for the vehicles a bound applies to, NaN elsewhere) and
-    ``update_rows(xb, ya, pf, sets, rho, lam, tau, alpha)``, which runs one
-    step for every vehicle on the float rows of :func:`interior_rows`, which
-    runs the interior vehicles.  An edge vehicle moves by
-    ``measurement_update_v2`` toward its own reading once its sensor is
-    trusted, else toward its ``nearest_trusted`` source's prediction chained
-    to it; ``tau`` advances from the source's previous ``alpha``, and
-    ``lam`` while the sensor is trusted, else it takes ``tau``.  ``rho``,
-    ``lam`` and ``tau`` advance in place; the estimates, gain rows and
-    thresholds (NaN for edge vehicles) and the new ``alpha`` are returned.
-    ``memo`` keeps, per vehicle and across steps, an interior slot as in
-    :func:`interior_rows` or an edge vehicle's source row, distance and
-    own-trusted flag, for the last sets object seen.
+    two steps over one ``memo``.  ``update_bounds(sets, rho, lam, tau,
+    alpha)`` reads no measurement: it advances the interior bounds by
+    :func:`interior_bounds` and each edge vehicle's ``tau`` from its
+    ``nearest_trusted`` source's previous ``alpha``, and ``lam`` while its
+    sensor is trusted, else it takes ``tau``.  ``rho``, ``lam`` and ``tau``
+    advance in place, and the thresholds (NaN for edge vehicles) and the
+    new ``alpha`` are returned.  ``update_rows(xb, ya, pf, sets, rho, lam,
+    tau, alpha)`` runs it, then moves each interior estimate by
+    :func:`measurement_update_v1` on its memo entry's window and each edge
+    vehicle by ``measurement_update_v2`` toward its own reading once
+    trusted, else toward its source's prediction chained to it, on float
+    rows of the predictions, readings and gap-reading prefix sums, and
+    returns the estimates and gain rows before those two rows.  An edge
+    vehicle's memo slot holds its source row, distance and own-trusted
+    flag for the last sets object seen.
     """
     n, L = topo.N, p.L
     inner = slice(L, n - L)
     edges = (*range(L), *range(n - L, n))
     nan_gains = [math.nan] * (2 * L + 1)
-    memo = [None] * n
+    scale = 2.0 * L
+    memo = [None] * (n + 1)
 
-    def update_rows(xb: list, ya: list, pf: list, sets, rho: list, lam: list, tau: list,
-                    alpha: list) -> tuple[list, list, list, list]:
-        estimates, gain_rows, betas, bounds = interior_rows(xb, ya, pf, sets, rho, thr, p, memo)
-        x_hat = [None] * n
-        gains = [nan_gains] * n
+    def update_bounds(sets, rho: list, lam: list, tau: list, alpha: list) -> tuple[list, list]:
+        betas, bounds = interior_bounds(sets, rho, thr, p, memo)
         beta_row = [math.nan] * n
         alpha_new = [0.0] * n
-        x_hat[inner] = estimates
-        gains[inner] = gain_rows
         beta_row[inner] = betas
         rho[inner] = bounds
         alpha_new[inner] = bounds
@@ -275,15 +263,30 @@ def row_observer(thr: "ThresholdConfig", p: ObserverParams, topo: Topology):
                 j = nearest_trusted(k + 1, si, topo)
                 entry = memo[k] = (si, j - 1, abs(j - k - 1), k + 1 in si.trusted)
             _, s, dist, own_trusted = entry
-            src = ya[k] if own_trusted else sensing.estimate_based_measurement(xb[s], pf[s], pf[k])
-            x_hat[k] = measurement_update_v2(xb[k], src, p.varpi)
             tau[k] = tau_update(tau[k], dist, alpha[s], p)
             lam[k] = alpha_new[k] = lambda_update(lam[k], p) if own_trusted else tau[k]
+        return beta_row, alpha_new
+
+    def update_rows(xb: list, ya: list, pf: list, sets, rho: list, lam: list, tau: list,
+                    alpha: list) -> tuple[list, list, list, list]:
+        beta_row, alpha_new = update_bounds(sets, rho, lam, tau, alpha)
+        x_hat = [None] * n
+        gains = [nan_gains] * n
+        for k in range(L, n - L):
+            _, _, sources, row = memo[k]
+            xb0, xb1 = xb[k]
+            x0, x1, gains[k] = measurement_update_v1(xb0, xb1, ya, pf, pf[k], sources, row,
+                                                     beta_row[k], scale)
+            x_hat[k] = (x0, x1)
+        for k in edges:
+            _, s, _, own_trusted = memo[k]
+            src = ya[k] if own_trusted else sensing.estimate_based_measurement(xb[s], pf[s], pf[k])
+            x_hat[k] = measurement_update_v2(xb[k], src, p.varpi)
         return x_hat, gains, beta_row, alpha_new
     rho, lam = [math.nan] * n, [p.q] * n
     rho[inner] = [p.q] * (n - 2 * L)
     lam[inner] = [math.nan] * (n - 2 * L)
-    return rho, lam, list(lam), [p.q] * n, update_rows
+    return rho, lam, list(lam), [p.q] * n, update_bounds, update_rows
 
 
 # --------------------------------------------------------------------------

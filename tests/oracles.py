@@ -2,7 +2,8 @@
 forms of quantities the package computes on float rows (the performance
 metrics, the direct sum of a run of gap readings, the plant step, a
 step's readings as a frame, a reconstruction, the stacked window, the
-chained surrogate, the interior update), per-vehicle forms of batched code
+chained surrogate, the interior update), the interior pass as one
+estimate-and-bound loop on float rows, per-vehicle forms of batched code
 (the control law, the saturation gain, the saturated window update, the
 interior bound step from a vehicle's sets, the bound envelopes), the
 window counts by set intersection, a fresh generator per draw site, the
@@ -342,6 +343,68 @@ def saturated_window_update(x_bar: np.ndarray, frame: MeasurementFrame, i: int, 
             c1 += k * float(eta[1])
     scale = 2.0 * topo.L
     return np.array([float(x_bar[0]) + c0 / scale, float(x_bar[1]) + c1 / scale]), np.array(gains)
+
+
+def interior_rows(xb: list, ya: list, pf: list, sets, rho, thr: "ThresholdConfig",
+                  p: ObserverParams, memo: list) -> tuple[list, list, list, list]:
+    """One observer step for every interior vehicle ``L+1 .. N-L`` at once,
+    estimates and bounds in one loop: the form ``observer.interior_bounds``
+    and ``row_observer``'s ``update_rows`` split in two.
+
+    ``xb`` and ``ya`` are the platoon's predictions and absolute readings,
+    ``pf`` the gap-reading prefix sums (``sensing.prefix_rows``), all as
+    float rows; ``sets`` and ``rho`` hold each vehicle's current sets and
+    previous bound.  Each vehicle's threshold is taken from
+    ``thr.beta_at``, its estimate and gains computed by
+    ``observer.measurement_update_v1`` on its window and its bound advanced
+    by ``observer.rho_update``.  ``memo`` has one slot
+    per vehicle, kept by the caller across steps: it holds the window's
+    count terms, its non-attacked sources and its 0/1 gain row (see
+    ``observer._window``) for the last sets object seen, which fusion and
+    detection return unchanged, by identity, whenever no set grew.  A gain
+    row with no clipped source is handed out as the memo's tuple.
+
+    Vehicles that share the previous bound and the count terms share the
+    bound step too: ``steps`` maps a ``(previous bound, count terms)`` key
+    to the ``(beta, rho_next)`` computed from it in this call, so
+    ``beta_at`` and ``rho_update`` run once per distinct pair, and the
+    sharing vehicles get the same float objects.  Only equal floats with
+    equal bits may share a key, so a nonzero bound is keyed by its value and
+    a zero by its object, since ``0.0 == -0.0``; a NaN matches only itself,
+    as tuple equality tests identity first.  The object ids stay
+    unique because ``rho`` holds every key's object for the whole call.
+    Count terms come from the window's counts and ``p`` alone, and no float
+    in them is a zero whose sign differs between windows, so equal terms
+    give bit-equal steps.
+
+    Returns, in vehicle order, the new estimates, the gain rows, the
+    thresholds and the new bounds.
+    """
+    L = p.L
+    scale = 2.0 * L
+    estimates, gains, betas, bounds = [], [], [], []
+    steps = {}
+    for k in range(L, len(xb) - L):
+        si = sets[k]
+        entry = memo[k]
+        if entry is None or entry[0] is not si:
+            classes, terms = observer._window_terms(si, k + 1, p)
+            entry = memo[k] = (si, terms, *observer._window(classes, k - L))
+        _, terms, sources, row = entry
+        rho_prev = rho[k]
+        key = (rho_prev or (id(rho_prev),), terms)  # a zero by its object: 0.0 == -0.0
+        step = steps.get(key)
+        if step is None:
+            bt = thr.beta_at(rho_prev, p)
+            step = steps[key] = (bt, observer.rho_update(rho_prev, terms, bt, p))
+        bt, rho_new = step
+        xb0, xb1 = xb[k]
+        x0, x1, g = observer.measurement_update_v1(xb0, xb1, ya, pf, pf[k], sources, row, bt, scale)
+        estimates.append((x0, x1))
+        gains.append(g)
+        betas.append(bt)
+        bounds.append(rho_new)
+    return estimates, gains, betas, bounds
 
 
 def _fmt(value) -> str:

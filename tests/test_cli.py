@@ -635,6 +635,32 @@ def test_documents_past_the_float_range_give_strict_json_or_one_error_line(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", [["run"], ["monte-carlo", "--runs", "2"]],
+                         ids=["run", "monte-carlo"])
+@pytest.mark.parametrize("below", [(), ("sub", "dir")], ids=["file", "under-a-file"])
+def test_an_out_path_a_file_blocks_is_refused_before_any_run(tmp_path, capsys, caplog,
+                                                            monkeypatch, command, below):
+    """``--out`` at an existing file, or below one, exits 2 with one line
+    naming the path before a run starts, and writes nothing."""
+    started = []
+    for name in ("run_simulation", "monte_carlo"):
+        monkeypatch.setattr(harness, name, lambda *args, **kw: started.append(args))
+    path = _config_file(tmp_path)
+    blocker = os.path.join(tmp_path, "taken")
+    with open(blocker, "w", encoding="utf-8") as fh:
+        fh.write("kept\n")
+    out = os.path.join(blocker, *below)
+    before = sorted(os.listdir(tmp_path))
+    code = cli.main([command[0], "--config", path, *command[1:], "--out", out])
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert code == 2 and started == []
+    assert errors == [f"--out {out}: {blocker} exists and is not a directory"]
+    assert capsys.readouterr().out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    with open(blocker, encoding="utf-8") as fh:
+        assert fh.read() == "kept\n"
+
+
 def test_a_trace_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, caplog):
     """A horizon whose trace numpy cannot allocate is refused with one line
     naming the horizon and N, and no artifact is written.  ``bounds`` is not

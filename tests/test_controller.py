@@ -64,7 +64,9 @@ def test_control_input_hand_formula():
 
 def test_control_inputs_equal_grounded_laplacian_feedback():
     """Across the whole platoon the pile of pairwise terms must equal the
-    matrix form ``-(L_g (x) [g_s g_v]) e`` on the formation error ``e``."""
+    matrix form ``-(L_g (x) [g_s g_v]) e`` on the formation error ``e``, and
+    so must the law a run steps, ``control_all``, on its own and neighbour
+    sources both ``x``."""
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 8):
         x_star = np.cumsum(rng.uniform(-30.0, -10.0, size=(n, 2)), axis=0)
@@ -82,6 +84,10 @@ def test_control_inputs_equal_grounded_laplacian_feedback():
         e = (x - x_star).reshape(-1)
         want = -np.kron(grounded_laplacian(n), np.array([[G_S, G_V]])) @ e
         assert np.allclose(u, want, rtol=1e-12, atol=1e-9)
+        rows = x.tolist()
+        u_all = controller.control_all(n, x_star.tolist(), x_leader.tolist(), rows, rows,
+                                       G_S, G_V)
+        assert np.allclose(u_all, want, rtol=1e-12, atol=1e-9)
 
 
 # --------------------------------------------------------------------------

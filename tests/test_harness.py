@@ -830,6 +830,25 @@ def test_bound_envelopes_match_the_per_vehicle_driver(mode):
             bound_envelopes_per_vehicle(cfg))
 
 
+@pytest.mark.parametrize("mode", ["static", "adaptive"])
+@pytest.mark.parametrize("geometry", [{}, string_overrides(21, [])], ids=["baseline", "N21"])
+def test_bound_envelopes_equal_the_bound_columns_of_an_unattacked_run(mode, geometry):
+    """With no attack and b >= 1 the detector's sets stay empty, so ``bounds``
+    and the run advance the same bounds: the envelopes equal the run's
+    ``rho``, ``lam``, ``tau`` and ``alpha`` columns bit for bit."""
+    cfg = load_scenario(baseline_doc(**{**geometry, "horizon": 200,
+                                         "threshold_mode": {"mode": mode},
+                                         "attack": {"set": [], "kind": "random",
+                                                    "params": {"scale": 1.0}}}))
+    run = run_simulation(cfg)
+    empty = DetectionSets.empty()
+    assert cfg.b >= 1 and all(s == empty for sets in run.sets for s in sets)
+    columns = np.stack([run.rho, run.lam, run.tau, run.alpha], axis=2)
+    want = [(t, i, *columns[t, i - 1].tolist())
+            for t in range(cfg.horizon + 1) for i in range(1, cfg.N + 1)]
+    assert _envelope_bits(bound_envelopes(cfg)) == _envelope_bits(want)
+
+
 def test_bound_envelopes_stream_the_first_steps_of_an_unbounded_horizon(monkeypatch):
     """On a ``horizon: 2**62`` baseline the first three steps come at once,
     bit for bit the rows of the ``horizon: 2`` document: taking them advances
@@ -1008,19 +1027,19 @@ def test_run_advances_each_distinct_interior_bound_once_per_step(monkeypatch):
     topo = cfg.topology()
     params = observer.ObserverParams.from_config(cfg)
     steps = []
-    rows, advance = observer.interior_rows, observer.rho_update
+    bounds, advance = observer.interior_bounds, observer.rho_update
 
-    def counted_rows(xb, ya, pf, sets, rho, *rest):
+    def counted_bounds(sets, rho, *rest):
         pairs = {(observer._count_terms(*local_counts(sets[i - 1], i, topo), params),
                   struct.pack("<d", rho[i - 1])) for i in topo.v1}
         steps.append([0, len(pairs)])
-        return rows(xb, ya, pf, sets, rho, *rest)
+        return bounds(sets, rho, *rest)
 
     def counted_advance(*args):
         steps[-1][0] += 1
         return advance(*args)
 
-    monkeypatch.setattr(observer, "interior_rows", counted_rows)
+    monkeypatch.setattr(observer, "interior_bounds", counted_bounds)
     monkeypatch.setattr(observer, "rho_update", counted_advance)
     run_simulation(cfg)
     assert len(steps) == 40

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import baseline_doc, string_overrides
-from oracles import (MeasurementFrame, estimate_based_measurement, feasibility_check, local_counts,
-                     measure, measurement_update_v1, rho_update, saturated_window_update,
-                     saturation_gain, stack_measurements, stream_rng)
+from oracles import (MeasurementFrame, estimate_based_measurement, feasibility_check,
+                     interior_rows, local_counts, measure, measurement_update_v1, rho_update,
+                     saturated_window_update, saturation_gain, stack_measurements, stream_rng)
 from platoonsec import core, harness, observer, sensing
 from platoonsec.core import ConfigError, DetectionSets, Topology
 from platoonsec.dynamics import plant_norm
@@ -191,7 +191,7 @@ def _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, rho):
     for view in (sets, sets, sets[::-1]):
         _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, view, rho, lam, tau, alpha,
                                             topo, update_rows)
-        got_x, got_g, got_b, got_r = observer.interior_rows(
+        got_x, got_g, got_b, got_r = interior_rows(
             x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), view, rho, thr, p,
             memo)
         want_x, want_g, want_b, want_r = [], [], [], []
@@ -217,7 +217,7 @@ def _assert_edge_rows_match_per_vehicle(p, thr, x_bar, frame, sets, rho, lam, ta
     x_hat, gains, betas, got_alpha = update_rows(
         x_bar.tolist(), frame.y_abs.tolist(), frame.rel_prefix.tolist(), sets, got_rho,
         got_lam, got_tau, alpha)
-    want_x, want_g, want_b, want_r = observer.interior_rows(
+    want_x, want_g, want_b, want_r = interior_rows(
         x_bar.tolist(), frame.y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
         [None] * n)
     assert _bits(x_hat[inner]) == _bits(want_x) and _bits(gains[inner]) == _bits(want_g)
@@ -324,7 +324,7 @@ def test_interior_rows_zero_innovation_zero_ceiling_and_negative_zero(mode):
     mixed = DetectionSets(frozenset({1, 2}), frozenset({4}), frozenset({5}))
     sets = [EMPTY, mixed, EMPTY, mixed, EMPTY, mixed, EMPTY]
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, [0.0] * n)
-    _, gains, betas, bounds = observer.interior_rows(
+    _, gains, betas, bounds = interior_rows(
         x_bar.tolist(), y_abs.tolist(),
         MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, [0.0] * n, thr, p, [None] * n)
@@ -367,7 +367,7 @@ def test_interior_rows_reuses_classified_windows_bit_for_bit(mode):
             y_rel = np.zeros((n - 1, 2))
         rho = rng.uniform(0.0, 300.0, size=n).tolist()
         frame = MeasurementFrame(t=step, y_abs=y_abs, y_rel=y_rel)
-        got_x, got_g, got_b, got_r = observer.interior_rows(
+        got_x, got_g, got_b, got_r = interior_rows(
             x_bar.tolist(), y_abs.tolist(), frame.rel_prefix.tolist(), sets, rho, thr, p,
             memo)
         for row, i in enumerate(sorted(topo.v1)):
@@ -391,8 +391,9 @@ def test_interior_rows_shares_bound_steps_bit_for_bit(mode, noise):
     floats, but differ in count terms each get the bound step of their own
     terms; noise-free passes at rho = 0, with 0.0 and -0.0 side by side in
     one class, keep each bound's bits (with -0.0 noise the adaptive
-    threshold's sign of zero follows the bound's); and vehicles alike in
-    both share the very same result objects."""
+    threshold's sign of zero follows the bound's); a platoon all of whose
+    vehicles share one key, through one object or equal floats, matches
+    too; and vehicles alike in both share the very same result objects."""
     L, n = 2, 17
     p = ObserverParams(L=L, b=2, q=300.0, eps=noise, mu=noise,
                        norm_A=plant_norm(0.01), varpi=2.0)
@@ -411,7 +412,9 @@ def test_interior_rows_shares_bound_steps_bit_for_bit(mode, noise):
     zeros = [0.0, -0.0] * 8 + [0.0]
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, sets, zeros)
     _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, [every] * n, zeros)
-    _, _, betas, bounds = observer.interior_rows(
+    alike_rho = [shared if k % 2 else float("123.456") for k in range(n)]
+    _assert_pass_matches_per_vehicle(p, thr, x_bar, y_abs, y_rel, [every] * n, alike_rho)
+    _, _, betas, bounds = interior_rows(
         x_bar.tolist(), y_abs.tolist(),
         MeasurementFrame(0, y_abs, y_rel).rel_prefix.tolist(),
         sets, rho, thr, p, [None] * n)
@@ -439,7 +442,7 @@ def test_row_observer_step_0_rows_follow_each_bound_class():
             params = ObserverParams.from_config(cfg)
             thr = design_threshold(params, cfg.threshold_mode, beta=cfg.beta, omega=cfg.omega)
             topo = cfg.topology()
-            *rows, _ = observer.row_observer(thr, params, topo)
+            *rows, _, _ = observer.row_observer(thr, params, topo)
             interior = [i in topo.v1 for i in range(1, n + 1)]
             want = ([params.q if flag else nan for flag in interior],
                     [nan if flag else params.q for flag in interior],

@@ -2,8 +2,10 @@
 the four CLI commands on the baseline under a profile hook, import-time calls
 included, and every function or lambda written in the package must have been
 entered, apart from the benchmark tracer's span boundaries, of which
-``sensing.stack_measurements`` is the one tracer-only name left, and the
-error paths.  Reference code lives in ``oracles.py``."""
+``sensing.stack_measurements`` is the one tracer-only name left, the row view
+of ``RunTrace`` that the benchmark's result checks iterate (every command
+reads a trace's columns), and the error paths.  Reference code lives in
+``oracles.py``."""
 
 import importlib.util
 import inspect
@@ -22,6 +24,9 @@ PACKAGE = pathlib.Path(platoonsec.__file__).resolve().parent
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 #: the error paths
 ALLOWED = (core.describe_clash, harness._json_default)
+#: the row view, whose per-form readers are the lambdas of ``_ROW_FORMS``
+ROW_VIEW = (harness.RunTrace.__getitem__, harness._ROW_FORMS["floats"],
+            harness._ROW_FORMS["scalar"])
 
 #: argv: scenario file, output directory, result file
 COMMANDS = """
@@ -76,7 +81,7 @@ def test_every_function_in_the_package_is_run_by_a_command(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    allowed = [vars(owner)[attr] for _, owner, attr in tracer.BOUNDARIES] + list(ALLOWED)
+    allowed = [vars(owner)[attr] for _, owner, attr in tracer.BOUNDARIES] + list(ALLOWED) + list(ROW_VIEW)
     unreached = (_written_functions() - {tuple(entry) for entry in entered}
                  - {_key(f.__code__) for f in allowed})
     assert not sorted(f"{pathlib.Path(f).name}:{line} {name}" for f, line, name in unreached)
